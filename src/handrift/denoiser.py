@@ -9,7 +9,11 @@ conditioned on the previous frame's pose and a (Gumbel-)sampled state
 embedding: teacher-forced in training, fed back on itself at inference.
 
 Everything, encoder self-attention included, is causally masked, so decoded
-frame t never depends on inputs after t.
+frame t never depends on inputs after t. That makes free-running decoding
+incremental: the encoder runs once per call, each decoder layer projects its
+cross-attention keys/values from the memory once, and every frame appends its
+self-attention keys/values to a per-layer cache, so a frame costs one row
+through each layer instead of a re-decode of the whole prefix.
 """
 
 from __future__ import annotations
@@ -199,25 +203,30 @@ class Denoiser:
         h = tz.tanh(self._lin("step.0", Tensor(feats)))
         return self._lin("step.1", h)  # (B, width)
 
-    def _attend(self, name, q_in, kv_in, mask: np.ndarray, layer: str):
+    def _heads(self, proj, x):
+        """Project (B,T,W) through ``proj`` and split heads: (B,H,T,W/H)."""
         cfg = self.cfg
-        B, Tq = q_in.shape[0], q_in.shape[1]
-        Tk = kv_in.shape[1]
-        hd = cfg.width // cfg.heads
+        B, T = x.shape[0], x.shape[1]
+        t = tz.reshape(self._lin(proj, x), (B, T, cfg.heads, cfg.width // cfg.heads))
+        return tz.transpose(t, (0, 2, 1, 3))
 
-        def split(t, T):
-            t = tz.reshape(t, (B, T, cfg.heads, hd))
-            return tz.transpose(t, (0, 2, 1, 3))
-
-        q = split(self._lin(f"{name}.q", q_in), Tq)
-        k = split(self._lin(f"{name}.k", kv_in), Tk)
-        v = split(self._lin(f"{name}.v", kv_in), Tk)
-        scores = tz.matmul(q, tz.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-        scores = scores + Tensor(mask)  # (Tq,Tk) additive causal mask, -inf blocked
+    def _mix(self, name, q, k, v, mask: np.ndarray | None, layer: str):
+        """Scaled dot-product attention of split heads, merged and projected."""
+        cfg = self.cfg
+        B, Tq = q.shape[0], q.shape[2]
+        scores = tz.matmul(q, tz.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[3]))
+        if mask is not None:
+            scores = scores + Tensor(mask)  # (Tq,Tk) additive causal mask, -inf blocked
         attn = tz.softmax(scores, axis=-1)
         out = tz.matmul(attn, v)
         out = tz.reshape(tz.transpose(out, (0, 2, 1, 3)), (B, Tq, cfg.width))
         return self._check(self._lin(f"{name}.o", out), layer)
+
+    def _attend(self, name, q_in, kv_in, mask: np.ndarray, layer: str):
+        q = self._heads(f"{name}.q", q_in)
+        k = self._heads(f"{name}.k", kv_in)
+        v = self._heads(f"{name}.v", kv_in)
+        return self._mix(name, q, k, v, mask, layer)
 
     def _ffn(self, name, x):
         return self._lin(f"{name}.1", tz.tanh(self._lin(f"{name}.0", x)))
@@ -226,7 +235,8 @@ class Denoiser:
     def _causal_mask(tq: int, tk: int) -> np.ndarray:
         return np.where(np.arange(tk)[None, :] <= np.arange(tq)[:, None], 0.0, NEG_INF)
 
-    def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray) -> Tensor:
+    def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray,
+                         total_steps: int) -> Tensor:
         """Causal encoder over per-frame mesh tokens: returns memory (B,T,W)."""
         cfg = self.cfg
         B, T, _ = x_n_norm.shape
@@ -245,7 +255,7 @@ class Denoiser:
         frame = tz.concatenate([y_code, x_code], axis=-1)
         tokens = tz.reshape(self._lin("frame_proj", frame), (B, T, cfg.width))
 
-        step = tz.reshape(self.embed_step(n_arr, self.total_steps), (B, 1, cfg.width))
+        step = tz.reshape(self.embed_step(n_arr, total_steps), (B, 1, cfg.width))
         tokens = tokens + step + Tensor(self.pe[:T])
         mask = self._causal_mask(T, T)
         h = tokens
@@ -285,19 +295,21 @@ class Denoiser:
 
     # -- public passes ----------------------------------------------------
 
-    def encode(self, x_n_norm, y_norm, n):
+    def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None):
         """Shared conditioning: (memory (B,T,W), step emb (B,W), obs tokens (B,T,W)).
 
         The observation tokens project each frame's raw normalized (y_t, x^n_t)
         pair so the decoder conditions on the input data directly, not only
-        through the pooled mesh codes.
+        through the pooled mesh codes. ``total_steps`` is the length N of the
+        schedule that n counts down; it defaults to the trained schedule's.
         """
         x_n_norm = np.asarray(x_n_norm, dtype=np.float64)
         y_norm = np.asarray(y_norm, dtype=np.float64)
         B = x_n_norm.shape[0]
         n_arr = np.broadcast_to(np.asarray(n), (B,)).astype(np.int64)
-        memory = self._encode_sequence(x_n_norm, y_norm, n_arr)
-        step_emb = self.embed_step(n_arr, self.total_steps)
+        steps = self.total_steps if total_steps is None else total_steps
+        memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps)
+        step_emb = self.embed_step(n_arr, steps)
         obs = Tensor(np.concatenate([y_norm, x_n_norm], axis=-1))
         obs_tokens = self._lin("dec_obs", obs)
         return memory, step_emb, obs_tokens
@@ -334,44 +346,59 @@ class Denoiser:
         cond = self.encode(x_n_norm, y_norm, n)
         return self.decode_teacher(cond, teacher_pose_norm, teacher_labels)
 
-    def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None):
+    def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None,
+                     total_steps: int | None = None):
         """Sequential inference pass feeding back its own pose/state predictions.
 
         With rng=None state feedback uses the argmax one-hot (deterministic);
-        otherwise hard Gumbel-Softmax samples. Returns (x_hat, state_logits).
+        otherwise hard Gumbel-Softmax samples. Each frame runs one decoder row
+        against cached keys/values (see the module docstring); the result
+        equals a causal re-decode of every prefix. Returns (x_hat, state_logits).
         """
+        cfg = self.cfg
         x_n_norm = np.asarray(x_n_norm, dtype=np.float64)
         B, T, _ = x_n_norm.shape
-        memory, step_emb, obs_tokens = self.encode(x_n_norm, y_norm, n)
+        memory, step_emb, obs_tokens = self.encode(x_n_norm, y_norm, n, total_steps)
+        cross = [(self._heads(f"dec.{i}.cross.k", memory), self._heads(f"dec.{i}.cross.v", memory))
+                 for i in range(cfg.layers)]
+        self_k: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
+        self_v: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
+        step_row = tz.reshape(step_emb, (B, 1, cfg.width))
+        start = tz.reshape(self.params["start"], (1, 1, cfg.width)) + Tensor(np.zeros((B, 1, cfg.width)))
 
         poses: list[Tensor] = []
-        states: list[Tensor] = []
         logits_seq: list[Tensor] = []
-        for t in range(1, T + 1):
-            if t == 1:
-                prev_pose = prev_onehot = None
+        for t in range(T):
+            if t == 0:
+                u = start
             else:
-                prev_pose = tz.stack(poses, axis=1)
-                prev_onehot = tz.stack(states, axis=1)
-            u = self._decoder_inputs(prev_pose, prev_onehot, B, t, step_emb, obs_tokens)
-            h = self._decode(u, memory[:, :t])
-            h_t = h[:, t - 1]
-            pose_t = self._lin("head_pose", h_t)
-            logit_t = self._lin("head_state", h_t)
-            poses.append(pose_t)
-            logits_seq.append(logit_t)
+                u = self._lin("dec_in", pose) + tz.matmul(state, self.params["state_emb"])
+            h = u + obs_tokens[:, t : t + 1] + Tensor(self.pe[t : t + 1]) + step_row
+            for i in range(cfg.layers):
+                hn = self._ln(f"dec.{i}.ln1", h)
+                self_k[i].append(self._heads(f"dec.{i}.self.k", hn))
+                self_v[i].append(self._heads(f"dec.{i}.self.v", hn))
+                h = h + self._mix(f"dec.{i}.self", self._heads(f"dec.{i}.self.q", hn),
+                                  tz.concatenate(self_k[i], axis=2),
+                                  tz.concatenate(self_v[i], axis=2),
+                                  None, f"decoder layer {i} self")
+                k, v = cross[i]
+                h = h + self._mix(f"dec.{i}.cross",
+                                  self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h)),
+                                  k[:, :, : t + 1], v[:, :, : t + 1],
+                                  None, f"decoder layer {i} cross")
+                h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
+                self._check(h, f"decoder layer {i}")
+            h = self._ln("dec_ln", h)
+            pose = self._lin("head_pose", h)      # (B,1,D)
+            logit = self._lin("head_state", h)    # (B,1,S)
+            poses.append(pose)
+            logits_seq.append(logit)
             if self.state_feedback:
-                states.append(sample_state(logit_t, self.cfg.gumbel_tau, rng, hard=True))
+                state = sample_state(logit, cfg.gumbel_tau, rng, hard=True)
             else:
-                states.append(Tensor(np.zeros((B, self.cfg.state_classes))))
-        x_hat = tz.stack(poses, axis=1)
-        logits = tz.stack(logits_seq, axis=1)
+                state = Tensor(np.zeros((B, 1, cfg.state_classes)))
+        x_hat = tz.concatenate(poses, axis=1)
+        logits = tz.concatenate(logits_seq, axis=1)
         self._check(x_hat, "pose head")
         return x_hat, logits
-
-    def predict_clean(self, x_n_norm, y_norm, n, *, teacher_pose_norm=None,
-                      teacher_labels=None, rng: RandomStream | None = None):
-        """Dispatch to the teacher-forced or free-running pass."""
-        if teacher_pose_norm is not None:
-            return self.forward_teacher(x_n_norm, y_norm, n, teacher_pose_norm, teacher_labels)
-        return self.forward_free(x_n_norm, y_norm, n, rng=rng)

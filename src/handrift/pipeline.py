@@ -2,8 +2,8 @@
 
 A bundle is everything needed to refine: denoiser weights, normalization
 statistics, diffusion schedule, hand model and the full config they came
-from. Long inputs are refined with 50%-overlap sliding windows of the
-trained length, cross-faded linearly.
+from. Long inputs are cut into 50%-overlap sliding windows of the trained
+length, refined together as one batch and cross-faded linearly.
 """
 
 from __future__ import annotations
@@ -83,29 +83,31 @@ def load_bundle(path) -> RefineBundle:
 # refinement
 
 
-def _refine_window(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool,
-                   rng: RandomStream | None, steps: int | None):
-    """Refine one window of raw motion; returns (raw refined, state logits (T,S))."""
-    y_norm = bundle.normalizer.normalize(y_raw)[None]  # (1,T,61)
+def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool,
+                    rng: RandomStream | None, steps: int | None):
+    """Refine a (W,T,61) batch of raw windows through one reverse chain.
+
+    Returns (raw refined (W,T,61), state logits (W,T,S)). The schedule's step
+    count reaches the denoiser as an argument; the bundle is never modified.
+    """
+    y_norm = bundle.normalizer.normalize(y_raw)
     den = bundle.denoiser
+    schedule = bundle.schedule
     with tz.no_grad():
         if not bundle.probabilistic:
-            x_hat, logits = den.forward_free(y_norm, y_norm, den.total_steps, rng=rng)
-            out, lg = x_hat.data[0], logits.data[0]
+            x_hat, logits = den.forward_free(y_norm, y_norm, schedule.steps, rng=rng,
+                                             total_steps=schedule.steps)
+            out, lg = x_hat.data, logits.data
         else:
-            schedule = bundle.schedule
             if steps is not None and steps != schedule.steps:
                 sch = bundle.config["schedule"]
                 schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
-                den.total_steps = schedule.steps
 
             def denoise_fn(x_n, y, n):
-                xh, lgt = den.forward_free(x_n[None], y[None], n, rng=rng)
-                return xh.data[0], lgt.data[0]
+                xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
+                return xh.data, lgt.data
 
-            out, lg = refine(y_norm[0], denoise_fn, schedule,
-                             rng=rng, deterministic=deterministic)
-            den.total_steps = bundle.schedule.steps
+            out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)
     return bundle.normalizer.denormalize(out), lg
 
 
@@ -113,33 +115,32 @@ def refine_sequence(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
                     rng: RandomStream | None = None, steps: int | None = None):
     """Refine a raw (T,61) sequence of any length; returns (refined, StateTrack).
 
-    Inputs longer than the trained window are processed in 50%-overlap
-    windows blended with linear (triangular) cross-fade weights; predicted
-    states vote with the same weights.
+    Inputs longer than the trained window are cut into 50%-overlap windows,
+    refined together as one batch, and blended with linear (triangular)
+    cross-fade weights; predicted states vote with the same weights.
     """
     y_raw = np.asarray(y_raw, dtype=np.float64)
     if y_raw.ndim != 2 or y_raw.shape[1] != FRAME_DIM:
         raise InputError(f"refine expects (T,{FRAME_DIM}), got {y_raw.shape}")
     T = y_raw.shape[0]
-    win = bundle.frames
-    if T <= win:
-        refined, logits = _refine_window(bundle, y_raw, deterministic, rng, steps)
-        labels = np.argmax(logits, axis=-1)
-        return _finalize_shape(bundle, refined), StateTrack(labels=labels)
-
+    win = min(bundle.frames, T)
     stride = max(win // 2, 1)
     starts = list(range(0, T - win + 1, stride))
     if starts[-1] != T - win:
         starts.append(T - win)
+    windows = np.stack([y_raw[s : s + win] for s in starts])
+    refined, logits = _refine_windows(bundle, windows, deterministic, rng, steps)
+    labels = np.argmax(logits, axis=-1)
+    if len(starts) == 1:
+        return _finalize_shape(bundle, refined[0]), StateTrack(labels=labels[0])
+
     acc = np.zeros((T, FRAME_DIM))
     votes = np.zeros((T, STATE_COUNT))
     weight = np.zeros(T)
     tri = np.minimum(np.arange(1, win + 1), np.arange(win, 0, -1)).astype(np.float64)
-    for s in starts:
-        refined, logits = _refine_window(bundle, y_raw[s : s + win], deterministic, rng, steps)
-        acc[s : s + win] += tri[:, None] * refined
-        labels = np.argmax(logits, axis=-1)
-        votes[s : s + win, :] += tri[:, None] * np.eye(STATE_COUNT)[labels]
+    for s, window, window_labels in zip(starts, refined, labels):
+        acc[s : s + win] += tri[:, None] * window
+        votes[s : s + win, :] += tri[:, None] * np.eye(STATE_COUNT)[window_labels]
         weight[s : s + win] += tri
     refined_full = acc / weight[:, None]
     return _finalize_shape(bundle, refined_full), StateTrack(labels=np.argmax(votes, axis=-1))

@@ -210,9 +210,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor):
+def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``ufunc(a, b)`` on the data, a broadcast failure raised as ShapeError."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
@@ -223,8 +224,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor):
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("add", a, b)
-    out_data = a.data + b.data
+    out_data = _broadcast("add", np.add, a, b)
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
@@ -235,8 +235,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("sub", a, b)
-    out_data = a.data - b.data
+    out_data = _broadcast("sub", np.subtract, a, b)
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
@@ -247,8 +246,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("multiply", a, b)
-    out_data = a.data * b.data
+    out_data = _broadcast("multiply", np.multiply, a, b)
 
     def bw(g):
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
@@ -259,8 +257,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast("divide", a, b)
-    out_data = a.data / b.data
+    out_data = _broadcast("divide", np.divide, a, b)
 
     def bw(g):
         _accum(a, _unbroadcast(g / b.data, a.data.shape))
@@ -276,17 +273,6 @@ def neg(a) -> Tensor:
         _accum(a, -g)
 
     return _make(-a.data, (a,), bw)
-
-
-def powc(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    a = as_tensor(a)
-    out_data = a.data ** exponent
-
-    def bw(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1))
-
-    return _make(out_data, (a,), bw)
 
 
 def sqrt(a) -> Tensor:
@@ -379,10 +365,6 @@ def where(mask, a, b) -> Tensor:
         _accum(b, _unbroadcast(np.where(mask, 0.0, g), b.data.shape))
 
     return _make(out_data, (a, b), bw)
-
-
-def stop_grad(a) -> Tensor:
-    return as_tensor(a).detach()
 
 
 # ---------------------------------------------------------------------------

@@ -238,3 +238,19 @@ def test_evaluate_accl_plot_written(tmp_path, workspace):
     assert main(["evaluate", "--pred", str(workspace["corpus"]), "--gt", str(workspace["corpus"]),
                  "--report", str(tmp_path / "r2.json"), "--plots", str(plots)]) == 0
     assert any("accl" in f.name for f in plots.glob("*.svg"))
+
+
+def test_refine_long_stochastic_seeded(tmp_path, workspace):
+    src = read_motion(sorted(workspace["corpus"].glob("*.hmf"))[0])
+    long_path = tmp_path / "long.hmf"
+    write_motion(long_path, MotionData(frames=np.concatenate([src.frames, src.frames[::-1],
+                                                              src.frames])))
+    outs = []
+    for name, seed in (("s1.hmf", 5), ("s2.hmf", 5), ("s3.hmf", 6)):
+        out = tmp_path / name
+        assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(long_path),
+                     "--out", str(out), "--stochastic", "--seed", str(seed)]) == 0
+        outs.append(out.read_bytes())
+    assert read_motion(tmp_path / "s1.hmf").frames.shape == (42, 61)
+    assert outs[0] == outs[1]
+    assert outs[0] != outs[2]

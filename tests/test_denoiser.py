@@ -117,6 +117,49 @@ def test_forward_shapes(toy):
     assert logits2.shape == (2, 5, TOY.state_classes)
 
 
+def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
+    """Reference free-running decode: re-decodes the whole prefix at every frame."""
+    B, T, _ = x_n_norm.shape
+    memory, step_emb, obs_tokens = den.encode(x_n_norm, y_norm, n)
+    poses, states, logits_seq = [], [], []
+    for t in range(1, T + 1):
+        if t == 1:
+            prev_pose = prev_onehot = None
+        else:
+            prev_pose = tz.stack(poses, axis=1)
+            prev_onehot = tz.stack(states, axis=1)
+        u = den._decoder_inputs(prev_pose, prev_onehot, B, t, step_emb, obs_tokens)
+        h_t = den._decode(u, memory[:, :t])[:, t - 1]
+        pose_t = den._lin("head_pose", h_t)
+        logit_t = den._lin("head_state", h_t)
+        poses.append(pose_t)
+        logits_seq.append(logit_t)
+        if den.state_feedback:
+            states.append(sample_state(logit_t, den.cfg.gumbel_tau, rng, hard=True))
+        else:
+            states.append(Tensor(np.zeros((B, den.cfg.state_classes))))
+    return tz.stack(poses, axis=1), tz.stack(logits_seq, axis=1)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_cached_free_decode_matches_prefix_recompute(toy, seeded):
+    rng = np.random.default_rng(11)
+    x, y = random_batch(rng, B=3, T=16)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    for p in toy.params.values():  # larger weights so states and poses vary per frame
+        p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
+
+    def stream():
+        return RandomStream(4, "oracle-gumbel") if seeded else None
+
+    with tz.no_grad():
+        ref_pose, ref_logits = prefix_recompute_free(toy, x_n, y, 3, rng=stream())
+        pose, logits = toy.forward_free(x_n, y, 3, rng=stream())
+    assert np.ptp(np.argmax(ref_logits.data, -1), axis=1).min() > 0  # fed-back states vary
+    np.testing.assert_allclose(pose.data, ref_pose.data, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(logits.data, ref_logits.data, rtol=0, atol=1e-10)
+
+
 def test_causality_bitwise_under_future_perturbation(toy):
     rng = np.random.default_rng(3)
     x, y = random_batch(rng, B=1, T=6)

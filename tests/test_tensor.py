@@ -76,6 +76,21 @@ def test_shape_error_names_op_and_shapes():
         tz.add(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
 
 
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("op, name", [(tz.add, "add"), (tz.sub, "sub"),
+                                      (tz.mul, "multiply"), (tz.div, "divide")])
+def test_elementwise_shape_error_names_op(op, name, grad):
+    a = Tensor(np.ones((2, 3)), requires_grad=grad)
+    b = Tensor(np.ones(4), requires_grad=grad)
+    pattern = rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast$"
+    if grad:
+        with pytest.raises(ShapeError, match=pattern):
+            op(a, b)
+    else:
+        with tz.no_grad(), pytest.raises(ShapeError, match=pattern):
+            op(a, b)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):

@@ -6,9 +6,12 @@ import pytest
 from handrift import tensor as tz
 from handrift.config import config_hash, hand_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
-from handrift.errors import ConfigError, TrainingDivergedError
+from handrift.denoiser import Denoiser
+from handrift.diffusion import refine
+from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
 from handrift.hand import build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
+from handrift.physics import STATE_COUNT
 from handrift.pipeline import load_bundle, make_bundle, refine_sequence, save_bundle
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor
@@ -208,3 +211,57 @@ def test_sequence_constant_beta_flag(tiny_cfg, tiny_corpus):
     refined, _ = refine_sequence(bundle, tiny_corpus[0].motion)
     spread = np.abs(refined[:, 48:58] - refined[0, 48:58]).max()
     assert spread == 0.0
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tiny_cfg, tiny_corpus, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("tiny") / "model.ckpt"
+    train(_fresh_items(tiny_corpus), tiny_cfg, out_ckpt=ckpt)
+    return ckpt
+
+
+def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
+    bundle = load_bundle(tiny_ckpt)
+    den, norm = bundle.denoiser, bundle.normalizer
+    m = tiny_corpus[0].motion
+    y_raw = np.concatenate([m, m[::-1], m])  # 42 frames: five 14-frame windows
+    T, win = y_raw.shape[0], bundle.frames
+    acc, votes, weight = np.zeros((T, FRAME_DIM)), np.zeros((T, STATE_COUNT)), np.zeros(T)
+    tri = np.minimum(np.arange(1, win + 1), np.arange(win, 0, -1)).astype(np.float64)
+
+    def denoise_fn(x_n, y, n):
+        xh, lgt = den.forward_free(x_n[None], y[None], n)
+        return xh.data[0], lgt.data[0]
+
+    for s in (0, 7, 14, 21, 28):  # one window at a time, blended as refine_sequence does
+        with tz.no_grad():
+            out, logits = refine(norm.normalize(y_raw[s : s + win]), denoise_fn, bundle.schedule)
+        acc[s : s + win] += tri[:, None] * norm.denormalize(out)
+        votes[s : s + win] += tri[:, None] * np.eye(STATE_COUNT)[np.argmax(logits, axis=-1)]
+        weight[s : s + win] += tri
+    refined, track = refine_sequence(bundle, y_raw)
+    np.testing.assert_allclose(refined, acc / weight[:, None], rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
+
+
+def test_failed_refine_leaves_bundle_unchanged(tiny_ckpt, tiny_corpus, monkeypatch):
+    bundle = load_bundle(tiny_ckpt)
+    y_raw = tiny_corpus[0].motion
+    original = Denoiser.forward_free
+    calls = []
+
+    def fail_second_call(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalError("forced failure mid-chain")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Denoiser, "forward_free", fail_second_call)
+    with pytest.raises(NumericalError):
+        refine_sequence(bundle, y_raw, steps=bundle.schedule.steps + 1)
+    monkeypatch.undo()
+    assert bundle.denoiser.total_steps == bundle.schedule.steps
+    out, track = refine_sequence(bundle, y_raw)
+    fresh, fresh_track = refine_sequence(load_bundle(tiny_ckpt), y_raw)
+    np.testing.assert_array_equal(out, fresh)
+    np.testing.assert_array_equal(track.labels, fresh_track.labels)
