@@ -1,23 +1,23 @@
 """handrift: physics-aware diffusion refinement of noisy 3D hand motion."""
 
-from .config import default_config, load_config
+from .config import TrainConfig, default_config, load_config
 from .datagen import PerturbSpec, ScriptSpec, generate_sequence, perturb, sample_script
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import DiffusionSchedule, forward_sample, make_schedule, refine, reverse_transition
 from .hand import HandModel, HandModelConfig, HandPose, build_hand_model, forward_kinematics, skin_mesh
 from .metrics import EvalReport, accl_error, f_score, kin_metric, mje, p_mje, procrustes_align, sta_metric
-from .motion import MotionSequence, Normalizer
+from .motion import Normalizer
 from .physics import (AnnotatorConfig, MotionState, ObjectTrack, StateTrack, annotate_states,
                       kinetics_loss, stability_loss, state_loss)
 from .pipeline import RefineBundle, load_bundle, refine_sequence, save_bundle
 from .rng import RandomStream
-from .trainer import CorpusItem, TrainConfig, total_loss, train
+from .trainer import CorpusItem, total_loss, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnotatorConfig", "CorpusItem", "Denoiser", "DenoiserConfig", "DiffusionSchedule",
-    "EvalReport", "HandModel", "HandModelConfig", "HandPose", "MotionSequence", "MotionState",
+    "EvalReport", "HandModel", "HandModelConfig", "HandPose", "MotionState",
     "Normalizer", "ObjectTrack", "PerturbSpec", "RandomStream", "RefineBundle", "ScriptSpec",
     "StateTrack", "TrainConfig", "accl_error", "annotate_states", "build_hand_model",
     "default_config", "f_score", "forward_kinematics", "forward_sample", "generate_sequence",

@@ -1,8 +1,12 @@
 """Configuration: nested dict with presets, deep-merge of user files, hashing.
 
-The full key set is documented in the README. ``desk`` is the small CPU
-preset every default test runs on; ``paper`` mirrors the published model
-scale (4 layers, 8 heads, 512-wide, mesh widths [32,64,64,64]).
+The full key set is documented in the README. The ``hand``, ``denoiser``,
+``annotator`` and ``train`` sections are the fields of ``HandModelConfig``,
+``DenoiserConfig``, ``AnnotatorConfig`` and ``TrainConfig``, and take their
+defaults from those dataclasses. ``desk`` is the small CPU preset every
+default test runs on; ``paper`` mirrors the published model scale (4 layers,
+8 heads, 512-wide, mesh widths [32,64,64,64]). A key that is not in the
+defaults is rejected, so a typo fails instead of doing nothing.
 """
 
 from __future__ import annotations
@@ -10,82 +14,69 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from .datagen import PerturbSpec
 from .denoiser import DenoiserConfig
 from .errors import ConfigError
 from .hand import HandModelConfig
 from .physics import AnnotatorConfig
 
+
+@dataclass
+class TrainConfig:
+    lambda_state: float = 1.0
+    lambda_kinetics: float = 1.0
+    lambda_stability: float = 1.0
+    lambda_geo: float = 1.0
+    lambda_const_accel: float = 1.0
+    epochs: int = 30
+    batch_size: int = 8
+    lr: float = 1e-4
+    weight_decay: float = 1e-2
+    lr_decay_factor: float = 0.8
+    lr_decay_epochs: int = 5
+    self_condition: bool = True     # second decode pass fed by own predictions
+    self_condition_start_epoch: int = 8
+    probabilistic: bool = True
+    use_state: bool = True
+    use_kin: bool = True
+    use_sta: bool = True
+    constant_accel_baseline: bool = False
+    divergence_threshold: float = 1e6
+    eval_subset: int = 6
+    mode: str = "model_agnostic"    # or "paired": read external noisy estimates
+    perturb: PerturbSpec = field(default_factory=lambda: PerturbSpec(
+        noise_std=0.06, mask_prob=0.35, burst_mean=3.0, mask_noise_std=1.8))
+
+    def validate(self):
+        for name in ("lambda_state", "lambda_kinetics", "lambda_stability", "lambda_geo",
+                     "lambda_const_accel"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.constant_accel_baseline and (self.use_state or self.use_kin or self.use_sta):
+            raise ConfigError("constant_accel_baseline replaces the physics losses; "
+                              "disable use_state/use_kin/use_sta")
+        if self.mode not in ("model_agnostic", "paired"):
+            raise ConfigError(f"unknown training mode '{self.mode}'")
+
+
+SECTIONS = {
+    "hand": HandModelConfig,
+    "denoiser": DenoiserConfig,
+    "annotator": AnnotatorConfig,
+    "train": TrainConfig,
+}
+
 DEFAULTS: dict = {
     "preset": "desk",
     "seed": 0,
     "frames": 16,
-    "hand": {
-        "seed": 2024,
-        "ring_verts": 2,
-        "ring_fractions": [0.0, 0.5],
-        "wrist_ring_verts": 8,
-        "wrist_radius": 16.0,
-        "bone_radii": [9.0, 7.0, 6.0, 5.0],
-        "tip_radius": 2.5,
-        "shape_entry_range": 0.05,
-        "shape_scale_floor": 0.05,
-    },
-    "denoiser": {
-        "layers": 2,
-        "heads": 4,
-        "width": 64,
-        "mesh_widths": [8, 16, 16, 16],
-        "state_classes": 5,
-        "gumbel_tau": 1.0,
-        "ffn_multiplier": 4,
-        "step_features": 16,
-        "mesh_scale": 0.01,
-        "max_frames": 256,
-    },
+    # JSON round trip: tuple fields become lists, as in a user file
+    **{name: json.loads(json.dumps(asdict(cls()))) for name, cls in SECTIONS.items()},
     "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
-    "annotator": {
-        "distance_rate_mm": 1.0,
-        "stable_speed_deg": 0.5,
-        "contact_threshold_mm": 10.0,
-        "use_palm_center": False,
-    },
     "sequence_constant_beta": False,
-    "train": {
-        "lambda_state": 1.0,
-        "lambda_kinetics": 1.0,
-        "lambda_stability": 1.0,
-        "lambda_geo": 1.0,
-        "lambda_const_accel": 1.0,
-        "epochs": 30,
-        "batch_size": 8,
-        "lr": 1e-4,
-        "weight_decay": 1e-2,
-        "lr_decay_factor": 0.8,
-        "lr_decay_epochs": 5,
-        "teacher_noise_std": 0.0,
-        "state_flip_prob": 0.0,
-        "self_condition": True,
-        "self_condition_start_epoch": 8,
-        "probabilistic": True,
-        "use_state": True,
-        "use_kin": True,
-        "use_sta": True,
-        "constant_accel_baseline": False,
-        "finetune_pred_states": False,
-        "finetune_start_epoch": 20,
-        "divergence_threshold": 1e6,
-        "eval_subset": 6,
-        "mode": "model_agnostic",  # or "paired": read external noisy estimates
-        "perturb": {
-            "noise_std": 0.06,
-            "mask_prob": 0.35,
-            "burst_mean": 3.0,
-            "mask_noise_std": 1.8,
-            "high_freq_jitter": False,
-        },
-    },
     "smoothfilter_sigma": 1.0,
 }
 
@@ -107,6 +98,17 @@ def _deep_merge(base: dict, upd: dict) -> dict:
     return out
 
 
+def _check_keys(user, defaults: dict, where: str = ""):
+    """Raise ConfigError for any key of ``user`` that ``defaults`` lacks."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"config {where.rstrip('.') or 'file'} must be a JSON object")
+    for k, v in user.items():
+        if k not in defaults:
+            raise ConfigError(f"unknown config key '{where}{k}'")
+        if isinstance(defaults[k], dict):
+            _check_keys(v, defaults[k], f"{where}{k}.")
+
+
 def default_config(preset: str = "desk") -> dict:
     if preset not in PRESET_OVERRIDES:
         raise ConfigError(f"unknown preset '{preset}' (have: {sorted(PRESET_OVERRIDES)})")
@@ -126,6 +128,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             user = json.loads(p.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    _check_keys(user, DEFAULTS)
+    _check_keys(overrides or {}, DEFAULTS)
     preset = (overrides or {}).get("preset") or user.get("preset", "desk")
     cfg = default_config(preset)
     cfg = _deep_merge(cfg, user)
@@ -138,42 +142,38 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def _section(cls, values: dict):
+    """A section dataclass from its config dict: lists become tuples, nested sections recurse.
+
+    Keys the dataclass lacks are ignored, so checkpoints written before a key
+    was removed still load; ``load_config`` is where unknown keys are refused.
+    """
+    defaults = cls()
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in values:
+            value, default = values[f.name], getattr(defaults, f.name)
+            if is_dataclass(default):
+                value = _section(type(default), value)
+            elif isinstance(default, tuple):
+                value = tuple(value)
+            kwargs[f.name] = value
+    return cls(**kwargs)
+
+
 def hand_config_from(cfg: dict) -> HandModelConfig:
-    h = cfg["hand"]
-    return HandModelConfig(
-        seed=h["seed"],
-        ring_verts=h["ring_verts"],
-        ring_fractions=tuple(h["ring_fractions"]),
-        wrist_ring_verts=h["wrist_ring_verts"],
-        wrist_radius=h["wrist_radius"],
-        bone_radii=tuple(h["bone_radii"]),
-        tip_radius=h["tip_radius"],
-        shape_entry_range=h["shape_entry_range"],
-        shape_scale_floor=h["shape_scale_floor"],
-    )
+    return _section(HandModelConfig, cfg["hand"])
 
 
 def denoiser_config_from(cfg: dict) -> DenoiserConfig:
-    d = cfg["denoiser"]
-    return DenoiserConfig(
-        layers=d["layers"],
-        heads=d["heads"],
-        width=d["width"],
-        mesh_widths=tuple(d["mesh_widths"]),
-        state_classes=d["state_classes"],
-        gumbel_tau=d["gumbel_tau"],
-        ffn_multiplier=d["ffn_multiplier"],
-        step_features=d["step_features"],
-        mesh_scale=d["mesh_scale"],
-        max_frames=d["max_frames"],
-    )
+    return _section(DenoiserConfig, cfg["denoiser"])
 
 
 def annotator_config_from(cfg: dict) -> AnnotatorConfig:
-    a = cfg["annotator"]
-    return AnnotatorConfig(
-        distance_rate_mm=a["distance_rate_mm"],
-        stable_speed_deg=a["stable_speed_deg"],
-        contact_threshold_mm=a["contact_threshold_mm"],
-        use_palm_center=a["use_palm_center"],
-    )
+    return _section(AnnotatorConfig, cfg["annotator"])
+
+
+def train_config_from(cfg: dict) -> TrainConfig:
+    tc = _section(TrainConfig, cfg["train"])
+    tc.validate()
+    return tc

@@ -270,7 +270,6 @@ class PerturbSpec:
     mask_prob: float = 0.0                # chance a frame starts an occlusion burst
     burst_mean: float = 3.0               # mean burst length (geometric)
     mask_noise_std: float = 0.0           # extra noise on held frames
-    high_freq_jitter: bool = False        # emphasize frame-to-frame sign flips
 
     def validate(self):
         if not 0.0 <= self.mask_prob <= 1.0:
@@ -291,13 +290,7 @@ def perturb(x: np.ndarray, spec: PerturbSpec, stream: RandomStream,
     T, D = x.shape
     scale = np.ones(D) if channel_scale is None else np.asarray(channel_scale, dtype=np.float64)
 
-    noise = stream.normal((T, D)) * np.asarray(spec.noise_std) * scale
-    if spec.high_freq_jitter and T > 1:
-        hf = np.empty_like(noise)
-        hf[0] = noise[0]
-        hf[1:] = (noise[1:] - noise[:-1]) / np.sqrt(2.0)
-        noise = hf
-    y = x + noise
+    y = x + stream.normal((T, D)) * np.asarray(spec.noise_std) * scale
 
     burst_left = 0
     burst_pose = None

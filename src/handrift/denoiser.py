@@ -54,12 +54,6 @@ class DenoiserConfig:
             raise ConfigError("step_features must be even (sin/cos pairs)")
 
 
-PRESETS = {
-    "desk": DenoiserConfig(),
-    "paper": DenoiserConfig(layers=4, heads=8, width=512, mesh_widths=(32, 64, 64, 64)),
-}
-
-
 def positional_encoding(max_t: int, width: int) -> np.ndarray:
     pos = np.arange(max_t)[:, None]
     i = np.arange(width)[None, :]
@@ -184,12 +178,6 @@ class Denoiser:
             h = tz.tanh(self._lin(f"mesh.{i}", tz.matmul(self.adjacency, h)))
             self._check(h, f"mesh encoder layer {i}")
         return tz.tmean(h, axis=-2)
-
-    def encode_frame(self, mesh_y: np.ndarray, mesh_n: np.ndarray) -> Tensor:
-        """Concatenated pooled codes of the two meshes for one frame."""
-        both = np.stack([np.asarray(mesh_y, dtype=np.float64), np.asarray(mesh_n, dtype=np.float64)])
-        pooled = self.encode_meshes(both)
-        return tz.reshape(pooled, (2 * self.cfg.mesh_widths[-1],))
 
     def embed_step(self, n, total_steps: int) -> Tensor:
         """Sinusoidal features of n/N through a 2-layer perceptron; n may be (B,)."""

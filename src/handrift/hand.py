@@ -356,8 +356,22 @@ def rodrigues(w: Tensor) -> Tensor:
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    with tz.no_grad():
-        return rodrigues(Tensor(w)).data
+    """``rodrigues`` in plain numpy, op for op, for callers that need no gradient."""
+    w = np.asarray(w, dtype=np.float64)
+    lead = w.shape[:-1]
+    w2 = w.reshape(-1, 3)
+    m = w2.shape[0]
+    s2 = np.sum(w2 * w2, axis=-1, keepdims=True)
+    small = s2 < _SMALL_ANGLE**2
+    s2_safe = np.where(small, 1.0, s2)
+    theta = np.sqrt(s2_safe)
+    sin_c = np.where(small, 1.0 - s2 * (1.0 / 6.0), np.sin(theta) / theta)
+    cos_c = np.where(small, 0.5 - s2 * (1.0 / 24.0), (1.0 - np.cos(theta)) / s2_safe)
+    wx, wy, wz = w2[:, 0:1], w2[:, 1:2], w2[:, 2:3]
+    zero = np.zeros((m, 1))
+    K = np.concatenate([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=1).reshape(m, 3, 3)
+    R = np.eye(3) + sin_c.reshape(m, 1, 1) * K + cos_c.reshape(m, 1, 1) * (K @ K)
+    return R.reshape(lead + (3, 3))
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:

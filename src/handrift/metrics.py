@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .physics import MotionState
+from .physics import MotionState, _reach_release_windows
 
 WRIST = 0
 
@@ -100,10 +100,7 @@ def kin_metric(theta_seq: np.ndarray, labels) -> float:
     lab = labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
     if theta.shape[0] < 3:
         return 0.0
-    a, b, c = lab[:-2], lab[1:-1], lab[2:]
-    reach = (a == MotionState.REACHING) & (b == MotionState.REACHING) & (c == MotionState.REACHING)
-    release = (a == MotionState.RELEASING) & (b == MotionState.RELEASING) & (c == MotionState.RELEASING)
-    win = reach | release
+    win = _reach_release_windows(lab)
     if not win.any():
         return 0.0
     phi = _reversal_values(theta)[win]

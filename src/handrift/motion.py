@@ -7,11 +7,7 @@ A frame is 61 floats: root orientation (3, axis-angle rad), finger pose
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import InputError
 
 FRAME_DIM = 61
 ROOT_ORIENT = slice(0, 3)
@@ -21,36 +17,6 @@ SHAPE = slice(48, 58)
 TRANSLATION = slice(58, 61)
 
 MIN_FRAMES = 4
-
-
-@dataclass
-class MotionSequence:
-    frames: np.ndarray  # (T, 61)
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[1] != FRAME_DIM:
-            raise InputError(f"motion must be (T, {FRAME_DIM}), got {self.frames.shape}")
-        if self.frames.shape[0] < MIN_FRAMES:
-            raise InputError(f"motion needs at least {MIN_FRAMES} frames, got {self.frames.shape[0]}")
-        if not np.all(np.isfinite(self.frames)):
-            raise InputError("motion contains non-finite values")
-
-    @property
-    def T(self) -> int:
-        return self.frames.shape[0]
-
-    def theta48(self) -> np.ndarray:
-        return self.frames[:, FULL_POSE]
-
-    def finger_pose(self) -> np.ndarray:
-        return self.frames[:, FINGER_POSE]
-
-    def beta(self) -> np.ndarray:
-        return self.frames[:, SHAPE]
-
-    def translation(self) -> np.ndarray:
-        return self.frames[:, TRANSLATION]
 
 
 class Normalizer:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, InputError
+from .errors import InputError
 from .motion import FRAME_DIM
 
 MAGIC = b"HDMF0001"
@@ -86,14 +86,16 @@ def read_motion(path) -> MotionData:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != MAGIC:
-        raise CheckpointError(f"not a motion file: bad magic in {path}")
+        raise InputError(f"not a motion file: bad magic in {path}")
+    if len(raw) < 12:
+        raise InputError(f"truncated motion file {path}")
     (length,) = struct.unpack("<I", raw[8:12])
     try:
         header = json.loads(raw[12 : 12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"corrupt motion header in {path}: {e}") from None
+        raise InputError(f"corrupt motion header in {path}: {e}") from None
     if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported motion format version {header.get('format_version')}")
+        raise InputError(f"unsupported motion format version {header.get('format_version')}")
     T = header["frames"]
     offset = 12 + length
 
@@ -101,13 +103,13 @@ def read_motion(path) -> MotionData:
         nonlocal offset
         chunk = raw[offset : offset + count * itemsize]
         if len(chunk) != count * itemsize:
-            raise CheckpointError(f"truncated motion file {path}")
+            raise InputError(f"truncated motion file {path}")
         offset += count * itemsize
         return np.frombuffer(chunk, dtype=dtype)
 
     frames = take(T * FRAME_DIM, "<f8", 8).astype(np.float64).reshape(T, FRAME_DIM)
     if frames.shape[0] != T:
-        raise CheckpointError("frame count mismatch")
+        raise InputError("frame count mismatch")
     obj = contact = states = None
     threshold = None
     if header["has_object"]:

@@ -20,7 +20,7 @@ from .diffusion import DiffusionSchedule, make_schedule, refine
 from .errors import CheckpointError, InputError
 from .hand import HandModel, build_hand_model, skin_mesh_batch, fk_transforms
 from .metrics import accl_error, kin_metric, mje, p_mje, p_mve_and_fscores, sta_metric
-from .motion import FRAME_DIM, Normalizer
+from .motion import FRAME_DIM, MIN_FRAMES, Normalizer
 from .physics import STATE_COUNT, StateTrack
 from .rng import RandomStream
 from .tensor import Tensor
@@ -123,6 +123,8 @@ def refine_sequence(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
     if y_raw.ndim != 2 or y_raw.shape[1] != FRAME_DIM:
         raise InputError(f"refine expects (T,{FRAME_DIM}), got {y_raw.shape}")
     T = y_raw.shape[0]
+    if T < MIN_FRAMES:
+        raise InputError(f"refine needs at least {MIN_FRAMES} frames, got {T}")
     win = min(bundle.frames, T)
     stride = max(win // 2, 1)
     starts = list(range(0, T - win + 1, stride))

@@ -416,15 +416,6 @@ def transpose(a, axes=None) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, np.swapaxes(g, ax1, ax2))
-
-    return _make(np.swapaxes(a.data, ax1, ax2), (a,), bw)
-
-
 def concatenate(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     try:

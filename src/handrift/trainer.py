@@ -10,15 +10,14 @@ reuses the identical code path with x^n fixed to y and a single step index.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .config import annotator_config_from, hand_config_from
-from .datagen import PerturbSpec, constant_accel_penalty, perturb
+from .config import TrainConfig, annotator_config_from, hand_config_from, train_config_from
+from .datagen import constant_accel_penalty, perturb
 from .errors import ConfigError, OptimizerError, TrainingDivergedError
 from .hand import build_hand_model, fk_transforms
 from .metrics import accl_error, mje
@@ -28,62 +27,6 @@ from .physics import ObjectTrack, annotate_states, kinetics_loss, stability_loss
 from .pipeline import RefineBundle, make_bundle, motion_to_joints, refine_sequence, save_bundle
 from .rng import RandomStream
 from .tensor import Tensor, backward
-
-
-@dataclass
-class TrainConfig:
-    lambda_state: float = 1.0
-    lambda_kinetics: float = 1.0
-    lambda_stability: float = 1.0
-    lambda_geo: float = 1.0
-    lambda_const_accel: float = 1.0
-    epochs: int = 30
-    batch_size: int = 8
-    lr: float = 1e-4
-    weight_decay: float = 1e-2
-    lr_decay_factor: float = 0.8
-    lr_decay_epochs: int = 5
-    teacher_noise_std: float = 0.0  # corruption of the decoder's pose feedback
-    state_flip_prob: float = 0.0    # corruption of the decoder's state feedback
-    self_condition: bool = True     # second decode pass fed by own predictions
-    self_condition_start_epoch: int = 8
-    probabilistic: bool = True
-    use_state: bool = True
-    use_kin: bool = True
-    use_sta: bool = True
-    constant_accel_baseline: bool = False
-    finetune_pred_states: bool = False
-    finetune_start_epoch: int = 20
-    divergence_threshold: float = 1e6
-    eval_subset: int = 6
-    mode: str = "model_agnostic"
-    perturb: PerturbSpec = None
-
-    def validate(self):
-        for name in ("lambda_state", "lambda_kinetics", "lambda_stability", "lambda_geo",
-                     "lambda_const_accel"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.constant_accel_baseline and (self.use_state or self.use_kin or self.use_sta):
-            raise ConfigError("constant_accel_baseline replaces the physics losses; "
-                              "disable use_state/use_kin/use_sta")
-        if self.mode not in ("model_agnostic", "paired"):
-            raise ConfigError(f"unknown training mode '{self.mode}'")
-
-
-def train_config_from(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    pspec = PerturbSpec(
-        noise_std=t["perturb"]["noise_std"],
-        mask_prob=t["perturb"]["mask_prob"],
-        burst_mean=t["perturb"]["burst_mean"],
-        mask_noise_std=t["perturb"]["mask_noise_std"],
-        high_freq_jitter=t["perturb"]["high_freq_jitter"],
-    )
-    fields = {k: t[k] for k in TrainConfig.__dataclass_fields__ if k != "perturb" and k in t}
-    tc = TrainConfig(perturb=pspec, **fields)
-    tc.validate()
-    return tc
 
 
 def _fk_joints_tensor(frames_2d, model):
@@ -103,8 +46,7 @@ def length_var(normalizer: Normalizer) -> float:
 
 def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_arr,
                labels: np.ndarray, tcfg: TrainConfig, rng: RandomStream | None,
-               gt_joints: np.ndarray | None = None, predicted_physics_labels: bool = False,
-               self_condition: bool = False):
+               gt_joints: np.ndarray | None = None, self_condition: bool = False):
     """Assemble the training objective for one batch.
 
     Every term is measured on scales the program derives from its own data,
@@ -130,12 +72,9 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
 
     Returns (total scalar tensor, {component: float}). Disabled terms
     contribute exactly zero and are reported as 0.0 in the breakdown. With
-    ``predicted_physics_labels`` the kinetics/stability terms segment frames
-    by the model's own state predictions instead of the annotations
-    (late-training fine-tune mode). With ``self_condition`` the decoder's
-    pose- and state-feedback inputs come from a gradient-free first pass
-    (its poses and argmax states) instead of the ground truth, matching the
-    feedback distribution inference will see.
+    ``self_condition`` the decoder's pose- and state-feedback inputs come
+    from a gradient-free first pass (its poses and argmax states) instead of
+    the ground truth, matching the feedback distribution inference will see.
     """
     den = bundle.denoiser
     schedule = bundle.schedule
@@ -150,21 +89,7 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
         x_n = y_norm.copy()
 
     teacher = x_norm
-    if tcfg.teacher_noise_std > 0:
-        # corrupt the autoregressive feedback channel so free-running inference,
-        # which feeds back imperfect predictions, stays in-distribution
-        teacher = x_norm + tcfg.teacher_noise_std * rng.normal((B, T, D))
-
-    teacher_states = None
-    if tcfg.use_state:
-        teacher_states = labels
-        if tcfg.state_flip_prob > 0:
-            # random label flips teach the decoder to tolerate the state
-            # flicker its own predictions produce at inference
-            flips = rng.uniform(shape=(B, T)) < tcfg.state_flip_prob
-            rand = rng.integers(0, den.cfg.state_classes - 1, (B, T))
-            teacher_states = np.where(flips, rand, labels)
-
+    teacher_states = labels if tcfg.use_state else None
     cond = den.encode(x_n, y_norm, n_arr)
     if self_condition:
         with tz.no_grad():
@@ -173,7 +98,6 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
         if teacher_states is not None:
             teacher_states = np.argmax(first_logits.data, axis=-1)
     x_hat, logits = den.decode_teacher(cond, teacher, teacher_states)
-    phys_labels = np.argmax(logits.data, axis=-1) if predicted_physics_labels else labels
 
     diff = x_hat - Tensor(x_norm)
     total = tz.tmean(diff * diff)
@@ -189,14 +113,14 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     still = np.deg2rad(bundle.config["annotator"]["stable_speed_deg"])
     x_still = x_hat * Tensor(bundle.normalizer.std / still)
     if tcfg.use_kin:
-        lk = kinetics_loss(x_still[:, :, FULL_POSE], phys_labels)
+        lk = kinetics_loss(x_still[:, :, FULL_POSE], labels)
         total = total + tcfg.lambda_kinetics * lk
         comps["kinetics"] = tcfg.lambda_kinetics * lk.item()
     else:
         comps["kinetics"] = 0.0
     if tcfg.use_sta:
         # stability_loss sums over the finger channels; take their mean as every term does
-        lst = stability_loss(x_still[:, :, FINGER_POSE], phys_labels) * (1.0 / 45)
+        lst = stability_loss(x_still[:, :, FINGER_POSE], labels) * (1.0 / 45)
         total = total + tcfg.lambda_stability * lst
         comps["stability"] = tcfg.lambda_stability * lst.item()
     else:
@@ -320,12 +244,9 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
 
                 n_arr = root.split(f"steps-{epoch}-{step}").integers(1, schedule.steps, (len(idx),))
                 noise_rng = root.split(f"noise-{epoch}-{step}")
-                use_pred = tcfg.finetune_pred_states and epoch >= tcfg.finetune_start_epoch
                 self_cond = tcfg.self_condition and epoch >= tcfg.self_condition_start_epoch
                 loss, comps = total_loss(bundle, x_norm, y_norm, n_arr, labels, tcfg,
-                                         noise_rng, gt_joints=gt_j,
-                                         predicted_physics_labels=use_pred,
-                                         self_condition=self_cond)
+                                         noise_rng, gt_joints=gt_j, self_condition=self_cond)
                 if not np.isfinite(comps["total"]) or comps["total"] > tcfg.divergence_threshold:
                     save_now(last_good)
                     raise TrainingDivergedError(

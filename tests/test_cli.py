@@ -75,6 +75,17 @@ def test_train_missing_config_exits_one(tmp_path, workspace, capsys):
     assert f"config not found: {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train_section", [{"teacher_noise_std": 0.1}, {"epoch": 5}])
+def test_train_unknown_config_key_exits_one(tmp_path, workspace, capsys, train_section):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], **train_section}}))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(cfg),
+                 "--out", str(ckpt)]) == 1
+    assert f"unknown config key 'train.{next(iter(train_section))}'" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_checkpoint_reloads(workspace):
     from handrift.pipeline import load_bundle
 
@@ -145,6 +156,28 @@ def test_refine_normalization_mismatch_exits_three(tmp_path, workspace):
     write_motion(bad, MotionData(frames=src.frames, normalization_id="zscore-v2"))
     assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
                  "--out", str(tmp_path / "x.hmf")]) == 3
+
+
+def test_refine_too_short_input_exits_one(tmp_path, workspace, capsys):
+    src = read_motion(sorted(workspace["corpus"].glob("*.hmf"))[0])
+    short = tmp_path / "short.hmf"
+    write_motion(short, MotionData(frames=src.frames[:3]))
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(short),
+                 "--out", str(out)]) == 1
+    assert "at least 4 frames, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncated_motion_file_exits_one(tmp_path, workspace, capsys):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    cut = tmp_path / "cut.hmf"
+    cut.write_bytes(src.read_bytes()[:-100])
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(cut),
+                 "--out", str(tmp_path / "x.hmf")]) == 1
+    assert main(["evaluate", "--pred", str(cut), "--gt", str(src),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.count("truncated motion file") == 2
 
 
 def test_motionfile_roundtrip_byte_identical(tmp_path, workspace):

@@ -180,6 +180,21 @@ def test_rodrigues_small_angle_series(model):
     assert np.all(np.isfinite(w.grad))
 
 
+def test_so3_exp_matches_rodrigues():
+    rng = np.random.default_rng(5)
+    axes = rng.normal(size=(400, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    # angles on both sides of the 1e-7 small-angle switch, up to 3 rad
+    angles = np.concatenate([np.geomspace(1e-10, 9.9e-8, 100), np.geomspace(1.01e-7, 3.0, 300)])
+    w = (axes * angles[:, None]).reshape(20, 20, 3)
+    with tz.no_grad():
+        ref = hand.rodrigues(Tensor(w)).data
+    R = hand.so3_exp(w)
+    assert R.shape == (20, 20, 3, 3)
+    np.testing.assert_allclose(R, ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(hand.so3_exp(np.zeros(3)), np.eye(3), rtol=0, atol=0)
+
+
 def test_model_config_json_roundtrip(model):
     text = model.config.to_json()
     cfg2 = hand.HandModelConfig.from_json(text)

@@ -58,6 +58,25 @@ def test_train_config_validation():
         TrainConfig(mode="weird").validate()
 
 
+@pytest.mark.parametrize("train_section", [{"teacher_noise_std": 0.1}, {"epoch": 5}])
+def test_load_config_rejects_unknown_keys(tmp_path, train_section):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(None, {"train": train_section})
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"train": train_section}))
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(path)
+
+
+def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_path):
+    """Stored configs bypass load_config: keys removed since still load."""
+    old = {**tiny_cfg, "train": {**tiny_cfg["train"], "teacher_noise_std": 0.0}}
+    normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
+    path = tmp_path / "old.ckpt"
+    save_bundle(path, make_bundle(old, normalizer))
+    assert load_bundle(path).config["train"]["teacher_noise_std"] == 0.0
+
+
 def test_total_loss_oracle_denoiser_is_zero(tiny_cfg, tiny_corpus):
     model = build_hand_model(hand_config_from(tiny_cfg))
     motions = [c.motion for c in tiny_corpus]
