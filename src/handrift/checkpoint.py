@@ -57,6 +57,8 @@ def load_checkpoint(path):
         raw = f.read()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: bad magic in {path}")
+    if len(raw) < 12:
+        raise CheckpointError(f"truncated checkpoint: {path} ends inside its header")
     (length,) = struct.unpack("<I", raw[8:12])
     try:
         manifest = json.loads(raw[12 : 12 + length].decode("utf-8"))

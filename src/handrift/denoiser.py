@@ -10,10 +10,12 @@ embedding: teacher-forced in training, fed back on itself at inference.
 
 Everything, encoder self-attention included, is causally masked, so decoded
 frame t never depends on inputs after t. That makes free-running decoding
-incremental: the encoder runs once per call, each decoder layer projects its
-cross-attention keys/values from the memory once, and every frame appends its
-self-attention keys/values to a per-layer cache, so a frame costs one row
-through each layer instead of a re-decode of the whole prefix.
+incremental. One decoder body, ``_decode_rows``, serves both passes: it runs
+a block of rows against a per-layer cache of self-attention keys/values and
+cross-attention keys/values projected from the memory once. Teacher forcing
+is one block of all T rows; free running encodes once and decodes T blocks of
+one row, so a frame costs one row through each layer, not a re-decode of the
+whole prefix.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .hand import HandModel, skin_mesh_batch
 from .motion import FRAME_DIM, Normalizer
 from .rng import RandomStream
 from .tensor import Tensor
-
-NEG_INF = -np.inf
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,13 @@ class Denoiser:
 
     def _mix(self, name, q, k, v, mask: np.ndarray | None, layer: str):
         """Scaled dot-product attention of split heads, merged and projected."""
-        cfg = self.cfg
         B, Tq = q.shape[0], q.shape[2]
         scores = tz.matmul(q, tz.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[3]))
         if mask is not None:
             scores = scores + Tensor(mask)  # (Tq,Tk) additive causal mask, -inf blocked
         attn = tz.softmax(scores, axis=-1)
         out = tz.matmul(attn, v)
-        out = tz.reshape(tz.transpose(out, (0, 2, 1, 3)), (B, Tq, cfg.width))
+        out = tz.reshape(tz.transpose(out, (0, 2, 1, 3)), (B, Tq, self.cfg.width))
         return self._check(self._lin(f"{name}.o", out), layer)
 
     def _attend(self, name, q_in, kv_in, mask: np.ndarray, layer: str):
@@ -221,7 +220,8 @@ class Denoiser:
 
     @staticmethod
     def _causal_mask(tq: int, tk: int) -> np.ndarray:
-        return np.where(np.arange(tk)[None, :] <= np.arange(tq)[:, None], 0.0, NEG_INF)
+        """Additive mask for the last tq of tk positions attending to all tk."""
+        return np.where(np.arange(tk)[None, :] <= np.arange(tk - tq, tk)[:, None], 0.0, -np.inf)
 
     def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray,
                          total_steps: int) -> Tensor:
@@ -254,32 +254,56 @@ class Denoiser:
             self._check(h, f"encoder layer {i}")
         return self._ln("enc_ln", h)
 
-    def _decode(self, u: Tensor, memory: Tensor) -> Tensor:
+    def _decode_rows(self, cond, cache: list, t0: int, prev_pose: Tensor | None,
+                     prev_state: Tensor | None):
+        """Run the decoder over rows t0..t0+R-1: (x_hat (B,R,D), state logits (B,R,S)).
+
+        Row t's input is the start token (t = 0) or the fed-back frame t-1,
+        dec_in(pose) + state @ state_emb, plus frame t's observation token,
+        positional encoding and step embedding. ``prev_pose``/``prev_state``
+        (B,R',*) are the fed-back frames t0-1..t0+R-2 (R' = R - 1 at t0 = 0, else
+        R); ``prev_state=None`` is the neutral zero state. An empty ``cache``
+        (t0 = 0) gets each layer's cross-attention K/V, projected from the memory
+        once; every call appends its rows' self-attention K/V.
+        """
         cfg = self.cfg
-        Tq, Tk = u.shape[1], memory.shape[1]
-        self_mask = self._causal_mask(Tq, Tq)
-        cross_mask = self._causal_mask(Tq, Tk)
-        h = u
-        for i in range(cfg.layers):
+        memory, step_emb, obs_tokens = cond
+        B = memory.shape[0]
+        parts = []
+        if t0 == 0:
+            cache[:] = [[self._heads(f"dec.{i}.cross.k", memory),
+                         self._heads(f"dec.{i}.cross.v", memory), None, None]
+                        for i in range(cfg.layers)]
+            parts.append(tz.reshape(self.params["start"], (1, 1, cfg.width))
+                         + Tensor(np.zeros((B, 1, cfg.width))))
+        if prev_pose is not None and prev_pose.shape[1] > 0:
+            if prev_state is None:
+                prev_state = Tensor(np.zeros(prev_pose.shape[:2] + (cfg.state_classes,)))
+            parts.append(self._lin("dec_in", prev_pose) + tz.matmul(prev_state, self.params["state_emb"]))
+        u = parts[0] if len(parts) == 1 else tz.concatenate(parts, axis=1)
+        R = u.shape[1]
+        h = (u + obs_tokens[:, t0 : t0 + R] + Tensor(self.pe[t0 : t0 + R])
+             + tz.reshape(step_emb, (B, 1, cfg.width)))
+        mask = self._causal_mask(R, t0 + R) if R > 1 else None
+        for i, layer in enumerate(cache):
+            cross_k, cross_v, self_k, self_v = layer
             hn = self._ln(f"dec.{i}.ln1", h)
-            h = h + self._attend(f"dec.{i}.self", hn, hn, self_mask, f"decoder layer {i} self")
-            h = h + self._attend(f"dec.{i}.cross", self._ln(f"dec.{i}.ln2", h), memory,
-                                 cross_mask, f"decoder layer {i} cross")
+            q = self._heads(f"dec.{i}.self.q", hn)
+            k = self._heads(f"dec.{i}.self.k", hn)
+            v = self._heads(f"dec.{i}.self.v", hn)
+            if self_k is not None:
+                k = tz.concatenate([self_k, k], axis=2)
+                v = tz.concatenate([self_v, v], axis=2)
+            layer[2:] = k, v
+            h = h + self._mix(f"dec.{i}.self", q, k, v, mask, f"decoder layer {i} self")
+            q = self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h))
+            h = h + self._mix(f"dec.{i}.cross", q, cross_k[:, :, : t0 + R], cross_v[:, :, : t0 + R],
+                              mask, f"decoder layer {i} cross")
             h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
             self._check(h, f"decoder layer {i}")
-        return self._ln("dec_ln", h)
-
-    def _decoder_inputs(self, prev_pose: Tensor | None, prev_onehot: Tensor | None,
-                        B: int, upto: int, step_emb: Tensor, obs_tokens: Tensor) -> Tensor:
-        cfg = self.cfg
-        start = tz.reshape(self.params["start"], (1, 1, cfg.width)) + Tensor(np.zeros((B, 1, cfg.width)))
-        if upto == 1:
-            u = start
-        else:
-            body = self._lin("dec_in", prev_pose) + tz.matmul(prev_onehot, self.params["state_emb"])
-            u = tz.concatenate([start, body], axis=1)
-        u = u + obs_tokens[:, :upto]
-        return u + Tensor(self.pe[:upto]) + tz.reshape(step_emb, (B, 1, cfg.width))
+        h = self._ln("dec_ln", h)
+        x_hat = self._check(self._lin("head_pose", h), "pose head")
+        return x_hat, self._check(self._lin("head_state", h), "state head")
 
     # -- public passes ----------------------------------------------------
 
@@ -308,21 +332,13 @@ class Denoiser:
         ``teacher_labels=None`` (or state feedback disabled) conditions every
         position on the neutral zero state instead.
         """
-        memory, step_emb, obs_tokens = cond
-        B, T = memory.shape[0], memory.shape[1]
-        if teacher_labels is None or not self.state_feedback:
-            onehot = np.zeros((B, T - 1, self.cfg.state_classes))
-        else:
-            labels = np.asarray(teacher_labels, dtype=np.int64)
-            onehot = np.eye(self.cfg.state_classes)[labels[:, : T - 1]]
+        T = cond[0].shape[1]
+        onehot = None
+        if teacher_labels is not None and self.state_feedback:
+            labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
+            onehot = Tensor(np.eye(self.cfg.state_classes)[labels])
         prev_pose = Tensor(np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1])
-        u = self._decoder_inputs(prev_pose, Tensor(onehot), B, T, step_emb, obs_tokens)
-        h = self._decode(u, memory)
-        x_hat = self._lin("head_pose", h)
-        logits = self._lin("head_state", h)
-        self._check(x_hat, "pose head")
-        self._check(logits, "state head")
-        return x_hat, logits
+        return self._decode_rows(cond, [], 0, prev_pose, onehot)
 
     def forward_teacher(self, x_n_norm, y_norm, n, teacher_pose_norm, teacher_labels):
         """Teacher-forced pass for training.
@@ -343,50 +359,15 @@ class Denoiser:
         against cached keys/values (see the module docstring); the result
         equals a causal re-decode of every prefix. Returns (x_hat, state_logits).
         """
-        cfg = self.cfg
-        x_n_norm = np.asarray(x_n_norm, dtype=np.float64)
-        B, T, _ = x_n_norm.shape
-        memory, step_emb, obs_tokens = self.encode(x_n_norm, y_norm, n, total_steps)
-        cross = [(self._heads(f"dec.{i}.cross.k", memory), self._heads(f"dec.{i}.cross.v", memory))
-                 for i in range(cfg.layers)]
-        self_k: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
-        self_v: list[list[Tensor]] = [[] for _ in range(cfg.layers)]
-        step_row = tz.reshape(step_emb, (B, 1, cfg.width))
-        start = tz.reshape(self.params["start"], (1, 1, cfg.width)) + Tensor(np.zeros((B, 1, cfg.width)))
-
+        cond = self.encode(x_n_norm, y_norm, n, total_steps)
+        cache: list = []
+        pose = state = None
         poses: list[Tensor] = []
         logits_seq: list[Tensor] = []
-        for t in range(T):
-            if t == 0:
-                u = start
-            else:
-                u = self._lin("dec_in", pose) + tz.matmul(state, self.params["state_emb"])
-            h = u + obs_tokens[:, t : t + 1] + Tensor(self.pe[t : t + 1]) + step_row
-            for i in range(cfg.layers):
-                hn = self._ln(f"dec.{i}.ln1", h)
-                self_k[i].append(self._heads(f"dec.{i}.self.k", hn))
-                self_v[i].append(self._heads(f"dec.{i}.self.v", hn))
-                h = h + self._mix(f"dec.{i}.self", self._heads(f"dec.{i}.self.q", hn),
-                                  tz.concatenate(self_k[i], axis=2),
-                                  tz.concatenate(self_v[i], axis=2),
-                                  None, f"decoder layer {i} self")
-                k, v = cross[i]
-                h = h + self._mix(f"dec.{i}.cross",
-                                  self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h)),
-                                  k[:, :, : t + 1], v[:, :, : t + 1],
-                                  None, f"decoder layer {i} cross")
-                h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
-                self._check(h, f"decoder layer {i}")
-            h = self._ln("dec_ln", h)
-            pose = self._lin("head_pose", h)      # (B,1,D)
-            logit = self._lin("head_state", h)    # (B,1,S)
+        for t in range(cond[0].shape[1]):
+            pose, logit = self._decode_rows(cond, cache, t, pose, state)
             poses.append(pose)
             logits_seq.append(logit)
             if self.state_feedback:
-                state = sample_state(logit, cfg.gumbel_tau, rng, hard=True)
-            else:
-                state = Tensor(np.zeros((B, 1, cfg.state_classes)))
-        x_hat = tz.concatenate(poses, axis=1)
-        logits = tz.concatenate(logits_seq, axis=1)
-        self._check(x_hat, "pose head")
-        return x_hat, logits
+                state = sample_state(logit, self.cfg.gumbel_tau, rng, hard=True)
+        return tz.concatenate(poses, axis=1), tz.concatenate(logits_seq, axis=1)

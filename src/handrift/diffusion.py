@@ -58,15 +58,21 @@ def _check_pair(x: np.ndarray, y: np.ndarray, op: str):
         raise ShapeError(f"{op}: shapes {x.shape} vs {y.shape}")
 
 
-def forward_sample(x: np.ndarray, y: np.ndarray, n: int, sched: DiffusionSchedule,
+def forward_sample(x: np.ndarray, y: np.ndarray, n, sched: DiffusionSchedule,
                    rng: RandomStream | None) -> np.ndarray:
-    """Draw x^n = x + eta_n (y - x) + kappa sqrt(eta_n) eps (eps omitted if rng is None)."""
+    """Draw x^n = x + eta_n (y - x) + kappa sqrt(eta_n) eps (eps omitted if rng is None).
+
+    ``n`` is one step index, or a (B,) array of them for the samples along x's first axis.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_pair(x, y, "forward_sample")
-    if not 1 <= n <= sched.steps:
+    n = np.asarray(n)
+    if n.ndim > 0 and n.shape != x.shape[:1]:
+        raise ShapeError(f"forward_sample: steps {n.shape} for samples {x.shape}")
+    if np.any(n < 1) or np.any(n > sched.steps):
         raise ContractError(f"step {n} outside [1, {sched.steps}]")
-    eta = sched.eta_at(n)
+    eta = sched.eta[n - 1].reshape(n.shape + (1,) * (x.ndim - n.ndim))
     out = x + eta * (y - x)
     if rng is not None and sched.kappa > 0:
         out = out + sched.kappa * np.sqrt(eta) * rng.normal(x.shape)

@@ -18,37 +18,44 @@ from .physics import MotionState, _reach_release_windows
 WRIST = 0
 
 
-def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) -> np.ndarray:
-    """Similarity-align ``pred`` onto ``gt`` by least squares.
+def _reject(bad: np.ndarray, message: str):
+    """Raise InputError if any frame is flagged, naming the first one of a batch."""
+    if np.any(bad):
+        where = "" if bad.ndim == 0 else f" in frame {np.flatnonzero(bad)[0]}"
+        raise InputError(f"procrustes: {message}{where}")
 
+
+def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) -> np.ndarray:
+    """Similarity-align ``pred`` onto ``gt`` by least squares, each frame on its own.
+
+    Takes one (N,3) point cloud per side or a batch (...,N,3) of them.
     Closed-form orthogonal Procrustes with reflection correction (det=+1);
     optional uniform scale. Raises on degenerate targets (fewer than 3
-    points, or collinear ground truth).
+    points, or in any frame an all-equal prediction or collinear ground
+    truth).
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"procrustes: shapes {pred.shape} vs {gt.shape}")
-    if pred.shape[0] < 3:
-        raise InputError(f"procrustes needs >= 3 points, got {pred.shape[0]}")
-    mu_p = pred.mean(axis=0)
-    mu_g = gt.mean(axis=0)
+    if pred.shape[-2] < 3:
+        raise InputError(f"procrustes needs >= 3 points, got {pred.shape[-2]}")
+    mu_p = pred.mean(axis=-2, keepdims=True)
+    mu_g = gt.mean(axis=-2, keepdims=True)
     X = pred - mu_p
     Y = gt - mu_g
-    sx = (X * X).sum()
-    if sx < 1e-18:
-        raise InputError("procrustes: prediction cloud is degenerate (all points equal)")
+    sx = (X * X).sum(axis=(-2, -1))
+    _reject(sx < 1e-18, "prediction cloud is degenerate (all points equal)")
     sv_gt = np.linalg.svd(Y, compute_uv=False)
-    if sv_gt[1] < 1e-9 * max(sv_gt[0], 1e-30):
-        raise InputError("procrustes: ground-truth points are collinear")
-    H = X.T @ Y
-    U, S, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    D = np.diag([1.0, 1.0, d])
-    R = Vt.T @ D @ U.T
-    scale = float((S * np.diag(D)).sum() / sx) if with_scale else 1.0
-    t = mu_g - scale * (R @ mu_p)
-    return scale * (R @ pred.T).T + t
+    _reject(sv_gt[..., 1] < 1e-9 * np.maximum(sv_gt[..., 0], 1e-30), "ground-truth points are collinear")
+    U, S, Vt = np.linalg.svd(X.swapaxes(-1, -2) @ Y)
+    V, Ut = Vt.swapaxes(-1, -2), U.swapaxes(-1, -2)
+    d = np.sign(np.linalg.det(V @ Ut))
+    D = np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)  # diagonal of the reflection fix
+    R = (V * D[..., None, :]) @ Ut
+    scale = ((S * D).sum(axis=-1) / sx)[..., None, None] if with_scale else 1.0
+    t = mu_g - scale * (R @ mu_p.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return scale * (R @ pred.swapaxes(-1, -2)).swapaxes(-1, -2) + t
 
 
 def mje(pred_joints: np.ndarray, gt_joints: np.ndarray, root_relative: bool = True) -> float:
@@ -69,11 +76,8 @@ def p_mje(pred_joints: np.ndarray, gt_joints: np.ndarray, with_scale: bool = Tru
     gt = np.asarray(gt_joints, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"p_mje: shapes {pred.shape} vs {gt.shape}")
-    errs = []
-    for f in range(pred.shape[0]):
-        aligned = procrustes_align(pred[f], gt[f], with_scale)
-        errs.append(np.linalg.norm(aligned - gt[f], axis=-1).mean())
-    return float(np.mean(errs))
+    aligned = procrustes_align(pred, gt, with_scale)
+    return float(np.mean(np.linalg.norm(aligned - gt, axis=-1).mean(axis=-1)))
 
 
 def accl_error(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
@@ -139,7 +143,7 @@ def p_mve_and_fscores(pred_verts: np.ndarray, gt_verts: np.ndarray,
     gt = np.asarray(gt_verts, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"p_mve: shapes {pred.shape} vs {gt.shape}")
-    aligned = np.stack([procrustes_align(pred[f], gt[f], with_scale) for f in range(pred.shape[0])])
+    aligned = procrustes_align(pred, gt, with_scale)
     mve = float(np.linalg.norm(aligned - gt, axis=-1).mean())
     fracs = tuple(f_score(aligned, gt, thr) for thr in thresholds)
     return mve, fracs

@@ -28,6 +28,7 @@ from .motion import FRAME_DIM
 
 MAGIC = b"HDMF0001"
 FORMAT_VERSION = 1
+REQUIRED_KEYS = ("frames", "fps", "normalization_id", "has_object", "has_contact", "has_state")
 
 
 @dataclass
@@ -94,9 +95,16 @@ def read_motion(path) -> MotionData:
         header = json.loads(raw[12 : 12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputError(f"corrupt motion header in {path}: {e}") from None
+    if not isinstance(header, dict):
+        raise InputError(f"corrupt motion header in {path}: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise InputError(f"unsupported motion format version {header.get('format_version')}")
+    missing = [k for k in REQUIRED_KEYS if k not in header]
+    if missing:
+        raise InputError(f"motion header in {path} lacks {', '.join(missing)}")
     T = header["frames"]
+    if type(T) is not int or T < 0:
+        raise InputError(f"motion header in {path}: frames must be a non-negative integer, got {T!r}")
     offset = 12 + length
 
     def take(count, dtype, itemsize):
@@ -108,8 +116,6 @@ def read_motion(path) -> MotionData:
         return np.frombuffer(chunk, dtype=dtype)
 
     frames = take(T * FRAME_DIM, "<f8", 8).astype(np.float64).reshape(T, FRAME_DIM)
-    if frames.shape[0] != T:
-        raise InputError("frame count mismatch")
     obj = contact = states = None
     threshold = None
     if header["has_object"]:

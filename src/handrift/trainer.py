@@ -18,6 +18,7 @@ import numpy as np
 from . import tensor as tz
 from .config import TrainConfig, annotator_config_from, hand_config_from, train_config_from
 from .datagen import constant_accel_penalty, perturb
+from .diffusion import forward_sample
 from .errors import ConfigError, OptimizerError, TrainingDivergedError
 from .hand import build_hand_model, fk_transforms
 from .metrics import accl_error, mje
@@ -78,12 +79,10 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     """
     den = bundle.denoiser
     schedule = bundle.schedule
-    B, T, D = x_norm.shape
+    B, T, _ = x_norm.shape
 
     if tcfg.probabilistic:
-        eta = schedule.eta[np.asarray(n_arr) - 1][:, None, None]
-        eps = rng.normal((B, T, D))
-        x_n = x_norm + eta * (y_norm - x_norm) + schedule.kappa * np.sqrt(eta) * eps
+        x_n = forward_sample(x_norm, y_norm, n_arr, schedule, rng)
     else:
         n_arr = np.full(B, schedule.steps)
         x_n = y_norm.copy()

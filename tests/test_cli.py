@@ -180,6 +180,43 @@ def test_truncated_motion_file_exits_one(tmp_path, workspace, capsys):
     assert capsys.readouterr().err.count("truncated motion file") == 2
 
 
+@pytest.mark.parametrize("header", [{"format_version": 1}, [1], "frames"])
+def test_motion_header_missing_keys_exits_one(tmp_path, workspace, capsys, header):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    bad = tmp_path / "bad.hmf"
+    blob = json.dumps(header).encode()
+    bad.write_bytes(b"HDMF0001" + len(blob).to_bytes(4, "little") + blob)
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad),
+                 "--out", str(tmp_path / "x.hmf")]) == 1
+    assert main(["evaluate", "--pred", str(bad), "--gt", str(src),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize("frames", [-1, 2.5, "14", True])
+def test_motion_header_bad_frame_count_exits_one(tmp_path, workspace, capsys, frames):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    raw = src.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + length])
+    header["frames"] = frames
+    blob = json.dumps(header).encode()
+    bad = tmp_path / "bad.hmf"
+    bad.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + length :])
+    assert main(["evaluate", "--pred", str(bad), "--gt", str(src),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    assert "frames must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_short_checkpoint_exits_three(tmp_path, workspace, capsys):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    bad = tmp_path / "short.ckpt"
+    bad.write_bytes(b"HRCKPT01\x01\x00")
+    assert main(["refine", "--ckpt", str(bad), "--in", str(src),
+                 "--out", str(tmp_path / "x.hmf")]) == 3
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
 def test_motionfile_roundtrip_byte_identical(tmp_path, workspace):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     data = read_motion(src)

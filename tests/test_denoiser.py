@@ -112,27 +112,22 @@ def test_forward_shapes(toy):
 
 
 def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
-    """Reference free-running decode: re-decodes the whole prefix at every frame."""
+    """Reference free-running decode: a teacher-forced re-decode of the whole prefix at
+    every frame, fed back with the prefix's own poses and the argmax labels of its
+    Gumbel-sampled states."""
     B, T, _ = x_n_norm.shape
     memory, step_emb, obs_tokens = den.encode(x_n_norm, y_norm, n)
-    poses, states, logits_seq = [], [], []
+    poses = np.zeros((B, 0, FRAME_DIM))
+    labels = np.zeros((B, 0), dtype=np.int64)
+    logits_seq = []
     for t in range(1, T + 1):
-        if t == 1:
-            prev_pose = prev_onehot = None
-        else:
-            prev_pose = tz.stack(poses, axis=1)
-            prev_onehot = tz.stack(states, axis=1)
-        u = den._decoder_inputs(prev_pose, prev_onehot, B, t, step_emb, obs_tokens)
-        h_t = den._decode(u, memory[:, :t])[:, t - 1]
-        pose_t = den._lin("head_pose", h_t)
-        logit_t = den._lin("head_state", h_t)
-        poses.append(pose_t)
+        pose, logits = den.decode_teacher((memory[:, :t], step_emb, obs_tokens[:, :t]), poses, labels)
+        logit_t = logits.data[:, t - 1 : t]
+        state = sample_state(logit_t, den.cfg.gumbel_tau, rng, hard=True)
+        poses = np.concatenate([poses, pose.data[:, t - 1 : t]], axis=1)
+        labels = np.concatenate([labels, np.argmax(state.data, axis=-1)], axis=1)
         logits_seq.append(logit_t)
-        if den.state_feedback:
-            states.append(sample_state(logit_t, den.cfg.gumbel_tau, rng, hard=True))
-        else:
-            states.append(Tensor(np.zeros((B, den.cfg.state_classes))))
-    return tz.stack(poses, axis=1), tz.stack(logits_seq, axis=1)
+    return Tensor(poses), Tensor(np.concatenate(logits_seq, axis=1))
 
 
 @pytest.mark.parametrize("seeded", [False, True])

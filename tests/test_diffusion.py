@@ -3,7 +3,7 @@ import pytest
 
 from handrift.diffusion import (DiffusionSchedule, forward_sample, make_schedule,
                                 refine, reverse_transition)
-from handrift.errors import ConfigError, ContractError, InferenceDivergedError
+from handrift.errors import ConfigError, ContractError, InferenceDivergedError, ShapeError
 from handrift.rng import RandomStream
 
 
@@ -80,6 +80,22 @@ def test_forward_sample_variance_law():
         expect = sched.kappa**2 * sched.eta[n - 1]
         se = expect * np.sqrt(2 / (draws.size - 1))
         assert abs(var - expect) < 3 * se
+
+
+def test_forward_sample_step_array_matches_per_sample_calls():
+    sched = make_schedule(8, kappa=0.3)
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4, 3))
+    n = np.array([1, 8, 3, 3, 6])
+    for stream in (lambda: None, lambda: RandomStream(6, "forward-array")):
+        batched = forward_sample(x, y, n, sched, stream())
+        one = stream()  # per-sample calls draw the same noise in the same order
+        per_sample = np.stack([forward_sample(x[i], y[i], int(n[i]), sched, one) for i in range(5)])
+        assert batched.tobytes() == per_sample.tobytes()
+    with pytest.raises(ContractError):
+        forward_sample(x, y, np.array([1, 2, 9, 3, 3]), sched, None)
+    with pytest.raises(ShapeError):
+        forward_sample(x, y, np.array([1, 2]), sched, None)
 
 
 def test_reverse_transition_n1_returns_estimate():

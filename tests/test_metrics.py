@@ -49,6 +49,31 @@ def test_procrustes_rejects_degenerate():
         procrustes_align(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("points", [21, 98])
+def test_procrustes_batch_equals_per_frame_calls(points):
+    rng = np.random.default_rng(12)
+    gt = rng.normal(size=(16, points, 3)) * 30
+    pred = 1.2 * gt @ random_rotation(rng).T + rng.normal(size=gt.shape) * 4 + 25.0
+    pred[5] = pred[5, :, ::-1]  # a frame whose best rotation needs the reflection fix
+    for with_scale in (True, False):
+        per_frame = np.stack([procrustes_align(pred[f], gt[f], with_scale) for f in range(16)])
+        assert procrustes_align(pred, gt, with_scale).tobytes() == per_frame.tobytes()
+
+
+def test_procrustes_batch_rejects_one_bad_frame():
+    rng = np.random.default_rng(13)
+    gt = rng.normal(size=(9, 21, 3)) * 30
+    pred = gt + rng.normal(size=gt.shape)
+    line = gt.copy()
+    line[4] = np.outer(np.arange(21.0), [1.0, 2.0, 3.0])
+    with pytest.raises(InputError, match="collinear in frame 4"):
+        procrustes_align(pred, line)
+    flat = pred.copy()
+    flat[6] = 7.0
+    with pytest.raises(InputError, match="degenerate .* in frame 6"):
+        p_mve_and_fscores(flat, gt)
+
+
 def test_procrustes_never_reflects():
     rng = np.random.default_rng(4)
     gt = rng.normal(size=(8, 3))
