@@ -15,7 +15,9 @@ a block of rows against a per-layer cache of self-attention keys/values and
 cross-attention keys/values projected from the memory once. Teacher forcing
 is one block of all T rows; free running encodes once and decodes T blocks of
 one row, so a frame costs one row through each layer, not a re-decode of the
-whole prefix.
+whole prefix. The conditioning y is the same at every step of a reverse chain,
+so a refine pools y's mesh codes once (``encode_condition``) and each step
+skins and graph-convolves only x^n's meshes.
 """
 
 from __future__ import annotations
@@ -80,6 +82,67 @@ def sample_state(logits, tau: float, rng: RandomStream | None, hard: bool = Fals
     return soft + Tensor(onehot - soft.data)
 
 
+def _param_spec(cfg: DenoiserConfig) -> list:
+    """(name, shape, init) of every parameter in drawing order; init(stream) -> array."""
+    spec: list = []
+
+    def normal(name, shape, gain, fan_in=1):
+        spec.append((name, shape, lambda s: s.normal(shape) * gain / np.sqrt(fan_in)))
+
+    def fill(name, shape, value):
+        spec.append((name, shape, lambda s: np.full(shape, value)))
+
+    def linear(name, fan_in, fan_out, gain=1.0):
+        normal(f"{name}.w", (fan_in, fan_out), gain, fan_in)
+        fill(f"{name}.b", (fan_out,), 0.0)
+
+    def norm(name):
+        fill(f"{name}.g", (cfg.width,), 1.0)
+        fill(f"{name}.b", (cfg.width,), 0.0)
+
+    widths = (3,) + tuple(cfg.mesh_widths)
+    for i in range(len(cfg.mesh_widths)):
+        linear(f"mesh.{i}", widths[i], widths[i + 1])
+    linear("frame_proj", 2 * cfg.mesh_widths[-1], cfg.width)
+    linear("step.0", cfg.step_features, cfg.width)
+    linear("step.1", cfg.width, cfg.width)
+
+    def attention(name):
+        for part in ("q", "k", "v", "o"):
+            linear(f"{name}.{part}", cfg.width, cfg.width)
+
+    hidden = cfg.ffn_multiplier * cfg.width
+    for i in range(cfg.layers):
+        norm(f"enc.{i}.ln1")
+        attention(f"enc.{i}.attn")
+        norm(f"enc.{i}.ln2")
+        linear(f"enc.{i}.ffn.0", cfg.width, hidden)
+        linear(f"enc.{i}.ffn.1", hidden, cfg.width)
+    norm("enc_ln")
+    for i in range(cfg.layers):
+        norm(f"dec.{i}.ln1")
+        attention(f"dec.{i}.self")
+        norm(f"dec.{i}.ln2")
+        attention(f"dec.{i}.cross")
+        norm(f"dec.{i}.ln3")
+        linear(f"dec.{i}.ffn.0", cfg.width, hidden)
+        linear(f"dec.{i}.ffn.1", hidden, cfg.width)
+    norm("dec_ln")
+
+    linear("dec_in", FRAME_DIM, cfg.width)
+    linear("dec_obs", 2 * FRAME_DIM, cfg.width)
+    normal("state_emb", (cfg.state_classes, cfg.width), 0.02)
+    normal("start", (cfg.width,), 0.02)
+    linear("head_pose", cfg.width, FRAME_DIM, gain=0.02)
+    linear("head_state", cfg.width, cfg.state_classes, gain=0.02)
+    return spec
+
+
+def param_shapes(cfg: DenoiserConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter a denoiser of this configuration has."""
+    return {name: shape for name, shape, _ in _param_spec(cfg)}
+
+
 class Denoiser:
     """Holds the parameter set and runs teacher-forced / free-running passes."""
 
@@ -99,56 +162,9 @@ class Denoiser:
     # -- parameters ------------------------------------------------------
 
     def init_params(self, seed: int) -> dict[str, Tensor]:
-        cfg = self.cfg
         stream = RandomStream(seed, "denoiser-init")
-        p: dict[str, Tensor] = {}
-
-        def linear(name, fan_in, fan_out, gain=1.0):
-            w = stream.normal((fan_in, fan_out)) * gain / np.sqrt(fan_in)
-            p[f"{name}.w"] = Tensor(w, requires_grad=True, name=f"{name}.w")
-            p[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True, name=f"{name}.b")
-
-        def norm(name):
-            p[f"{name}.g"] = Tensor(np.ones(cfg.width), requires_grad=True, name=f"{name}.g")
-            p[f"{name}.b"] = Tensor(np.zeros(cfg.width), requires_grad=True, name=f"{name}.b")
-
-        widths = (3,) + tuple(cfg.mesh_widths)
-        for i in range(len(cfg.mesh_widths)):
-            linear(f"mesh.{i}", widths[i], widths[i + 1])
-        linear("frame_proj", 2 * cfg.mesh_widths[-1], cfg.width)
-        linear("step.0", cfg.step_features, cfg.width)
-        linear("step.1", cfg.width, cfg.width)
-
-        def attention(name):
-            for part in ("q", "k", "v", "o"):
-                linear(f"{name}.{part}", cfg.width, cfg.width)
-
-        hidden = cfg.ffn_multiplier * cfg.width
-        for i in range(cfg.layers):
-            norm(f"enc.{i}.ln1")
-            attention(f"enc.{i}.attn")
-            norm(f"enc.{i}.ln2")
-            linear(f"enc.{i}.ffn.0", cfg.width, hidden)
-            linear(f"enc.{i}.ffn.1", hidden, cfg.width)
-        norm("enc_ln")
-        for i in range(cfg.layers):
-            norm(f"dec.{i}.ln1")
-            attention(f"dec.{i}.self")
-            norm(f"dec.{i}.ln2")
-            attention(f"dec.{i}.cross")
-            norm(f"dec.{i}.ln3")
-            linear(f"dec.{i}.ffn.0", cfg.width, hidden)
-            linear(f"dec.{i}.ffn.1", hidden, cfg.width)
-        norm("dec_ln")
-
-        linear("dec_in", FRAME_DIM, cfg.width)
-        linear("dec_obs", 2 * FRAME_DIM, cfg.width)
-        p["state_emb"] = Tensor(stream.normal((cfg.state_classes, cfg.width)) * 0.02,
-                                requires_grad=True, name="state_emb")
-        p["start"] = Tensor(stream.normal((cfg.width,)) * 0.02, requires_grad=True, name="start")
-        linear("head_pose", cfg.width, FRAME_DIM, gain=0.02)
-        linear("head_state", cfg.width, cfg.state_classes, gain=0.02)
-        return p
+        return {name: Tensor(init(stream), requires_grad=True, name=name)
+                for name, _, init in _param_spec(self.cfg)}
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -223,23 +239,30 @@ class Denoiser:
         """Additive mask for the last tq of tk positions attending to all tk."""
         return np.where(np.arange(tk)[None, :] <= np.arange(tk - tq, tk)[:, None], 0.0, -np.inf)
 
+    def _skin(self, norm: np.ndarray) -> np.ndarray:
+        """Posed meshes of every frame of a normalized (B,T,D) batch: (B*T,V,3)."""
+        flat = self.normalizer.denormalize(norm).reshape(-1, FRAME_DIM)
+        return skin_mesh_batch(flat[:, 0:3], flat[:, 3:48].reshape(-1, 15, 3),
+                               flat[:, 48:58], flat[:, 58:61], self.hand_model)
+
+    def encode_condition(self, y_norm) -> Tensor:
+        """Pooled mesh codes (B*T, C) of the conditioning y, for ``encode(..., y_code=)``.
+
+        y is the same at every step of a reverse chain, so a refine encodes
+        its meshes once here instead of at every step.
+        """
+        return self.encode_meshes(self._skin(np.asarray(y_norm, dtype=np.float64)))
+
     def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray,
-                         total_steps: int) -> Tensor:
+                         total_steps: int, y_code: Tensor | None) -> Tensor:
         """Causal encoder over per-frame mesh tokens: returns memory (B,T,W)."""
         cfg = self.cfg
         B, T, _ = x_n_norm.shape
-        x_raw = self.normalizer.denormalize(x_n_norm)
-        y_raw = self.normalizer.denormalize(y_norm)
-
-        def meshes(raw):
-            flat = raw.reshape(B * T, FRAME_DIM)
-            return skin_mesh_batch(flat[:, 0:3], flat[:, 3:48].reshape(-1, 15, 3),
-                                   flat[:, 48:58], flat[:, 58:61], self.hand_model)
-
-        both = np.concatenate([meshes(y_raw), meshes(x_raw)], axis=0)  # (2BT, V, 3)
-        pooled = self.encode_meshes(both)
-        y_code = pooled[0 : B * T]
-        x_code = pooled[B * T : 2 * B * T]
+        if y_code is None:
+            pooled = self.encode_meshes(np.concatenate([self._skin(y_norm), self._skin(x_n_norm)]))
+            y_code, x_code = pooled[0 : B * T], pooled[B * T : 2 * B * T]
+        else:
+            x_code = self.encode_meshes(self._skin(x_n_norm))
         frame = tz.concatenate([y_code, x_code], axis=-1)
         tokens = tz.reshape(self._lin("frame_proj", frame), (B, T, cfg.width))
 
@@ -307,20 +330,23 @@ class Denoiser:
 
     # -- public passes ----------------------------------------------------
 
-    def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None):
+    def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None,
+               y_code: Tensor | None = None):
         """Shared conditioning: (memory (B,T,W), step emb (B,W), obs tokens (B,T,W)).
 
         The observation tokens project each frame's raw normalized (y_t, x^n_t)
         pair so the decoder conditions on the input data directly, not only
         through the pooled mesh codes. ``total_steps`` is the length N of the
         schedule that n counts down; it defaults to the trained schedule's.
+        ``y_code`` is ``encode_condition(y_norm)``; without it y's meshes are
+        encoded here, in one graph-convolution pass together with x^n's.
         """
         x_n_norm = np.asarray(x_n_norm, dtype=np.float64)
         y_norm = np.asarray(y_norm, dtype=np.float64)
         B = x_n_norm.shape[0]
         n_arr = np.broadcast_to(np.asarray(n), (B,)).astype(np.int64)
         steps = self.total_steps if total_steps is None else total_steps
-        memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps)
+        memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps, y_code)
         step_emb = self.embed_step(n_arr, steps)
         obs = Tensor(np.concatenate([y_norm, x_n_norm], axis=-1))
         obs_tokens = self._lin("dec_obs", obs)
@@ -351,15 +377,16 @@ class Denoiser:
         return self.decode_teacher(cond, teacher_pose_norm, teacher_labels)
 
     def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None,
-                     total_steps: int | None = None):
+                     total_steps: int | None = None, y_code: Tensor | None = None):
         """Sequential inference pass feeding back its own pose/state predictions.
 
         With rng=None state feedback uses the argmax one-hot (deterministic);
         otherwise hard Gumbel-Softmax samples. Each frame runs one decoder row
         against cached keys/values (see the module docstring); the result
-        equals a causal re-decode of every prefix. Returns (x_hat, state_logits).
+        equals a causal re-decode of every prefix. ``y_code`` is as in
+        ``encode``. Returns (x_hat, state_logits).
         """
-        cond = self.encode(x_n_norm, y_norm, n, total_steps)
+        cond = self.encode(x_n_norm, y_norm, n, total_steps, y_code)
         cache: list = []
         pose = state = None
         poses: list[Tensor] = []

@@ -486,7 +486,11 @@ def rest_joints(model: HandModel, beta) -> np.ndarray:
 
 def shaped_template(model: HandModel, beta) -> np.ndarray:
     """Rest-pose mesh vertices for the given shape, (..., V, 3)."""
-    rj = rest_joints(model, beta)
+    return _template_on(model, rest_joints(model, beta))
+
+
+def _template_on(model: HandModel, rj: np.ndarray) -> np.ndarray:
+    """Rest-pose mesh vertices around a shaped rest skeleton rj (..., 21, 3)."""
     f = model.vert_frac[:, None]
     verts = (1.0 - f) * rj[..., model.vert_parent, :] + f * rj[..., model.vert_child, :]
     return verts + model.vert_radial
@@ -501,9 +505,7 @@ def skin_mesh_batch(root_orient, theta, beta, trans, model: HandModel) -> np.nda
     joints = joints.data.reshape((-1, JOINT_COUNT, 3))
     rots = rots.data.reshape((-1, JOINT_COUNT, 3, 3))
     rj = rest_joints(model, np.broadcast_to(np.asarray(beta, dtype=float), lead + (10,))).reshape(-1, JOINT_COUNT, 3)
-    template = shaped_template(model, np.broadcast_to(np.asarray(beta, dtype=float), lead + (10,))).reshape(
-        -1, model.vertex_count, 3
-    )
+    template = _template_on(model, rj)
     att = model.vert_attach
     centered = template - rj[:, att]
     rotated = np.einsum("mvij,mvj->mvi", rots[:, att], centered)

@@ -125,6 +125,8 @@ def read_motion(path) -> MotionData:
         contact = take(T, np.uint8, 1).astype(bool)
     if header["has_state"]:
         states = take(T, np.uint8, 1).astype(np.int64)
+    if offset != len(raw):
+        raise InputError(f"motion file {path} has {len(raw) - offset} bytes after its last block")
     return MotionData(
         frames=frames,
         fps=header["fps"],

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_hash, denoiser_config_from, hand_config_from
-from .denoiser import Denoiser
+from .denoiser import Denoiser, param_shapes
 from .diffusion import DiffusionSchedule, make_schedule, refine
 from .errors import CheckpointError, InputError
 from .hand import HandModel, build_hand_model, skin_mesh_batch, fk_transforms
@@ -68,15 +68,29 @@ def save_bundle(path, bundle: RefineBundle, extra: dict | None = None):
 def load_bundle(path) -> RefineBundle:
     manifest, tensors = load_checkpoint(path)
     cfg = manifest["extra"]["config"]
+    if config_hash(cfg) != manifest["config_hash"]:
+        raise CheckpointError("checkpoint config hash does not match its stored config")
+    expected = {"norm/mean": (FRAME_DIM,), "norm/std": (FRAME_DIM,)}
+    for name, shape in param_shapes(denoiser_config_from(cfg)).items():
+        expected[f"param/{name}"] = shape
+    _check_tensors(tensors, expected)
     normalizer = Normalizer(tensors["norm/mean"], tensors["norm/std"])
     params = {
         k[len("param/"):]: Tensor(v, requires_grad=True, name=k[len("param/"):])
         for k, v in tensors.items() if k.startswith("param/")
     }
-    bundle = make_bundle(cfg, normalizer, params=params)
-    if bundle.config_hash != manifest["config_hash"]:
-        raise CheckpointError("checkpoint config hash does not match its stored config")
-    return bundle
+    return make_bundle(cfg, normalizer, params=params)
+
+
+def _check_tensors(tensors: dict, expected: dict):
+    """Raise CheckpointError unless the checkpoint holds exactly the expected names and shapes."""
+    problems = [f"missing {k}" for k in expected if k not in tensors]
+    problems += [f"unknown {k}" for k in tensors if k not in expected]
+    problems += [f"{k} has shape {tensors[k].shape}, the model needs {shape}"
+                 for k, shape in expected.items() if k in tensors and tensors[k].shape != shape]
+    if problems:
+        more = f" (+{len(problems) - 3} more)" if len(problems) > 3 else ""
+        raise CheckpointError("checkpoint does not match its model: " + "; ".join(problems[:3]) + more)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +103,16 @@ def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
 
     Returns (raw refined (W,T,61), state logits (W,T,S)). The schedule's step
     count reaches the denoiser as an argument; the bundle is never modified.
+    y's mesh codes are encoded once and reused at every step of the chain.
     """
     y_norm = bundle.normalizer.normalize(y_raw)
     den = bundle.denoiser
     schedule = bundle.schedule
     with tz.no_grad():
+        y_code = den.encode_condition(y_norm)
         if not bundle.probabilistic:
             x_hat, logits = den.forward_free(y_norm, y_norm, schedule.steps, rng=rng,
-                                             total_steps=schedule.steps)
+                                             total_steps=schedule.steps, y_code=y_code)
             out, lg = x_hat.data, logits.data
         else:
             if steps is not None and steps != schedule.steps:
@@ -104,7 +120,8 @@ def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
                 schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
 
             def denoise_fn(x_n, y, n):
-                xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
+                xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps,
+                                           y_code=y_code)
                 return xh.data, lgt.data
 
             out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)

@@ -217,6 +217,37 @@ def test_short_checkpoint_exits_three(tmp_path, workspace, capsys):
     assert "truncated checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.pop("param/head_pose.w"), "missing param/head_pose.w"),
+    (lambda t: t.update({"param/dec_in.w": t["param/dec_in.w"][:, :3]}),
+     "param/dec_in.w has shape (61, 3), the model needs (61, 16)"),
+    (lambda t: t.update({"param/extra.w": np.zeros((2, 2))}), "unknown param/extra.w"),
+], ids=["missing", "wrong-shape", "unknown"])
+def test_checkpoint_params_not_matching_model_exit_three(tmp_path, workspace, capsys, edit, message):
+    from handrift.checkpoint import load_checkpoint, save_checkpoint
+
+    manifest, tensors = load_checkpoint(workspace["ckpt"])
+    edit(tensors)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, tensors, seed=manifest["seed"], config_hash=manifest["config_hash"],
+                    extra=manifest["extra"])
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(bad), "--in", str(src), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_motion_file_trailing_bytes_exits_one(tmp_path, workspace, capsys):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    bad = tmp_path / "long.hmf"
+    bad.write_bytes(src.read_bytes() + b"\x00\x01\x02")
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad), "--out", str(out)]) == 1
+    assert "3 bytes after its last block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_motionfile_roundtrip_byte_identical(tmp_path, workspace):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     data = read_motion(src)

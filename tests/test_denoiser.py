@@ -149,6 +149,27 @@ def test_cached_free_decode_matches_prefix_recompute(toy, seeded):
     np.testing.assert_allclose(logits.data, ref_logits.data, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("seeded", [False, True])
+def test_forward_free_with_condition_codes_is_bitwise_equal(toy, seeded):
+    """y's codes from encode_condition stand in for encoding y's meshes inside the pass."""
+    rng = np.random.default_rng(12)
+    x, y = random_batch(rng, B=3, T=8)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    for p in toy.params.values():
+        p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
+
+    def stream():
+        return RandomStream(4, "cond-gumbel") if seeded else None
+
+    with tz.no_grad():
+        y_code = toy.encode_condition(y)
+        ref_pose, ref_logits = toy.forward_free(x_n, y, 3, rng=stream())
+        pose, logits = toy.forward_free(x_n, y, 3, rng=stream(), y_code=y_code)
+    assert y_code.shape == (3 * 8, TOY.mesh_widths[-1])
+    np.testing.assert_array_equal(pose.data, ref_pose.data)
+    np.testing.assert_array_equal(logits.data, ref_logits.data)
+
+
 def test_causality_bitwise_under_future_perturbation(toy):
     rng = np.random.default_rng(3)
     x, y = random_batch(rng, B=1, T=6)

@@ -7,7 +7,7 @@ from handrift import tensor as tz
 from handrift.config import config_hash, hand_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.denoiser import Denoiser
-from handrift.diffusion import refine
+from handrift.diffusion import make_schedule, refine
 from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
 from handrift.hand import build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
@@ -260,6 +260,56 @@ def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
         weight[s : s + win] += tri
     refined, track = refine_sequence(bundle, y_raw)
     np.testing.assert_allclose(refined, acc / weight[:, None], rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic", "steps4"])
+def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeypatch, mode):
+    """A refine encodes y's meshes once per chain and x^n's once per step, and gives
+    bitwise the result of a chain that encodes y's meshes again at every step."""
+    bundle = load_bundle(tiny_ckpt)
+    den, norm = bundle.denoiser, bundle.normalizer
+    m = tiny_corpus[0].motion
+    y_raw = np.concatenate([m, m[::-1], m])  # 42 frames: five 14-frame windows
+    T, win, starts = y_raw.shape[0], bundle.frames, (0, 7, 14, 21, 28)
+    deterministic = mode == "deterministic"
+    steps = 4 if mode == "steps4" else None
+    sch = bundle.config["schedule"]
+    schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"]) if steps else bundle.schedule
+
+    def stream():
+        return None if deterministic else RandomStream(5, f"cond-once-{mode}")
+
+    rows = []
+    encode_meshes = Denoiser.encode_meshes
+
+    def counted(self, meshes):
+        rows.append(meshes.shape[0])
+        return encode_meshes(self, meshes)
+
+    monkeypatch.setattr(Denoiser, "encode_meshes", counted)
+    rng = stream()
+
+    def denoise_fn(x_n, y, n):  # no codes: y's meshes are encoded with x^n's at every step
+        xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
+        return xh.data, lgt.data
+
+    windows = norm.normalize(np.stack([y_raw[s : s + win] for s in starts]))
+    with tz.no_grad():
+        out, logits = refine(windows, denoise_fn, schedule, rng=rng, deterministic=deterministic)
+    assert rows == [2 * len(starts) * win] * schedule.steps
+    acc, votes, weight = np.zeros((T, FRAME_DIM)), np.zeros((T, STATE_COUNT)), np.zeros(T)
+    tri = np.minimum(np.arange(1, win + 1), np.arange(win, 0, -1)).astype(np.float64)
+    for s, window, labels in zip(starts, norm.denormalize(out), np.argmax(logits, axis=-1)):
+        acc[s : s + win] += tri[:, None] * window
+        votes[s : s + win, :] += tri[:, None] * np.eye(STATE_COUNT)[labels]
+        weight[s : s + win] += tri
+
+    rows.clear()
+    refined, track = refine_sequence(bundle, y_raw, deterministic=deterministic, rng=stream(),
+                                     steps=steps)
+    assert rows == [len(starts) * win] * (1 + schedule.steps)  # y once, then x^n per step
+    np.testing.assert_array_equal(refined, acc / weight[:, None])
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
 
 
