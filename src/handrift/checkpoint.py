@@ -51,6 +51,18 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], seed: int, config_hash
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 
+def _record_problem(rec) -> str | None:
+    """What is wrong with one ``tensors`` record of a manifest, or None."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("name"), str):
+        return "a tensor record has no string name"
+    shape = rec.get("shape")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        return f"tensor '{rec['name']}' has a shape that is not a list of non-negative integers"
+    if rec.get("dtype") != "<f8":
+        return f"tensor '{rec['name']}' has dtype {rec.get('dtype')!r}, not '<f8'"
+    return None
+
+
 def load_checkpoint(path):
     """Return (manifest dict, {name: float64 array})."""
     with open(path, "rb") as f:
@@ -64,11 +76,20 @@ def load_checkpoint(path):
         manifest = json.loads(raw[12 : 12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint manifest in {path}: {e}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"corrupt checkpoint manifest in {path}: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('format_version')}")
+    records = manifest.get("tensors")
+    if not isinstance(records, list):
+        raise CheckpointError(f"corrupt checkpoint manifest in {path}: 'tensors' is not a list")
+    for rec in records:
+        problem = _record_problem(rec)
+        if problem:
+            raise CheckpointError(f"corrupt checkpoint manifest in {path}: {problem}")
     tensors = {}
     offset = 12 + length
-    for rec in manifest["tensors"]:
+    for rec in records:
         shape = tuple(rec["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         chunk = raw[offset : offset + nbytes]

@@ -133,9 +133,8 @@ def sample_script(stream: RandomStream, total_frames: int = 16) -> ScriptSpec:
 
 def _fingertip_offset(root_orient, theta, beta, model: HandModel) -> np.ndarray:
     """Index fingertip position relative to the wrist for a posed hand."""
-    with tz.no_grad():
-        joints, _ = fk_transforms(root_orient, theta.reshape(15, 3), beta, np.zeros(3), model)
-    return joints.data[INDEX_TIP]
+    joints, _ = fk_transforms(root_orient, theta.reshape(15, 3), beta, np.zeros(3), model)
+    return joints[INDEX_TIP]
 
 
 def generate_sequence(spec: ScriptSpec, model: HandModel):

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ConfigError, NumericalError, ShapeError
 from .hand import HandModel, skin_mesh_batch
-from .motion import FRAME_DIM, Normalizer
+from .motion import FRAME_DIM, Normalizer, pose_parts
 from .rng import RandomStream
 from .tensor import Tensor
 
@@ -242,8 +242,8 @@ class Denoiser:
     def _skin(self, norm: np.ndarray) -> np.ndarray:
         """Posed meshes of every frame of a normalized (B,T,D) batch: (B*T,V,3)."""
         flat = self.normalizer.denormalize(norm).reshape(-1, FRAME_DIM)
-        return skin_mesh_batch(flat[:, 0:3], flat[:, 3:48].reshape(-1, 15, 3),
-                               flat[:, 48:58], flat[:, 58:61], self.hand_model)
+        verts, _ = skin_mesh_batch(*pose_parts(flat), self.hand_model)
+        return verts
 
     def encode_condition(self, y_norm) -> Tensor:
         """Pooled mesh codes (B*T, C) of the conditioning y, for ``encode(..., y_code=)``.
@@ -261,6 +261,8 @@ class Denoiser:
         if y_code is None:
             pooled = self.encode_meshes(np.concatenate([self._skin(y_norm), self._skin(x_n_norm)]))
             y_code, x_code = pooled[0 : B * T], pooled[B * T : 2 * B * T]
+        elif x_n_norm is y_norm:  # x^n is y itself (a non-probabilistic model): same codes
+            x_code = y_code
         else:
             x_code = self.encode_meshes(self._skin(x_n_norm))
         frame = tz.concatenate([y_code, x_code], axis=-1)

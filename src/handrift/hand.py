@@ -5,8 +5,10 @@ non-tip finger joints carry axis-angle pose parameters. Shape coefficients
 scale bone lengths through a fixed seeded basis. The mesh is a deterministic
 set of capsule rings strung along the bones, rigged by linear blend skinning
 with one joint per ring, which keeps the joint regressor exact under
-articulation. Forward kinematics is written in autodiff tensor ops so joint
-positions are differentiable w.r.t. pose and shape.
+articulation. Forward kinematics runs in plain numpy, one tree level (five
+joints) at a time; when an input needs a gradient (the training loss's joint
+term) the same FK runs in autodiff tensor ops, so joint positions are
+differentiable w.r.t. pose and shape.
 """
 
 from __future__ import annotations
@@ -403,6 +405,11 @@ def compose_axis_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # kinematics
 
 
+# Joints by depth, five per level; each level's parents are the level before
+# (the wrist for the first), so FK runs as four batched steps. Last: the tips.
+_LEVELS = tuple(np.arange(depth, JOINT_COUNT, 4) for depth in range(1, 5))
+
+
 def bone_scales(beta, model: HandModel):
     """Per-bone length scales from shape coefficients: floor + hinge keeps >0."""
     beta_t = tz.as_tensor(beta)
@@ -415,20 +422,55 @@ def bone_scales(beta, model: HandModel):
     return tz.reshape(scale, lead + (BONE_COUNT,))
 
 
-def fk_transforms(root_orient, theta, beta, trans, model: HandModel):
+def _bone_scales_np(beta: np.ndarray, model: HandModel) -> np.ndarray:
+    """``bone_scales`` in plain numpy, op for op: (..., 10) -> (..., 20)."""
+    dev = beta.reshape(-1, 10) @ model.shape_basis.T
+    floor = model.config.shape_scale_floor
+    return (floor + np.maximum(1.0 + dev - floor, 0.0)).reshape(beta.shape[:-1] + (BONE_COUNT,))
+
+
+def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=None):
     """Batched FK: (..., 3), (..., 15, 3), (..., 10), (..., 3) -> joints and rotations.
 
-    Returns (positions (..., 21, 3), global rotations (..., 21, 3, 3)) as
-    tensors; gradient flows through all four inputs.
+    Returns (positions (..., 21, 3), global rotations (..., 21, 3, 3)): tensors,
+    with gradient through all four inputs, if an input is a Tensor that requires
+    a gradient while recording is on; otherwise arrays from a plain numpy FK,
+    bitwise equal. ``scales`` (``bone_scales(beta)``) spares recomputing them.
     """
+    inputs = (root_orient, theta, beta, trans)
+    arrays = [np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64) for x in inputs]
+    for a, what in zip(arrays, ("root_orient", "theta", "beta", "root_translation")):
+        if not np.all(np.isfinite(a)):
+            raise InputError(f"non-finite values in {what}")
+    if tz.grad_enabled() and any(isinstance(x, Tensor) and x.requires_grad for x in inputs):
+        return _fk_tensor(*inputs, model)
+
+    ro, th, be, tr = arrays
+    lead = ro.shape[:-1]
+    m = int(np.prod(lead, dtype=np.int64))
+    if scales is None:
+        scales = _bone_scales_np(be, model)
+    rot16 = so3_exp(np.concatenate([ro.reshape(m, 1, 3), th.reshape(m, 15, 3)], axis=1))
+    offsets = model.rest_offsets[1:] * np.reshape(scales, (m, BONE_COUNT, 1))
+    pos = np.empty((m, JOINT_COUNT, 3))
+    rot = np.empty((m, JOINT_COUNT, 3, 3))
+    pos[:, 0] = tr.reshape(m, 3)
+    rot[:, 0] = rot16[:, 0]
+    for depth, level in enumerate(_LEVELS):  # take(): a faster gather than fancy indexing
+        parent = PARENTS[level]
+        rot_p = rot.take(parent, axis=1)
+        pos[:, level] = pos.take(parent, axis=1) + (rot_p @ offsets.take(level - 1, axis=1)[..., None])[..., 0]
+        # rot16 is the root's, then three per finger: depth d's are 1+d, 4+d, ...; tips have none
+        rot[:, level] = rot_p @ rot16[:, 1 + depth :: 3] if depth < 3 else rot_p
+    return pos.reshape(lead + (JOINT_COUNT, 3)), rot.reshape(lead + (JOINT_COUNT, 3, 3))
+
+
+def _fk_tensor(root_orient, theta, beta, trans, model: HandModel):
+    """``fk_transforms`` in autodiff tensor ops, joint by joint, for the training loss."""
     ro = tz.as_tensor(root_orient)
     th = tz.as_tensor(theta)
     be = tz.as_tensor(beta)
     tr = tz.as_tensor(trans)
-    for t, what in ((ro, "root_orient"), (th, "theta"), (be, "beta"), (tr, "root_translation")):
-        if not np.all(np.isfinite(t.data)):
-            raise InputError(f"non-finite values in {what}")
-
     lead = ro.shape[:-1]
     m = int(np.prod(lead, dtype=np.int64)) if lead else 1
     ro = tz.reshape(ro, (m, 1, 3))
@@ -467,20 +509,21 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel):
 
 def forward_kinematics(pose: HandPose, model: HandModel) -> np.ndarray:
     """Joint positions (21,3) in mm for a single pose."""
-    with tz.no_grad():
-        joints, _ = fk_transforms(pose.root_orient, pose.theta, pose.beta, pose.root_translation, model)
-    return joints.data
+    joints, _ = fk_transforms(pose.root_orient, pose.theta, pose.beta, pose.root_translation, model)
+    return joints
 
 
 def rest_joints(model: HandModel, beta) -> np.ndarray:
     """Shaped rest skeleton (beta-scaled bone offsets, identity rotations)."""
-    beta = np.asarray(beta, dtype=float)
-    with tz.no_grad():
-        scales = bone_scales(beta, model).data
-    lead = beta.shape[:-1]
-    out = np.zeros(lead + (JOINT_COUNT, 3))
-    for j in range(1, JOINT_COUNT):
-        out[..., j, :] = out[..., PARENTS[j], :] + model.rest_offsets[j] * scales[..., j - 1 : j]
+    return _rest_skeleton(model, _bone_scales_np(np.asarray(beta, dtype=float), model))
+
+
+def _rest_skeleton(model: HandModel, scales: np.ndarray) -> np.ndarray:
+    """Rest joints (..., 21, 3) from bone scales (..., 20), one tree level at a time."""
+    offsets = model.rest_offsets[1:] * scales[..., None]
+    out = np.zeros(scales.shape[:-1] + (JOINT_COUNT, 3))
+    for level in _LEVELS:
+        out[..., level, :] = out[..., PARENTS[level], :] + offsets[..., level - 1, :]
     return out
 
 
@@ -496,26 +539,32 @@ def _template_on(model: HandModel, rj: np.ndarray) -> np.ndarray:
     return verts + model.vert_radial
 
 
-def skin_mesh_batch(root_orient, theta, beta, trans, model: HandModel) -> np.ndarray:
-    """Linear blend skinning over arbitrary leading batch dims (numpy path)."""
+def skin_mesh_batch(root_orient, theta, beta, trans, model: HandModel):
+    """Linear blend skinning over arbitrary leading batch dims (numpy path).
+
+    Returns (vertices (..., V, 3), joints (..., 21, 3)); the joints are the
+    FK's own, so a caller that needs both runs FK once.
+    """
     root_orient = np.asarray(root_orient, dtype=float)
     lead = root_orient.shape[:-1]
-    with tz.no_grad():
-        joints, rots = fk_transforms(root_orient, theta, beta, trans, model)
-    joints = joints.data.reshape((-1, JOINT_COUNT, 3))
-    rots = rots.data.reshape((-1, JOINT_COUNT, 3, 3))
-    rj = rest_joints(model, np.broadcast_to(np.asarray(beta, dtype=float), lead + (10,))).reshape(-1, JOINT_COUNT, 3)
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), lead + (10,))
+    scales = _bone_scales_np(beta, model)
+    joints, rots = fk_transforms(root_orient, theta, beta, trans, model, scales=scales)
+    flat_joints = joints.reshape((-1, JOINT_COUNT, 3))
+    rots = rots.reshape((-1, JOINT_COUNT, 3, 3))
+    rj = _rest_skeleton(model, scales).reshape(-1, JOINT_COUNT, 3)
     template = _template_on(model, rj)
     att = model.vert_attach
     centered = template - rj[:, att]
     rotated = np.einsum("mvij,mvj->mvi", rots[:, att], centered)
-    out = rotated + joints[:, att]
-    return out.reshape(lead + (model.vertex_count, 3))
+    out = rotated + flat_joints[:, att]
+    return out.reshape(lead + (model.vertex_count, 3)), joints
 
 
 def skin_mesh(pose: HandPose, model: HandModel) -> np.ndarray:
     """Posed mesh vertices (V,3) in mm for a single pose."""
-    return skin_mesh_batch(pose.root_orient, pose.theta, pose.beta, pose.root_translation, model)
+    verts, _ = skin_mesh_batch(pose.root_orient, pose.theta, pose.beta, pose.root_translation, model)
+    return verts
 
 
 def regress_joints(vertices: np.ndarray, model: HandModel) -> np.ndarray:

@@ -132,7 +132,11 @@ def f_score(pred_verts: np.ndarray, gt_verts: np.ndarray, threshold_mm: float) -
     gt = np.asarray(gt_verts, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"f_score: shapes {pred.shape} vs {gt.shape}")
-    dist = np.linalg.norm(pred - gt, axis=-1)
+    return _fraction_below(np.linalg.norm(pred - gt, axis=-1), threshold_mm)
+
+
+def _fraction_below(dist: np.ndarray, threshold_mm: float) -> float:
+    """Per-frame fraction of (T,N) distances below the threshold, averaged over frames."""
     return float((dist < threshold_mm).mean(axis=-1).mean())
 
 
@@ -143,10 +147,8 @@ def p_mve_and_fscores(pred_verts: np.ndarray, gt_verts: np.ndarray,
     gt = np.asarray(gt_verts, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"p_mve: shapes {pred.shape} vs {gt.shape}")
-    aligned = procrustes_align(pred, gt, with_scale)
-    mve = float(np.linalg.norm(aligned - gt, axis=-1).mean())
-    fracs = tuple(f_score(aligned, gt, thr) for thr in thresholds)
-    return mve, fracs
+    dist = np.linalg.norm(procrustes_align(pred, gt, with_scale) - gt, axis=-1)
+    return float(dist.mean()), tuple(_fraction_below(dist, thr) for thr in thresholds)
 
 
 @dataclass

@@ -19,6 +19,13 @@ TRANSLATION = slice(58, 61)
 MIN_FRAMES = 4
 
 
+def pose_parts(frames: np.ndarray):
+    """(T,61) frames -> FK inputs: root orientation, theta (T,15,3), shape, translation."""
+    frames = np.asarray(frames, dtype=np.float64)
+    return (frames[:, ROOT_ORIENT], frames[:, FINGER_POSE].reshape(-1, 15, 3), frames[:, SHAPE],
+            frames[:, TRANSLATION])
+
+
 class Normalizer:
     """Per-channel z-score computed from training data; stored in checkpoints."""
 

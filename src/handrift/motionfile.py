@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .motion import FRAME_DIM
+from .physics import STATE_COUNT
 
 MAGIC = b"HDMF0001"
 FORMAT_VERSION = 1
@@ -127,6 +128,11 @@ def read_motion(path) -> MotionData:
         states = take(T, np.uint8, 1).astype(np.int64)
     if offset != len(raw):
         raise InputError(f"motion file {path} has {len(raw) - offset} bytes after its last block")
+    for what, values in (("frames", frames), ("object track", obj)):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise InputError(f"motion file {path} has non-finite values in its {what}")
+    if states is not None and np.any(states >= STATE_COUNT):
+        raise InputError(f"motion file {path} has state {states.max()}; states are 0-{STATE_COUNT - 1}")
     return MotionData(
         frames=frames,
         fps=header["fps"],

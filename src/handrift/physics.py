@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ContractError, InputError
 from .hand import TIP_JOINTS, HandModel, fk_transforms
-from .motion import FINGER_POSE
+from .motion import FINGER_POSE, pose_parts
 
 
 class MotionState(IntEnum):
@@ -85,12 +85,7 @@ def _centered_rate(x: np.ndarray) -> np.ndarray:
 def hand_object_distance(motion: np.ndarray, obj: ObjectTrack, model: HandModel,
                          use_palm_center: bool = False) -> np.ndarray:
     """d(t): distance from the hand to the object center, (T,) in mm."""
-    motion = np.asarray(motion, dtype=np.float64)
-    with tz.no_grad():
-        joints, _ = fk_transforms(
-            motion[:, 0:3], motion[:, 3:48].reshape(-1, 15, 3), motion[:, 48:58], motion[:, 58:61], model
-        )
-    joints = joints.data
+    joints, _ = fk_transforms(*pose_parts(motion), model)
     if use_palm_center:
         ref = joints.mean(axis=1, keepdims=True)  # (T,1,3)
     else:

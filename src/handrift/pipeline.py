@@ -20,7 +20,7 @@ from .diffusion import DiffusionSchedule, make_schedule, refine
 from .errors import CheckpointError, InputError
 from .hand import HandModel, build_hand_model, skin_mesh_batch, fk_transforms
 from .metrics import accl_error, kin_metric, mje, p_mje, p_mve_and_fscores, sta_metric
-from .motion import FRAME_DIM, MIN_FRAMES, Normalizer
+from .motion import FRAME_DIM, MIN_FRAMES, Normalizer, pose_parts
 from .physics import STATE_COUNT, StateTrack
 from .rng import RandomStream
 from .tensor import Tensor
@@ -67,8 +67,11 @@ def save_bundle(path, bundle: RefineBundle, extra: dict | None = None):
 
 def load_bundle(path) -> RefineBundle:
     manifest, tensors = load_checkpoint(path)
-    cfg = manifest["extra"]["config"]
-    if config_hash(cfg) != manifest["config_hash"]:
+    extra = manifest.get("extra")
+    cfg = extra.get("config") if isinstance(extra, dict) else None
+    if not isinstance(cfg, dict):
+        raise CheckpointError("checkpoint manifest has no config object under extra.config")
+    if config_hash(cfg) != manifest.get("config_hash"):
         raise CheckpointError("checkpoint config hash does not match its stored config")
     expected = {"norm/mean": (FRAME_DIM,), "norm/std": (FRAME_DIM,)}
     for name, shape in param_shapes(denoiser_config_from(cfg)).items():
@@ -178,24 +181,24 @@ def _finalize_shape(bundle: RefineBundle, refined: np.ndarray) -> np.ndarray:
 
 
 def motion_to_joints(motion: np.ndarray, model: HandModel) -> np.ndarray:
-    motion = np.asarray(motion, dtype=np.float64)
-    with tz.no_grad():
-        joints, _ = fk_transforms(motion[:, 0:3], motion[:, 3:48].reshape(-1, 15, 3),
-                                  motion[:, 48:58], motion[:, 58:61], model)
-    return joints.data
+    joints, _ = fk_transforms(*pose_parts(motion), model)
+    return joints
 
 
-def motion_to_verts(motion: np.ndarray, model: HandModel) -> np.ndarray:
-    motion = np.asarray(motion, dtype=np.float64)
-    return skin_mesh_batch(motion[:, 0:3], motion[:, 3:48].reshape(-1, 15, 3),
-                           motion[:, 48:58], motion[:, 58:61], model)
+def motion_to_verts(motion: np.ndarray, model: HandModel):
+    """Posed meshes (T,V,3) and the joints (T,21,3) their FK computed."""
+    return skin_mesh_batch(*pose_parts(motion), model)
 
 
 def evaluate_pair(pred_motion: np.ndarray, gt_motion: np.ndarray, gt_labels,
                   model: HandModel, with_meshes: bool = True) -> dict:
-    """All §-style metrics for one prediction/ground-truth pair."""
-    pj = motion_to_joints(pred_motion, model)
-    gj = motion_to_joints(gt_motion, model)
+    """All §-style metrics for one prediction/ground-truth pair; one FK per motion."""
+    if with_meshes:
+        pv, pj = motion_to_verts(pred_motion, model)
+        gv, gj = motion_to_verts(gt_motion, model)
+    else:
+        pj = motion_to_joints(pred_motion, model)
+        gj = motion_to_joints(gt_motion, model)
     row = {
         "mje": mje(pj, gj),
         "p_mje": p_mje(pj, gj),
@@ -204,8 +207,6 @@ def evaluate_pair(pred_motion: np.ndarray, gt_motion: np.ndarray, gt_labels,
         "sta": sta_metric(np.asarray(pred_motion)[:, 3:48], gt_labels),
     }
     if with_meshes:
-        pv = motion_to_verts(pred_motion, model)
-        gv = motion_to_verts(gt_motion, model)
         mve, (f5, f15) = p_mve_and_fscores(pv, gv)
         row.update({"p_mve": mve, "f5": f5, "f15": f15})
     else:

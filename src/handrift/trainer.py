@@ -37,7 +37,7 @@ def _fk_joints_tensor(frames_2d, model):
     be = frames_2d[:, 48:58]
     tr = frames_2d[:, 58:61]
     joints, _ = fk_transforms(ro, th, be, tr, model)
-    return joints
+    return tz.as_tensor(joints)  # the numpy FK's array when no gradient is needed
 
 
 def length_var(normalizer: Normalizer) -> float:

@@ -238,6 +238,89 @@ def test_checkpoint_params_not_matching_model_exit_three(tmp_path, workspace, ca
     assert not out.exists()
 
 
+def _with_manifest(src, dst, edit):
+    """Copy a checkpoint with its JSON manifest replaced by edit(manifest)."""
+    raw = src.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    blob = json.dumps(edit(json.loads(raw[12 : 12 + length]))).encode()
+    dst.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + length :])
+
+
+def _set(path, value):
+    """Manifest edit: set (or with value=None, delete) the entry at a key path."""
+    def edit(manifest):
+        *parents, leaf = path
+        node = manifest
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [m], "not a JSON object"),
+    (_set(["tensors"], None), "'tensors' is not a list"),
+    (_set(["tensors"], {"param/start": [1, 16]}), "'tensors' is not a list"),
+    (_set(["tensors", 0, "name"], 7), "a tensor record has no string name"),
+    (_set(["tensors", 0], "norm/mean"), "a tensor record has no string name"),
+    (_set(["tensors", 0, "shape"], [-1]), "not a list of non-negative integers"),
+    (_set(["tensors", 0, "shape"], [61.0]), "not a list of non-negative integers"),
+    (_set(["tensors", 0, "shape"], "61"), "not a list of non-negative integers"),
+    (_set(["tensors", 0, "dtype"], "<f4"), "has dtype '<f4', not '<f8'"),
+    (_set(["extra", "config"], None), "no config object under extra.config"),
+    (_set(["extra", "config"], [1]), "no config object under extra.config"),
+    (_set(["extra"], "config"), "no config object under extra.config"),
+], ids=["not-object", "no-tensors", "tensors-not-list", "name-not-string", "record-not-object",
+        "negative-dim", "float-dim", "shape-not-list", "dtype", "no-config", "config-not-object",
+        "extra-not-object"])
+def test_malformed_checkpoint_manifest_exits_three(tmp_path, workspace, capsys, edit, message):
+    bad = tmp_path / "bad.ckpt"
+    _with_manifest(workspace["ckpt"], bad, edit)
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(bad), "--in", str(src), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _frames_edit(data):
+    data.frames[3, 10] = np.nan
+
+
+def _object_edit(data):
+    data.object_center[2, 1] = np.inf
+
+
+def _state_edit(data):
+    data.states[4] = 9
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_frames_edit, "non-finite values in its frames"),
+    (_object_edit, "non-finite values in its object track"),
+    (_state_edit, "has state 9; states are 0-4"),
+], ids=["frames", "object", "state"])
+def test_motion_file_bad_values_exit_one(tmp_path, workspace, capsys, edit, message):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    data = read_motion(src)
+    data.frames, data.object_center, data.states = (
+        data.frames.copy(), data.object_center.copy(), data.states.copy())
+    edit(data)
+    bad = tmp_path / "bad.hmf"
+    write_motion(bad, data)
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--pred", str(src), "--gt", str(bad), "--report", str(report)]) == 1
+    assert not report.exists()
+    assert capsys.readouterr().err.count(message) == 2
+
+
 def test_motion_file_trailing_bytes_exits_one(tmp_path, workspace, capsys):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     bad = tmp_path / "long.hmf"

@@ -171,6 +171,55 @@ def test_fk_gradient_matches_finite_differences(model):
             assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
+def fk_inputs(rng, lead):
+    """Random FK inputs with rotations on both sides of the 1e-7 small-angle
+    switch and betas large enough to put bones on the shape-scale floor."""
+    th = rng.normal(size=lead + (15, 3))
+    th /= np.linalg.norm(th, axis=-1, keepdims=True)
+    th *= np.resize([3e-8, 3e-7, 0.0, 0.4, 1.5], 15)[:, None]
+    return (rng.normal(scale=0.8, size=lead + (3,)), th, rng.normal(scale=40.0, size=lead + (10,)),
+            rng.normal(scale=40.0, size=lead + (3,)))
+
+
+@pytest.mark.parametrize("lead", [(), (16,), (3, 8)], ids=["single", "T", "WxT"])
+def test_numpy_fk_bitwise_equals_autodiff_fk(model, lead):
+    inputs = fk_inputs(np.random.default_rng(11), lead)
+    with tz.no_grad():
+        scales = hand.bone_scales(inputs[2], model).data
+    floor = model.config.shape_scale_floor
+    assert (scales == floor).any() and (scales > floor).any()  # both sides of the hinge
+    joints_t, rots_t = hand.fk_transforms(*(Tensor(x, requires_grad=True) for x in inputs), model)
+    assert isinstance(joints_t, Tensor) and joints_t.requires_grad
+    joints, rots = hand.fk_transforms(*inputs, model)
+    assert isinstance(joints, np.ndarray) and joints.shape == lead + (21, 3)
+    np.testing.assert_array_equal(joints, joints_t.data)
+    np.testing.assert_array_equal(rots, rots_t.data)
+    with tz.no_grad():  # tensors that need no gradient take the numpy FK too
+        joints_ng, _ = hand.fk_transforms(*(Tensor(x, requires_grad=True) for x in inputs), model)
+    assert isinstance(joints_ng, np.ndarray)
+    np.testing.assert_array_equal(joints_ng, joints)
+
+
+def test_rest_joints_match_per_joint_loop(model):
+    beta = np.random.default_rng(12).normal(scale=40.0, size=(4, 10))
+    with tz.no_grad():
+        scales = hand.bone_scales(beta, model).data
+    ref = np.zeros((4, 21, 3))
+    for j in range(1, 21):
+        ref[:, j] = ref[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
+    np.testing.assert_array_equal(hand.rest_joints(model, beta), ref)
+
+
+def test_skin_mesh_batch_hands_back_its_fk_joints(model):
+    from handrift.pipeline import motion_to_joints
+
+    ro, th, be, tr = fk_inputs(np.random.default_rng(13), (2, 8))
+    verts, joints = hand.skin_mesh_batch(ro, th, be, tr, model)
+    assert verts.shape == (2, 8, model.vertex_count, 3)
+    motion = np.concatenate([ro, th.reshape(2, 8, 45), be, tr], axis=-1).reshape(16, 61)
+    np.testing.assert_array_equal(joints.reshape(16, 21, 3), motion_to_joints(motion, model))
+
+
 def test_rodrigues_small_angle_series(model):
     w = Tensor(np.array([[1e-9, -2e-9, 1e-9], [0.0, 0.0, 0.0]]), requires_grad=True)
     R = hand.rodrigues(w)

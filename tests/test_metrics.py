@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from handrift import hand
+from handrift import tensor as tz
+from handrift.datagen import generate_sequence, sample_script
 from handrift.errors import InputError, ShapeError
 from handrift.metrics import (EvalReport, accl_error, f_score, kin_metric, mje, p_mje,
                               p_mve_and_fscores, procrustes_align, sta_metric)
 from handrift.physics import MotionState
+from handrift.pipeline import evaluate_pair
+from handrift.rng import RandomStream
+from handrift.tensor import Tensor
 
 R, G, M = MotionState.REACHING, MotionState.STABLE_GRASPING, MotionState.MANIPULATION
 
@@ -256,3 +261,43 @@ def test_metric_shape_errors():
         mje(np.zeros((2, 21, 3)), np.zeros((3, 21, 3)))
     with pytest.raises(ShapeError):
         f_score(np.zeros((2, 9, 3)), np.zeros((2, 8, 3)), 5.0)
+
+
+def graph_fk_geometry(motion, model):
+    """Joints and skinned meshes of (T,61) frames through the autodiff FK.
+
+    The skinning repeats ``skin_mesh_batch``'s ops and gathers one for one:
+    Procrustes' last bits depend on the vertices' memory layout too.
+    """
+    parts = (motion[:, 0:3], motion[:, 3:48].reshape(-1, 15, 3), motion[:, 48:58], motion[:, 58:61])
+    joints, rots = (t.data for t in hand.fk_transforms(*(Tensor(p, requires_grad=True) for p in parts),
+                                                         model))
+    with tz.no_grad():
+        scales = hand.bone_scales(parts[2], model).data
+    rest = np.zeros(joints.shape)
+    for j in range(1, 21):
+        rest[:, j] = rest[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
+    f = model.vert_frac[:, None]
+    template = (1.0 - f) * rest[..., model.vert_parent, :] + f * rest[..., model.vert_child, :] + model.vert_radial
+    att = model.vert_attach
+    verts = np.einsum("mvij,mvj->mvi", rots[:, att], template - rest[:, att]) + joints[:, att]
+    return joints, verts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evaluate_pair_equals_graph_fk_oracle(seed):
+    """One numpy FK per motion gives bitwise the row of four autodiff FK runs."""
+    model = hand.build_hand_model()
+    gt, _, track = generate_sequence(sample_script(RandomStream(seed, "eval-oracle"), 64), model)
+    pred = gt + np.random.default_rng(seed).normal(size=gt.shape) * np.r_[np.full(58, 0.05),
+                                                                            np.full(3, 2.0)]
+    pj, pv = graph_fk_geometry(pred, model)
+    gj, gv = graph_fk_geometry(gt, model)
+    aligned = procrustes_align(pv, gv)
+    oracle = {
+        "mje": mje(pj, gj), "p_mje": p_mje(pj, gj), "accl": accl_error(pj, gj),
+        "kin": kin_metric(pred[:, 0:48], track), "sta": sta_metric(pred[:, 3:48], track),
+        "p_mve": float(np.linalg.norm(aligned - gv, axis=-1).mean()),
+        "f5": f_score(aligned, gv, 5.0), "f15": f_score(aligned, gv, 15.0),
+    }
+    assert evaluate_pair(pred, gt, track, model) == oracle

@@ -313,6 +313,36 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
 
 
+def test_non_probabilistic_refine_encodes_meshes_once(tiny_cfg, tiny_corpus, monkeypatch):
+    """A non-probabilistic refine reuses y's mesh codes for x^n = y, and gives bitwise
+    the result of encoding the same meshes a second time."""
+    cfg = json.loads(json.dumps(tiny_cfg))
+    cfg["train"]["probabilistic"] = False
+    bundle = make_bundle(cfg, Normalizer.fit([c.motion for c in tiny_corpus]))
+    m = tiny_corpus[0].motion
+    y_raw = np.concatenate([m, m[::-1], m])  # 42 frames: five 14-frame windows
+
+    rows = []
+    encode_meshes, forward_free = Denoiser.encode_meshes, Denoiser.forward_free
+
+    def counted(self, meshes):
+        rows.append(meshes.shape[0])
+        return encode_meshes(self, meshes)
+
+    monkeypatch.setattr(Denoiser, "encode_meshes", counted)
+    monkeypatch.setattr(Denoiser, "forward_free",  # a copy of y is not y: encoded again
+                        lambda self, x_n, y, *a, **k: forward_free(self, x_n.copy(), y, *a, **k))
+    twice, twice_track = refine_sequence(bundle, y_raw)
+    assert rows == [70, 70]
+
+    monkeypatch.setattr(Denoiser, "forward_free", forward_free)
+    rows.clear()
+    refined, track = refine_sequence(bundle, y_raw)
+    assert rows == [70]
+    np.testing.assert_array_equal(refined, twice)
+    np.testing.assert_array_equal(track.labels, twice_track.labels)
+
+
 def test_failed_refine_leaves_bundle_unchanged(tiny_ckpt, tiny_corpus, monkeypatch):
     bundle = load_bundle(tiny_ckpt)
     y_raw = tiny_corpus[0].motion
