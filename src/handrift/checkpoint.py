@@ -97,4 +97,6 @@ def load_checkpoint(path):
             raise CheckpointError(f"truncated checkpoint: tensor '{rec['name']}' incomplete")
         tensors[rec["name"]] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
+    if offset != len(raw):
+        raise CheckpointError(f"checkpoint {path} has {len(raw) - offset} bytes after its last tensor")
     return manifest, tensors

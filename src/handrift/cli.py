@@ -1,15 +1,15 @@
 """Command-line surface: generate, train, refine, evaluate.
 
 Exit codes: 0 success, 1 usage/input error, 2 training divergence,
-3 checkpoint/normalization incompatibility. HANDRIFT_THREADS caps the
-parallelism of directory evaluation.
+3 checkpoint/normalization incompatibility. ``refine`` runs every model
+through the same reverse chain: a non-probabilistic one takes a single
+deterministic step. ``evaluate`` scores its pairs one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import annotator_config_from, hand_config_from, load_config
 from .datagen import generate_sequence, sample_script
-from .errors import CheckpointError, ConfigError, HandriftError, TrainingDivergedError
+from .errors import CheckpointError, ConfigError, HandriftError, InputError, TrainingDivergedError
 from .hand import build_hand_model
 from .metrics import EvalReport
 from .motionfile import MotionData, read_motion, write_motion
@@ -184,7 +184,6 @@ def cmd_refine(args) -> int:
         if not Path(path).exists():
             print(f"error: {what} not found: {path}", file=sys.stderr)
             return EXIT_USAGE
-    bundle = load_bundle(args.ckpt)
     data = read_motion(args.inp)
     if data.normalization_id != "raw":
         print(
@@ -193,6 +192,7 @@ def cmd_refine(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INCOMPATIBLE
+    bundle = load_bundle(args.ckpt)
     rng = RandomStream(args.seed, "refine") if args.stochastic else None
     refined, track = refine_sequence(bundle, data.frames, deterministic=not args.stochastic,
                                      rng=rng, steps=args.steps)
@@ -237,26 +237,21 @@ def cmd_evaluate(args) -> int:
         pred_f, gt_f = pair
         pred = read_motion(pred_f)
         gt = read_motion(gt_f)
-        if gt.states is not None:
-            labels = gt.states
-        elif gt.object_center is not None:
-            obj = ObjectTrack(gt.object_center, gt.contact_threshold or ann_cfg.contact_threshold_mm)
-            labels = annotate_states(gt.frames, obj, model, ann_cfg).labels
-        else:
-            raise ConfigError(f"{gt_f.name}: ground truth carries neither states nor an object track")
-        row = evaluate_pair(pred.frames, gt.frames, labels, model)
+        try:
+            if gt.states is not None:
+                labels = gt.states
+            elif gt.object_center is not None:
+                obj = ObjectTrack(gt.object_center, gt.contact_threshold or ann_cfg.contact_threshold_mm)
+                labels = annotate_states(gt.frames, obj, model, ann_cfg).labels
+            else:
+                raise ConfigError(f"{gt_f.name}: ground truth carries neither states nor an object track")
+            row = evaluate_pair(pred.frames, gt.frames, labels, model)
+        except InputError as e:
+            raise InputError(f"{pred_f} against {gt_f}: {e}") from None
         row["name"] = pred_f.name
         return row, pred, gt, labels
 
-    threads = int(os.environ.get("HANDRIFT_THREADS", "1"))
-    if threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-
+    results = [one(p) for p in pairs]
     rows = [r[0] for r in results]
     report = EvalReport.from_rows(rows)
     Path(args.report).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")

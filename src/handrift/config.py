@@ -26,11 +26,7 @@ from .physics import AnnotatorConfig
 
 @dataclass
 class TrainConfig:
-    lambda_state: float = 1.0
-    lambda_kinetics: float = 1.0
-    lambda_stability: float = 1.0
-    lambda_geo: float = 1.0
-    lambda_const_accel: float = 1.0
+    lambda_geo: float = 1.0         # the other terms enter with weight 1, switched by use_*
     epochs: int = 30
     batch_size: int = 8
     lr: float = 1e-4
@@ -51,10 +47,8 @@ class TrainConfig:
         noise_std=0.06, mask_prob=0.35, burst_mean=3.0, mask_noise_std=1.8))
 
     def validate(self):
-        for name in ("lambda_state", "lambda_kinetics", "lambda_stability", "lambda_geo",
-                     "lambda_const_accel"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if self.lambda_geo < 0:
+            raise ConfigError("lambda_geo must be >= 0")
         if self.constant_accel_baseline and (self.use_state or self.use_kin or self.use_sta):
             raise ConfigError("constant_accel_baseline replaces the physics losses; "
                               "disable use_state/use_kin/use_sta")
@@ -107,6 +101,30 @@ def _check_keys(user, defaults: dict, where: str = ""):
             raise ConfigError(f"unknown config key '{where}{k}'")
         if isinstance(defaults[k], dict):
             _check_keys(v, defaults[k], f"{where}{k}.")
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}.get(type(value), "null")
+
+
+def check_stored_config(stored, defaults: dict = DEFAULTS, where: str = ""):
+    """Raise ConfigError unless a stored config has every key of the defaults, of its JSON kind.
+
+    Keys the defaults lack are allowed, so checkpoints written before a key
+    was removed still load.
+    """
+    for k, default in defaults.items():
+        if k not in stored:
+            raise ConfigError(f"stored config lacks '{where}{k}'")
+        if _json_kind(stored[k]) != _json_kind(default):
+            raise ConfigError(f"stored config '{where}{k}': expected {_json_kind(default)}, "
+                              f"got {_json_kind(stored[k])}")
+        if isinstance(default, dict):
+            check_stored_config(stored[k], default, f"{where}{k}.")
 
 
 def default_config(preset: str = "desk") -> dict:

@@ -17,7 +17,8 @@ is one block of all T rows; free running encodes once and decodes T blocks of
 one row, so a frame costs one row through each layer, not a re-decode of the
 whole prefix. The conditioning y is the same at every step of a reverse chain,
 so a refine pools y's mesh codes once (``encode_condition``) and each step
-skins and graph-convolves only x^n's meshes.
+skins and graph-convolves only x^n's meshes; a deterministic chain's first
+step, where x^N is y itself, reuses y's codes for both.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class Denoiser:
         if y_code is None:
             pooled = self.encode_meshes(np.concatenate([self._skin(y_norm), self._skin(x_n_norm)]))
             y_code, x_code = pooled[0 : B * T], pooled[B * T : 2 * B * T]
-        elif x_n_norm is y_norm:  # x^n is y itself (a non-probabilistic model): same codes
+        elif x_n_norm is y_norm:  # x^N is y itself (a deterministic chain's first step): same codes
             x_code = y_code
         else:
             x_code = self.encode_meshes(self._skin(x_n_norm))

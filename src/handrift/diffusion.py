@@ -130,13 +130,15 @@ def refine(y: np.ndarray, denoise_fn, sched: DiffusionSchedule,
     x_hat rather than x_hat itself: late in the chain x^n already pins x
     down far more tightly than a denoiser re-estimates it, and feeding the
     raw estimate back step after step would replace a good x^n with a worse
-    re-estimate. The last step returns the denoiser's estimate as is.
+    re-estimate. The last step returns the denoiser's estimate as is, so a
+    one-step deterministic chain is a single denoiser call on x^1 = y: the
+    non-probabilistic model's inference.
     """
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise ContractError("refine: input contains non-finite values")
     if deterministic:
-        x_n = y.copy()
+        x_n = y  # never written in place; a denoiser may recognise x^N as y itself
     else:
         if rng is None:
             raise ContractError("stochastic refine needs an rng stream")

@@ -462,6 +462,9 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
         pos[:, level] = pos.take(parent, axis=1) + (rot_p @ offsets.take(level - 1, axis=1)[..., None])[..., 0]
         # rot16 is the root's, then three per finger: depth d's are 1+d, 4+d, ...; tips have none
         rot[:, level] = rot_p @ rot16[:, 1 + depth :: 3] if depth < 3 else rot_p
+    bad = ~np.isfinite(pos).all(axis=(1, 2))  # finite inputs can overflow: so3_exp squares angles
+    if bad.any():
+        raise InputError(f"forward kinematics overflows in frame {np.flatnonzero(bad)[0]}")
     return pos.reshape(lead + (JOINT_COUNT, 3)), rot.reshape(lead + (JOINT_COUNT, 3, 3))
 
 

@@ -25,6 +25,20 @@ def _reject(bad: np.ndarray, message: str):
         raise InputError(f"procrustes: {message}{where}")
 
 
+def _finite_frames(err: np.ndarray, metric: str, span: int = 1) -> np.ndarray:
+    """Per-frame errors (T', ...) as given; InputError naming the first frames that overflowed.
+
+    Row i of ``err`` depends on frames i..i+span-1. Finite poses can still
+    overflow a metric, e.g. a translation of 1e200 mm in an acceleration norm.
+    """
+    bad = ~np.isfinite(err).reshape(err.shape[0], -1).all(axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        where = f"frame {i}" if span == 1 else f"frames {i}-{i + span - 1}"
+        raise InputError(f"{metric} overflows in {where}")
+    return err
+
+
 def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) -> np.ndarray:
     """Similarity-align ``pred`` onto ``gt`` by least squares, each frame on its own.
 
@@ -45,10 +59,12 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) 
     X = pred - mu_p
     Y = gt - mu_g
     sx = (X * X).sum(axis=(-2, -1))
+    cov = X.swapaxes(-1, -2) @ Y  # finite only if Y is: a non-finite y_ik spoils column k
+    _reject(~(np.isfinite(sx) & np.isfinite(cov).all(axis=(-2, -1))), "a point cloud overflows")
     _reject(sx < 1e-18, "prediction cloud is degenerate (all points equal)")
     sv_gt = np.linalg.svd(Y, compute_uv=False)
     _reject(sv_gt[..., 1] < 1e-9 * np.maximum(sv_gt[..., 0], 1e-30), "ground-truth points are collinear")
-    U, S, Vt = np.linalg.svd(X.swapaxes(-1, -2) @ Y)
+    U, S, Vt = np.linalg.svd(cov)
     V, Ut = Vt.swapaxes(-1, -2), U.swapaxes(-1, -2)
     d = np.sign(np.linalg.det(V @ Ut))
     D = np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)  # diagonal of the reflection fix
@@ -67,17 +83,17 @@ def mje(pred_joints: np.ndarray, gt_joints: np.ndarray, root_relative: bool = Tr
     if root_relative:
         pred = pred - pred[..., WRIST : WRIST + 1, :]
         gt = gt - gt[..., WRIST : WRIST + 1, :]
-    return float(np.linalg.norm(pred - gt, axis=-1).mean())
+    return float(_finite_frames(np.linalg.norm(pred - gt, axis=-1), "mje").mean())
 
 
-def p_mje(pred_joints: np.ndarray, gt_joints: np.ndarray, with_scale: bool = True) -> float:
-    """MJE after per-frame Procrustes alignment."""
+def p_mje(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
+    """MJE after per-frame similarity Procrustes alignment."""
     pred = np.asarray(pred_joints, dtype=np.float64)
     gt = np.asarray(gt_joints, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"p_mje: shapes {pred.shape} vs {gt.shape}")
-    aligned = procrustes_align(pred, gt, with_scale)
-    return float(np.mean(np.linalg.norm(aligned - gt, axis=-1).mean(axis=-1)))
+    aligned = procrustes_align(pred, gt)
+    return float(np.mean(_finite_frames(np.linalg.norm(aligned - gt, axis=-1).mean(axis=-1), "p_mje")))
 
 
 def accl_error(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
@@ -90,7 +106,7 @@ def accl_error(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
         raise InputError(f"accl needs T >= 3, got {pred.shape[0]}")
     ap = pred[2:] - 2.0 * pred[1:-1] + pred[:-2]
     ag = gt[2:] - 2.0 * gt[1:-1] + gt[:-2]
-    return float(np.linalg.norm(ap - ag, axis=-1).mean())
+    return float(_finite_frames(np.linalg.norm(ap - ag, axis=-1), "accl", span=3).mean())
 
 
 def _reversal_values(theta: np.ndarray) -> np.ndarray:
@@ -140,15 +156,14 @@ def _fraction_below(dist: np.ndarray, threshold_mm: float) -> float:
     return float((dist < threshold_mm).mean(axis=-1).mean())
 
 
-def p_mve_and_fscores(pred_verts: np.ndarray, gt_verts: np.ndarray,
-                      thresholds=(5.0, 15.0), with_scale: bool = True):
-    """Per-frame Procrustes on vertices, then mean error and F@k fractions."""
+def p_mve_and_fscores(pred_verts: np.ndarray, gt_verts: np.ndarray):
+    """Per-frame similarity Procrustes on vertices, then mean error and (F@5, F@15) mm."""
     pred = np.asarray(pred_verts, dtype=np.float64)
     gt = np.asarray(gt_verts, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"p_mve: shapes {pred.shape} vs {gt.shape}")
-    dist = np.linalg.norm(procrustes_align(pred, gt, with_scale) - gt, axis=-1)
-    return float(dist.mean()), tuple(_fraction_below(dist, thr) for thr in thresholds)
+    dist = _finite_frames(np.linalg.norm(procrustes_align(pred, gt) - gt, axis=-1), "p_mve")
+    return float(dist.mean()), (_fraction_below(dist, 5.0), _fraction_below(dist, 15.0))
 
 
 @dataclass

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import config_hash, denoiser_config_from, hand_config_from
+from .config import check_stored_config, config_hash, denoiser_config_from, hand_config_from
 from .denoiser import Denoiser, param_shapes
 from .diffusion import DiffusionSchedule, make_schedule, refine
-from .errors import CheckpointError, InputError
+from .errors import CheckpointError, ConfigError, InputError
 from .hand import HandModel, build_hand_model, skin_mesh_batch, fk_transforms
 from .metrics import accl_error, kin_metric, mje, p_mje, p_mve_and_fscores, sta_metric
 from .motion import FRAME_DIM, MIN_FRAMES, Normalizer, pose_parts
@@ -54,8 +54,11 @@ def make_bundle(cfg: dict, normalizer: Normalizer, params=None, hand_model=None)
     return RefineBundle(den, schedule, normalizer, model, cfg, config_hash(cfg))
 
 
-def save_bundle(path, bundle: RefineBundle, extra: dict | None = None):
-    tensors = {f"param/{k}": v.data for k, v in bundle.denoiser.params.items()}
+def save_bundle(path, bundle: RefineBundle, extra: dict | None = None, params: dict | None = None):
+    """Write the bundle; ``params`` (name -> array) replaces the denoiser's live weights."""
+    if params is None:
+        params = {k: v.data for k, v in bundle.denoiser.params.items()}
+    tensors = {f"param/{k}": v for k, v in params.items()}
     tensors["norm/mean"] = bundle.normalizer.mean
     tensors["norm/std"] = bundle.normalizer.std
     meta = {"config": bundle.config}
@@ -73,6 +76,10 @@ def load_bundle(path) -> RefineBundle:
         raise CheckpointError("checkpoint manifest has no config object under extra.config")
     if config_hash(cfg) != manifest.get("config_hash"):
         raise CheckpointError("checkpoint config hash does not match its stored config")
+    try:
+        check_stored_config(cfg)
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint {e}") from None
     expected = {"norm/mean": (FRAME_DIM,), "norm/std": (FRAME_DIM,)}
     for name, shape in param_shapes(denoiser_config_from(cfg)).items():
         expected[f"param/{name}"] = shape
@@ -104,30 +111,28 @@ def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
                     rng: RandomStream | None, steps: int | None):
     """Refine a (W,T,61) batch of raw windows through one reverse chain.
 
-    Returns (raw refined (W,T,61), state logits (W,T,S)). The schedule's step
-    count reaches the denoiser as an argument; the bundle is never modified.
-    y's mesh codes are encoded once and reused at every step of the chain.
+    Returns (raw refined (W,T,61), state logits (W,T,S)). A non-probabilistic
+    model, trained only at n = N on x^N = y, runs the one-step chain: its step
+    embedding reads n/N = 1 either way. The schedule's step count reaches the
+    denoiser as an argument; the bundle is never modified. y's mesh codes are
+    encoded once and reused at every step of the chain.
     """
     y_norm = bundle.normalizer.normalize(y_raw)
     den = bundle.denoiser
     schedule = bundle.schedule
+    if not bundle.probabilistic:
+        steps, deterministic = 1, True
+    if steps is not None and steps != schedule.steps:
+        sch = bundle.config["schedule"]
+        schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
     with tz.no_grad():
         y_code = den.encode_condition(y_norm)
-        if not bundle.probabilistic:
-            x_hat, logits = den.forward_free(y_norm, y_norm, schedule.steps, rng=rng,
-                                             total_steps=schedule.steps, y_code=y_code)
-            out, lg = x_hat.data, logits.data
-        else:
-            if steps is not None and steps != schedule.steps:
-                sch = bundle.config["schedule"]
-                schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
 
-            def denoise_fn(x_n, y, n):
-                xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps,
-                                           y_code=y_code)
-                return xh.data, lgt.data
+        def denoise_fn(x_n, y, n):
+            xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps, y_code=y_code)
+            return xh.data, lgt.data
 
-            out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)
+        out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)
     return bundle.normalizer.denormalize(out), lg
 
 
@@ -191,14 +196,10 @@ def motion_to_verts(motion: np.ndarray, model: HandModel):
 
 
 def evaluate_pair(pred_motion: np.ndarray, gt_motion: np.ndarray, gt_labels,
-                  model: HandModel, with_meshes: bool = True) -> dict:
+                  model: HandModel) -> dict:
     """All §-style metrics for one prediction/ground-truth pair; one FK per motion."""
-    if with_meshes:
-        pv, pj = motion_to_verts(pred_motion, model)
-        gv, gj = motion_to_verts(gt_motion, model)
-    else:
-        pj = motion_to_joints(pred_motion, model)
-        gj = motion_to_joints(gt_motion, model)
+    pv, pj = motion_to_verts(pred_motion, model)
+    gv, gj = motion_to_verts(gt_motion, model)
     row = {
         "mje": mje(pj, gj),
         "p_mje": p_mje(pj, gj),
@@ -206,9 +207,6 @@ def evaluate_pair(pred_motion: np.ndarray, gt_motion: np.ndarray, gt_labels,
         "kin": kin_metric(np.asarray(pred_motion)[:, 0:48], gt_labels),
         "sta": sta_metric(np.asarray(pred_motion)[:, 3:48], gt_labels),
     }
-    if with_meshes:
-        mve, (f5, f15) = p_mve_and_fscores(pv, gv)
-        row.update({"p_mve": mve, "f5": f5, "f15": f15})
-    else:
-        row.update({"p_mve": 0.0, "f5": 1.0, "f15": 1.0})
+    mve, (f5, f15) = p_mve_and_fscores(pv, gv)
+    row.update({"p_mve": mve, "f5": f5, "f15": f15})
     return row

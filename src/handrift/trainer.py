@@ -3,8 +3,8 @@
 Each step draws clean sequences, fabricates noisy estimates (or reads paired
 external ones), samples a diffusion step, forms x^n, and takes an AdamW step
 on the total objective: the squared data term on the denoiser output plus
-weighted state / kinetics / stability losses and a joint-position auxiliary
-term. Ablation flags zero out individual terms; the deterministic baseline
+state / kinetics / stability losses and a joint-position auxiliary term.
+Ablation flags (``use_*``) switch individual terms off; the deterministic baseline
 reuses the identical code path with x^n fixed to y and a single step index.
 """
 
@@ -51,8 +51,8 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     """Assemble the training objective for one batch.
 
     Every term is measured on scales the program derives from its own data,
-    so a weight of 1 gives each the pull its unit implies and all default
-    to 1:
+    so each enters with weight 1, the pull its unit implies; only geo has a
+    weight, ``lambda_geo``, and 0 turns it off:
 
     - data: mean squared error of the normalized pose over frames and
       channels, in z^2 (z: a channel's value over the normalizer's std);
@@ -104,8 +104,8 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
 
     if tcfg.use_state:
         ls = state_loss(logits, labels)
-        total = total + tcfg.lambda_state * ls
-        comps["state"] = tcfg.lambda_state * ls.item()
+        total = total + ls
+        comps["state"] = ls.item()
     else:
         comps["state"] = 0.0
     # pose in multiples of the stillness threshold (radians over radians)
@@ -113,21 +113,21 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     x_still = x_hat * Tensor(bundle.normalizer.std / still)
     if tcfg.use_kin:
         lk = kinetics_loss(x_still[:, :, FULL_POSE], labels)
-        total = total + tcfg.lambda_kinetics * lk
-        comps["kinetics"] = tcfg.lambda_kinetics * lk.item()
+        total = total + lk
+        comps["kinetics"] = lk.item()
     else:
         comps["kinetics"] = 0.0
     if tcfg.use_sta:
         # stability_loss sums over the finger channels; take their mean as every term does
         lst = stability_loss(x_still[:, :, FINGER_POSE], labels) * (1.0 / 45)
-        total = total + tcfg.lambda_stability * lst
-        comps["stability"] = tcfg.lambda_stability * lst.item()
+        total = total + lst
+        comps["stability"] = lst.item()
     else:
         comps["stability"] = 0.0
     if tcfg.constant_accel_baseline:
         lca = constant_accel_penalty(x_hat)
-        total = total + tcfg.lambda_const_accel * lca
-        comps["const_accel"] = tcfg.lambda_const_accel * lca.item()
+        total = total + lca
+        comps["const_accel"] = lca.item()
     else:
         comps["const_accel"] = 0.0
 
@@ -211,12 +211,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
 
     def save_now(params_data):
         if out_ckpt is not None:
-            saved = {k: p.data for k, p in den.params.items()}
-            for k in saved:
-                den.params[k].data = params_data[k]
-            save_bundle(out_ckpt, bundle, extra={"epochs_completed": len(log_rows)})
-            for k in saved:
-                den.params[k].data = saved[k]
+            save_bundle(out_ckpt, bundle, extra={"epochs_completed": len(log_rows)}, params=params_data)
 
     try:
         for epoch in range(tcfg.epochs):

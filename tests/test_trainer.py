@@ -53,7 +53,7 @@ def test_train_config_validation():
     cfg = TrainConfig(constant_accel_baseline=True, use_state=False, use_kin=False, use_sta=False)
     cfg.validate()
     with pytest.raises(ConfigError):
-        TrainConfig(lambda_state=-1.0).validate()
+        TrainConfig(lambda_geo=-1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(mode="weird").validate()
 
@@ -70,11 +70,15 @@ def test_load_config_rejects_unknown_keys(tmp_path, train_section):
 
 def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_path):
     """Stored configs bypass load_config: keys removed since still load."""
-    old = {**tiny_cfg, "train": {**tiny_cfg["train"], "teacher_noise_std": 0.0}}
+    removed = {"teacher_noise_std": 0.0, "lambda_state": 1.0, "lambda_kinetics": 1.0,
+               "lambda_stability": 1.0, "lambda_const_accel": 1.0}
+    old = {**tiny_cfg, "train": {**tiny_cfg["train"], **removed}}
     normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
     path = tmp_path / "old.ckpt"
     save_bundle(path, make_bundle(old, normalizer))
-    assert load_bundle(path).config["train"]["teacher_noise_std"] == 0.0
+    loaded = load_bundle(path)
+    assert {k: loaded.config["train"][k] for k in removed} == removed
+    assert train_config_from(loaded.config) == train_config_from(tiny_cfg)
 
 
 def test_total_loss_oracle_denoiser_is_zero(tiny_cfg, tiny_corpus):
@@ -308,7 +312,8 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     rows.clear()
     refined, track = refine_sequence(bundle, y_raw, deterministic=deterministic, rng=stream(),
                                      steps=steps)
-    assert rows == [len(starts) * win] * (1 + schedule.steps)  # y once, then x^n per step
+    # y once, then x^n per step; a deterministic chain starts at x^N = y, whose codes it has
+    assert rows == [len(starts) * win] * (schedule.steps if deterministic else 1 + schedule.steps)
     np.testing.assert_array_equal(refined, acc / weight[:, None])
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
 
