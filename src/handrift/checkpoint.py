@@ -72,6 +72,8 @@ def load_checkpoint(path):
     if len(raw) < 12:
         raise CheckpointError(f"truncated checkpoint: {path} ends inside its header")
     (length,) = struct.unpack("<I", raw[8:12])
+    if 12 + length > len(raw):
+        raise CheckpointError(f"truncated checkpoint: {path} ends inside its {length}-byte manifest")
     try:
         manifest = json.loads(raw[12 : 12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

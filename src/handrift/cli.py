@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import annotator_config_from, hand_config_from, load_config
+from .config import annotator_config_from, load_config
 from .datagen import generate_sequence, sample_script
 from .errors import CheckpointError, ConfigError, HandriftError, InputError, TrainingDivergedError
 from .hand import build_hand_model
@@ -101,8 +101,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    cfg = load_config(None)
-    model = build_hand_model(hand_config_from(cfg))
+    model = build_hand_model()
     entries = []
     for i in range(args.count):
         stream = RandomStream(args.seed, f"script-{i}")
@@ -230,7 +229,7 @@ def cmd_evaluate(args) -> int:
         cfg = bundle.config
     else:
         cfg = load_config(None)
-        model = build_hand_model(hand_config_from(cfg))
+        model = build_hand_model()
     ann_cfg = annotator_config_from(cfg)
 
     def one(pair):

@@ -1,12 +1,12 @@
 """Configuration: nested dict with presets, deep-merge of user files, hashing.
 
-The full key set is documented in the README. The ``hand``, ``denoiser``,
-``annotator`` and ``train`` sections are the fields of ``HandModelConfig``,
-``DenoiserConfig``, ``AnnotatorConfig`` and ``TrainConfig``, and take their
-defaults from those dataclasses. ``desk`` is the small CPU preset every
+The full key set is documented in the README. The ``denoiser``, ``annotator``
+and ``train`` sections are the fields of ``DenoiserConfig``, ``AnnotatorConfig``
+and ``TrainConfig``, and take their defaults from those dataclasses; the hand
+is the fixed recipe ``HandModelConfig()``. ``desk`` is the small CPU preset every
 default test runs on; ``paper`` mirrors the published model scale (4 layers,
 8 heads, 512-wide, mesh widths [32,64,64,64]). A key that is not in the
-defaults is rejected, so a typo fails instead of doing nothing.
+defaults, or a value not of its default's JSON kind, is rejected.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class TrainConfig:
 
 
 SECTIONS = {
-    "hand": HandModelConfig,
     "denoiser": DenoiserConfig,
     "annotator": AnnotatorConfig,
     "train": TrainConfig,
@@ -71,8 +70,8 @@ DEFAULTS: dict = {
     **{name: json.loads(json.dumps(asdict(cls()))) for name, cls in SECTIONS.items()},
     "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
     "sequence_constant_beta": False,
-    "smoothfilter_sigma": 1.0,
 }
+HAND_RECIPE = json.loads(HandModelConfig().to_json())  # as checkpoints stored it under "hand"
 
 PRESET_OVERRIDES: dict = {
     "desk": {},
@@ -111,20 +110,25 @@ def _json_kind(value) -> str:
     return {str: "string", list: "list", dict: "object"}.get(type(value), "null")
 
 
-def check_stored_config(stored, defaults: dict = DEFAULTS, where: str = ""):
-    """Raise ConfigError unless a stored config has every key of the defaults, of its JSON kind.
+def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: str = ""):
+    """Raise ConfigError unless ``cfg`` has every key of the defaults, of its JSON kind.
 
     Keys the defaults lack are allowed, so checkpoints written before a key
-    was removed still load.
+    was removed still load; a stored ``hand`` section must be the fixed recipe.
     """
     for k, default in defaults.items():
-        if k not in stored:
-            raise ConfigError(f"stored config lacks '{where}{k}'")
-        if _json_kind(stored[k]) != _json_kind(default):
-            raise ConfigError(f"stored config '{where}{k}': expected {_json_kind(default)}, "
-                              f"got {_json_kind(stored[k])}")
+        if k not in cfg:
+            raise ConfigError(f"{what} lacks '{where}{k}'")
+        if _json_kind(cfg[k]) != _json_kind(default):
+            raise ConfigError(f"{what} '{where}{k}': expected {_json_kind(default)}, "
+                              f"got {_json_kind(cfg[k])}")
         if isinstance(default, dict):
-            check_stored_config(stored[k], default, f"{where}{k}.")
+            check_config(cfg[k], what, default, f"{where}{k}.")
+    if defaults is DEFAULTS:  # the whole config, not a section of it
+        if type(cfg["frames"]) is not int or cfg["frames"] < 1:
+            raise ConfigError(f"{what} 'frames' must be a positive integer, got {cfg['frames']!r}")
+        if cfg.get("hand", HAND_RECIPE) != HAND_RECIPE:
+            raise ConfigError(f"{what} 'hand' differs from the fixed hand recipe")
 
 
 def default_config(preset: str = "desk") -> dict:
@@ -153,6 +157,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = _deep_merge(cfg, user)
     if overrides:
         cfg = _deep_merge(cfg, overrides)
+    check_config(cfg)
     return cfg
 
 
@@ -180,7 +185,8 @@ def _section(cls, values: dict):
 
 
 def hand_config_from(cfg: dict) -> HandModelConfig:
-    return _section(HandModelConfig, cfg["hand"])
+    """The fixed hand recipe, whatever ``cfg`` holds."""
+    return HandModelConfig()
 
 
 def denoiser_config_from(cfg: dict) -> DenoiserConfig:

@@ -31,6 +31,7 @@ from . import tensor as tz
 from .errors import ConfigError, NumericalError, ShapeError
 from .hand import HandModel, skin_mesh_batch
 from .motion import FRAME_DIM, Normalizer, pose_parts
+from .physics import STATE_COUNT
 from .rng import RandomStream
 from .tensor import Tensor
 
@@ -41,24 +42,20 @@ class DenoiserConfig:
     heads: int = 4
     width: int = 64
     mesh_widths: tuple = (8, 16, 16, 16)
-    state_classes: int = 5
     gumbel_tau: float = 1.0
     ffn_multiplier: int = 4
     step_features: int = 16
     mesh_scale: float = 0.01       # mm -> network input units
-    max_frames: int = 256
 
     def validate(self):
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        if self.state_classes < 2:
-            raise ConfigError("need at least 2 state classes")
         if self.step_features % 2 != 0:
             raise ConfigError("step_features must be even (sin/cos pairs)")
 
 
-def positional_encoding(max_t: int, width: int) -> np.ndarray:
-    pos = np.arange(max_t)[:, None]
+def positional_encoding(frames: int, width: int) -> np.ndarray:
+    pos = np.arange(frames)[:, None]
     i = np.arange(width)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / width)
     pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
@@ -132,10 +129,10 @@ def _param_spec(cfg: DenoiserConfig) -> list:
 
     linear("dec_in", FRAME_DIM, cfg.width)
     linear("dec_obs", 2 * FRAME_DIM, cfg.width)
-    normal("state_emb", (cfg.state_classes, cfg.width), 0.02)
+    normal("state_emb", (STATE_COUNT, cfg.width), 0.02)
     normal("start", (cfg.width,), 0.02)
     linear("head_pose", cfg.width, FRAME_DIM, gain=0.02)
-    linear("head_state", cfg.width, cfg.state_classes, gain=0.02)
+    linear("head_state", cfg.width, STATE_COUNT, gain=0.02)
     return spec
 
 
@@ -156,7 +153,6 @@ class Denoiser:
         self.normalizer = normalizer
         self.total_steps = total_steps
         self.state_feedback = state_feedback  # False: condition on a neutral state
-        self.pe = positional_encoding(config.max_frames, config.width)
         self.adjacency = Tensor(hand_model.adjacency_norm)
         self.params = params if params is not None else self.init_params(seed)
 
@@ -255,7 +251,7 @@ class Denoiser:
         return self.encode_meshes(self._skin(np.asarray(y_norm, dtype=np.float64)))
 
     def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray,
-                         total_steps: int, y_code: Tensor | None) -> Tensor:
+                         total_steps: int, y_code: Tensor | None, pe: np.ndarray) -> Tensor:
         """Causal encoder over per-frame mesh tokens: returns memory (B,T,W)."""
         cfg = self.cfg
         B, T, _ = x_n_norm.shape
@@ -270,7 +266,7 @@ class Denoiser:
         tokens = tz.reshape(self._lin("frame_proj", frame), (B, T, cfg.width))
 
         step = tz.reshape(self.embed_step(n_arr, total_steps), (B, 1, cfg.width))
-        tokens = tokens + step + Tensor(self.pe[:T])
+        tokens = tokens + step + Tensor(pe)
         mask = self._causal_mask(T, T)
         h = tokens
         for i in range(cfg.layers):
@@ -293,7 +289,7 @@ class Denoiser:
         once; every call appends its rows' self-attention K/V.
         """
         cfg = self.cfg
-        memory, step_emb, obs_tokens = cond
+        memory, step_emb, obs_tokens, pe = cond
         B = memory.shape[0]
         parts = []
         if t0 == 0:
@@ -304,11 +300,11 @@ class Denoiser:
                          + Tensor(np.zeros((B, 1, cfg.width))))
         if prev_pose is not None and prev_pose.shape[1] > 0:
             if prev_state is None:
-                prev_state = Tensor(np.zeros(prev_pose.shape[:2] + (cfg.state_classes,)))
+                prev_state = Tensor(np.zeros(prev_pose.shape[:2] + (STATE_COUNT,)))
             parts.append(self._lin("dec_in", prev_pose) + tz.matmul(prev_state, self.params["state_emb"]))
         u = parts[0] if len(parts) == 1 else tz.concatenate(parts, axis=1)
         R = u.shape[1]
-        h = (u + obs_tokens[:, t0 : t0 + R] + Tensor(self.pe[t0 : t0 + R])
+        h = (u + obs_tokens[:, t0 : t0 + R] + Tensor(pe[t0 : t0 + R])
              + tz.reshape(step_emb, (B, 1, cfg.width)))
         mask = self._causal_mask(R, t0 + R) if R > 1 else None
         for i, layer in enumerate(cache):
@@ -335,7 +331,7 @@ class Denoiser:
 
     def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None,
                y_code: Tensor | None = None):
-        """Shared conditioning: (memory (B,T,W), step emb (B,W), obs tokens (B,T,W)).
+        """Shared conditioning: (memory (B,T,W), step emb (B,W), obs tokens (B,T,W), pe (T,W)).
 
         The observation tokens project each frame's raw normalized (y_t, x^n_t)
         pair so the decoder conditions on the input data directly, not only
@@ -346,14 +342,15 @@ class Denoiser:
         """
         x_n_norm = np.asarray(x_n_norm, dtype=np.float64)
         y_norm = np.asarray(y_norm, dtype=np.float64)
-        B = x_n_norm.shape[0]
+        B, T = x_n_norm.shape[:2]
         n_arr = np.broadcast_to(np.asarray(n), (B,)).astype(np.int64)
         steps = self.total_steps if total_steps is None else total_steps
-        memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps, y_code)
+        pe = positional_encoding(T, self.cfg.width)
+        memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps, y_code, pe)
         step_emb = self.embed_step(n_arr, steps)
         obs = Tensor(np.concatenate([y_norm, x_n_norm], axis=-1))
         obs_tokens = self._lin("dec_obs", obs)
-        return memory, step_emb, obs_tokens
+        return memory, step_emb, obs_tokens, pe
 
     def decode_teacher(self, cond, teacher_pose_norm, teacher_labels):
         """Parallel decode with forced previous-frame pose/state inputs.
@@ -365,7 +362,7 @@ class Denoiser:
         onehot = None
         if teacher_labels is not None and self.state_feedback:
             labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
-            onehot = Tensor(np.eye(self.cfg.state_classes)[labels])
+            onehot = Tensor(np.eye(STATE_COUNT)[labels])
         prev_pose = Tensor(np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1])
         return self._decode_rows(cond, [], 0, prev_pose, onehot)
 

@@ -92,6 +92,8 @@ def read_motion(path) -> MotionData:
     if len(raw) < 12:
         raise InputError(f"truncated motion file {path}")
     (length,) = struct.unpack("<I", raw[8:12])
+    if 12 + length > len(raw):
+        raise InputError(f"truncated motion file {path}: it ends inside its {length}-byte header")
     try:
         header = json.loads(raw[12 : 12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import check_stored_config, config_hash, denoiser_config_from, hand_config_from
+from .config import check_config, config_hash, denoiser_config_from
 from .denoiser import Denoiser, param_shapes
 from .diffusion import DiffusionSchedule, make_schedule, refine
 from .errors import CheckpointError, ConfigError, InputError
@@ -45,7 +45,7 @@ class RefineBundle:
 
 
 def make_bundle(cfg: dict, normalizer: Normalizer, params=None, hand_model=None) -> RefineBundle:
-    model = hand_model if hand_model is not None else build_hand_model(hand_config_from(cfg))
+    model = hand_model if hand_model is not None else build_hand_model()
     sch = cfg["schedule"]
     schedule = make_schedule(sch["steps"], sch["eta1"], sch["kappa"], sch["power"])
     den = Denoiser(denoiser_config_from(cfg), model, normalizer, params=params,
@@ -77,19 +77,19 @@ def load_bundle(path) -> RefineBundle:
     if config_hash(cfg) != manifest.get("config_hash"):
         raise CheckpointError("checkpoint config hash does not match its stored config")
     try:
-        check_stored_config(cfg)
-    except ConfigError as e:
+        check_config(cfg, "stored config")
+        expected = {"norm/mean": (FRAME_DIM,), "norm/std": (FRAME_DIM,)}
+        for name, shape in param_shapes(denoiser_config_from(cfg)).items():
+            expected[f"param/{name}"] = shape
+        _check_tensors(tensors, expected)
+        normalizer = Normalizer(tensors["norm/mean"], tensors["norm/std"])
+        params = {
+            k[len("param/"):]: Tensor(v, requires_grad=True, name=k[len("param/"):])
+            for k, v in tensors.items() if k.startswith("param/")
+        }
+        return make_bundle(cfg, normalizer, params=params)
+    except ConfigError as e:  # a stored value the model cannot be built from
         raise CheckpointError(f"checkpoint {e}") from None
-    expected = {"norm/mean": (FRAME_DIM,), "norm/std": (FRAME_DIM,)}
-    for name, shape in param_shapes(denoiser_config_from(cfg)).items():
-        expected[f"param/{name}"] = shape
-    _check_tensors(tensors, expected)
-    normalizer = Normalizer(tensors["norm/mean"], tensors["norm/std"])
-    params = {
-        k[len("param/"):]: Tensor(v, requires_grad=True, name=k[len("param/"):])
-        for k, v in tensors.items() if k.startswith("param/")
-    }
-    return make_bundle(cfg, normalizer, params=params)
 
 
 def _check_tensors(tensors: dict, expected: dict):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .config import TrainConfig, annotator_config_from, hand_config_from, train_config_from
+from .config import TrainConfig, annotator_config_from, train_config_from
 from .datagen import constant_accel_penalty, perturb
 from .diffusion import forward_sample
 from .errors import ConfigError, OptimizerError, TrainingDivergedError
@@ -175,7 +175,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
     TrainingDivergedError propagates.
     """
     tcfg = train_config_from(cfg)
-    hand_model = build_hand_model(hand_config_from(cfg))
+    hand_model = build_hand_model()
     normalizer = Normalizer.fit([item.motion for item in corpus])
     bundle = make_bundle(cfg, normalizer, hand_model=hand_model)
     den = bundle.denoiser

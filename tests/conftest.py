@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import handrift
-from handrift.config import config_hash, hand_config_from, load_config
+from handrift.config import config_hash, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.hand import build_hand_model
 from handrift.pipeline import load_bundle
@@ -66,7 +66,7 @@ def build_corpus(model, count, offset=0):
 
 @pytest.fixture(scope="session")
 def desk_model():
-    return build_hand_model(hand_config_from(load_config(None)))
+    return build_hand_model()
 
 
 @pytest.fixture(scope="session")

@@ -312,12 +312,11 @@ def test_criterion_7_baseline_sanity(trained_variants, desk_corpus, variant_metr
     tcfg = train_config_from(cfg)
     model = full_bundle.hand_model
     norm = full_bundle.normalizer
-    sigma = cfg["smoothfilter_sigma"]
     sm_mje, sm_accl, in_accl = [], [], []
     for i, item in enumerate(desk_corpus["test"][:50]):
         stream = RandomStream(cfg["seed"], f"train-eval-perturb-{i}")
         y = perturb(item.motion, tcfg.perturb, stream, channel_scale=norm.std)
-        smoothed = smoothfilter_baseline(y, sigma)
+        smoothed = smoothfilter_baseline(y, sigma_frames=1.0)
         gj = motion_to_joints(item.motion, model)
         sm_mje.append(mje(motion_to_joints(smoothed, model), gj))
         sm_accl.append(accl_error(motion_to_joints(smoothed, model), gj))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from handrift.cli import main
-from handrift.config import config_hash, hand_config_from, load_config
+from handrift.config import HAND_RECIPE, config_hash, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.hand import build_hand_model
 from handrift.motion import Normalizer
@@ -89,6 +89,32 @@ def test_train_unknown_config_key_exits_one(tmp_path, workspace, capsys, train_s
     assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(cfg),
                  "--out", str(ckpt)]) == 1
     assert f"unknown config key 'train.{next(iter(train_section))}'" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: {**c, "hand": {"seed": 5}}, "unknown config key 'hand'"),
+    (lambda c: {**c, "smoothfilter_sigma": 1.0}, "unknown config key 'smoothfilter_sigma'"),
+    (lambda c: {**c, "denoiser": {**c["denoiser"], "state_classes": 5}},
+     "unknown config key 'denoiser.state_classes'"),
+    (lambda c: {**c, "denoiser": {**c["denoiser"], "max_frames": 256}},
+     "unknown config key 'denoiser.max_frames'"),
+    (lambda c: {**c, "train": {**c["train"], "epochs": "1"}},
+     "config 'train.epochs': expected number, got string"),
+    (lambda c: {**c, "train": {**c["train"], "perturb": {"noise_std": [0.06] * 61}}},
+     "config 'train.perturb.noise_std': expected number, got list"),
+    (lambda c: {**c, "frames": 0}, "config 'frames' must be a positive integer, got 0"),
+    (lambda c: {**c, "frames": 14.0}, "config 'frames' must be a positive integer, got 14.0"),
+], ids=["hand", "smoothfilter-sigma", "state-classes", "max-frames", "epochs-string",
+        "noise-std-list", "frames-zero", "frames-float"])
+def test_train_bad_config_exits_one(tmp_path, workspace, capsys, edit, message):
+    """Removed keys are unknown keys, and every value must be of its default's kind."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(edit(TINY_CONFIG)))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(cfg),
+                 "--out", str(ckpt)]) == 1
+    assert message in capsys.readouterr().err
     assert not ckpt.exists()
 
 
@@ -337,6 +363,32 @@ def test_motion_file_trailing_bytes_exits_one(tmp_path, workspace, capsys):
     assert not out.exists()
 
 
+def test_motion_header_past_end_exits_one(tmp_path, workspace, capsys):
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    raw = src.read_bytes()
+    bad = tmp_path / "bad.hmf"
+    bad.write_bytes(raw[:8] + (len(raw) - 12 + 50).to_bytes(4, "little") + raw[12:])
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad), "--out", str(out)]) == 1
+    assert main(["evaluate", "--pred", str(bad), "--gt", str(src),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("truncated motion file") == 2 and "after its last block" not in err
+    assert not out.exists()
+
+
+def test_checkpoint_header_past_end_exits_three(tmp_path, workspace, capsys):
+    raw = workspace["ckpt"].read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + (len(raw) - 12 + 50).to_bytes(4, "little") + raw[12:])
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(bad), "--in", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "truncated checkpoint" in err and "after its last tensor" not in err
+    assert not out.exists()
+
+
 def test_checkpoint_trailing_bytes_exits_three(tmp_path, workspace, capsys):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     bad = tmp_path / "long.ckpt"
@@ -367,8 +419,13 @@ def _stored_config(edit):
      "stored config 'denoiser.width': expected number, got string"),
     (lambda c: {**c, "train": {k: v for k, v in c["train"].items() if k != "probabilistic"}},
      "stored config lacks 'train.probabilistic'"),
+    (lambda c: {**c, "frames": 0}, "stored config 'frames' must be a positive integer, got 0"),
+    (lambda c: {**c, "schedule": {**c["schedule"], "steps": 0}}, "schedule needs >= 1 step, got 0"),
+    (lambda c: {**c, "denoiser": {**c["denoiser"], "heads": 3}}, "width 16 not divisible by heads 3"),
+    (lambda c: {**c, "hand": {**HAND_RECIPE, "seed": 5}},
+     "stored config 'hand' differs from the fixed hand recipe"),
 ], ids=["empty", "frames-only", "train-only", "no-schedule", "train-number", "width-string",
-        "no-probabilistic"])
+        "no-probabilistic", "frames-zero", "steps-zero", "heads-not-dividing-width", "hand-seed"])
 def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"
     _with_manifest(workspace["ckpt"], bad, _stored_config(edit))
@@ -401,6 +458,24 @@ def test_evaluate_overflowing_motion_exits_one(tmp_path, workspace, capsys, chan
     assert not report.exists()
 
 
+# an untrained model small enough to build and refine with in milliseconds
+UNTRAINED = {"schedule": {"steps": 2},
+             "denoiser": {"layers": 0, "heads": 1, "width": 4, "mesh_widths": [2],
+                          "step_features": 2, "ffn_multiplier": 1}}
+
+
+def test_refine_clip_longer_than_256_frames(tmp_path):
+    """The positional encoding is sized from the input, so no length is too long."""
+    cfg = load_config(None, {**UNTRAINED, "frames": 300})
+    model = build_hand_model()
+    motion, _, _ = generate_sequence(sample_script(RandomStream(9, "long"), 300), model)
+    ckpt, clip, out = tmp_path / "model.ckpt", tmp_path / "clip.hmf", tmp_path / "out.hmf"
+    save_bundle(ckpt, make_bundle(cfg, Normalizer.fit([motion]), hand_model=model))
+    write_motion(clip, MotionData(frames=motion))
+    assert main(["refine", "--ckpt", str(ckpt), "--in", str(clip), "--out", str(out)]) == 0
+    assert read_motion(out).frames.shape == (300, 61)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzzed_containers_exit_cleanly(tmp_path):
     """Cut, extended and byte-flipped checkpoints and motion files exit 0, 1 or 3, never raise.
@@ -410,10 +485,8 @@ def test_fuzzed_containers_exit_cleanly(tmp_path):
     JSON block is cut, plus a seeded sample of payload offsets; extensions and
     flips are seeded, one byte flipped per case.
     """
-    cfg = load_config(None, {"frames": 8, "schedule": {"steps": 2},
-                             "denoiser": {"layers": 0, "heads": 1, "width": 4, "mesh_widths": [2],
-                                          "step_features": 2, "ffn_multiplier": 1}})
-    model = build_hand_model(hand_config_from(cfg))
+    cfg = load_config(None, {**UNTRAINED, "frames": 8})
+    model = build_hand_model()
     motion, obj, track = generate_sequence(sample_script(RandomStream(9, "fuzz"), 14), model)
     ckpt, clip = tmp_path / "model.ckpt", tmp_path / "clip.hmf"
     save_bundle(ckpt, make_bundle(cfg, Normalizer.fit([motion]), hand_model=model))

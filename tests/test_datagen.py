@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handrift.config import load_config, annotator_config_from, hand_config_from
+from handrift.config import load_config, annotator_config_from
 from handrift.datagen import (PerturbSpec, ScriptSpec, constant_accel_penalty, gaussian_smooth,
                               generate_sequence, min_jerk_profile, perturb, sample_script,
                               smoothfilter_baseline)

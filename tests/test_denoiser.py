@@ -7,11 +7,12 @@ from handrift.denoiser import Denoiser, DenoiserConfig, sample_state
 from handrift.errors import ConfigError, ShapeError
 from handrift.hand import build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
+from handrift.physics import STATE_COUNT
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
 
-TOY = DenoiserConfig(layers=1, heads=2, width=16, mesh_widths=(4, 6), state_classes=5,
-                     step_features=8, ffn_multiplier=2)
+TOY = DenoiserConfig(layers=1, heads=2, width=16, mesh_widths=(4, 6), step_features=8,
+                     ffn_multiplier=2)
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +106,10 @@ def test_forward_shapes(toy):
     labels = rng.integers(0, 5, size=(2, 5))
     x_hat, logits = toy.forward_teacher(y, y, 2, x, labels)
     assert x_hat.shape == (2, 5, FRAME_DIM)
-    assert logits.shape == (2, 5, TOY.state_classes)
+    assert logits.shape == (2, 5, STATE_COUNT)
     x_hat2, logits2 = toy.forward_free(y, y, 2)
     assert x_hat2.shape == (2, 5, FRAME_DIM)
-    assert logits2.shape == (2, 5, TOY.state_classes)
+    assert logits2.shape == (2, 5, STATE_COUNT)
 
 
 def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
@@ -116,12 +117,13 @@ def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
     every frame, fed back with the prefix's own poses and the argmax labels of its
     Gumbel-sampled states."""
     B, T, _ = x_n_norm.shape
-    memory, step_emb, obs_tokens = den.encode(x_n_norm, y_norm, n)
+    memory, step_emb, obs_tokens, pe = den.encode(x_n_norm, y_norm, n)
     poses = np.zeros((B, 0, FRAME_DIM))
     labels = np.zeros((B, 0), dtype=np.int64)
     logits_seq = []
     for t in range(1, T + 1):
-        pose, logits = den.decode_teacher((memory[:, :t], step_emb, obs_tokens[:, :t]), poses, labels)
+        cond = (memory[:, :t], step_emb, obs_tokens[:, :t], pe[:t])
+        pose, logits = den.decode_teacher(cond, poses, labels)
         logit_t = logits.data[:, t - 1 : t]
         state = sample_state(logit_t, den.cfg.gumbel_tau, rng, hard=True)
         poses = np.concatenate([poses, pose.data[:, t - 1 : t]], axis=1)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from handrift import tensor as tz
-from handrift.config import config_hash, hand_config_from, load_config
+from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.denoiser import Denoiser
 from handrift.diffusion import make_schedule, refine
 from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
-from handrift.hand import build_hand_model
+from handrift.hand import HandModelConfig, build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
 from handrift.physics import STATE_COUNT
 from handrift.pipeline import load_bundle, make_bundle, refine_sequence, save_bundle
@@ -32,7 +32,7 @@ def tiny_cfg():
 
 @pytest.fixture(scope="module")
 def tiny_corpus(tiny_cfg):
-    model = build_hand_model(hand_config_from(tiny_cfg))
+    model = build_hand_model()
     items = []
     for i in range(4):
         script = sample_script(RandomStream(21, f"tiny-{i}"), 14)
@@ -72,17 +72,50 @@ def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_pat
     """Stored configs bypass load_config: keys removed since still load."""
     removed = {"teacher_noise_std": 0.0, "lambda_state": 1.0, "lambda_kinetics": 1.0,
                "lambda_stability": 1.0, "lambda_const_accel": 1.0}
-    old = {**tiny_cfg, "train": {**tiny_cfg["train"], **removed}}
+    removed_denoiser = {"state_classes": 5, "max_frames": 256}
+    old = {**tiny_cfg, "hand": HAND_RECIPE, "smoothfilter_sigma": 1.0,
+           "denoiser": {**tiny_cfg["denoiser"], **removed_denoiser},
+           "train": {**tiny_cfg["train"], **removed}}
     normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
     path = tmp_path / "old.ckpt"
     save_bundle(path, make_bundle(old, normalizer))
     loaded = load_bundle(path)
     assert {k: loaded.config["train"][k] for k in removed} == removed
+    assert {k: loaded.config["denoiser"][k] for k in removed_denoiser} == removed_denoiser
+    assert loaded.config["hand"] == HAND_RECIPE and loaded.config["smoothfilter_sigma"] == 1.0
     assert train_config_from(loaded.config) == train_config_from(tiny_cfg)
+    assert denoiser_config_from(loaded.config) == denoiser_config_from(tiny_cfg)
+    assert loaded.hand_model.config == HandModelConfig()
+
+
+def _leaves(node, prefix=""):
+    if not isinstance(node, dict):
+        return [prefix[:-1]]
+    return [leaf for k, v in node.items() for leaf in _leaves(v, f"{prefix}{k}.")]
+
+
+def test_config_surface_is_pinned():
+    """Every settable config key; adding or removing a knob is a deliberate change here."""
+    assert sorted(_leaves(DEFAULTS)) == [
+        "annotator.contact_threshold_mm", "annotator.distance_rate_mm",
+        "annotator.stable_speed_deg", "annotator.use_palm_center",
+        "denoiser.ffn_multiplier", "denoiser.gumbel_tau", "denoiser.heads", "denoiser.layers",
+        "denoiser.mesh_scale", "denoiser.mesh_widths", "denoiser.step_features", "denoiser.width",
+        "frames", "preset",
+        "schedule.eta1", "schedule.kappa", "schedule.power", "schedule.steps",
+        "seed", "sequence_constant_beta",
+        "train.batch_size", "train.constant_accel_baseline", "train.divergence_threshold",
+        "train.epochs", "train.eval_subset", "train.lambda_geo", "train.lr",
+        "train.lr_decay_epochs", "train.lr_decay_factor", "train.mode",
+        "train.perturb.burst_mean", "train.perturb.mask_noise_std", "train.perturb.mask_prob",
+        "train.perturb.noise_std", "train.probabilistic", "train.self_condition",
+        "train.self_condition_start_epoch", "train.use_kin", "train.use_sta", "train.use_state",
+        "train.weight_decay",
+    ]
 
 
 def test_total_loss_oracle_denoiser_is_zero(tiny_cfg, tiny_corpus):
-    model = build_hand_model(hand_config_from(tiny_cfg))
+    model = build_hand_model()
     motions = [c.motion for c in tiny_corpus]
     normalizer = Normalizer.fit(motions)
     bundle = make_bundle(tiny_cfg, normalizer, hand_model=model)
@@ -93,8 +126,7 @@ def test_total_loss_oracle_denoiser_is_zero(tiny_cfg, tiny_corpus):
     labels = annotate_states(item.motion, ObjectTrack(item.object_center, item.contact_threshold),
                              model).labels
     x_norm = normalizer.normalize(item.motion)[None]
-    S = tiny_cfg["denoiser"]["state_classes"]
-    perfect_logits = np.full((1, labels.size, S), -30.0)
+    perfect_logits = np.full((1, labels.size, STATE_COUNT), -30.0)
     perfect_logits[0, np.arange(labels.size), labels] = 30.0
 
     def oracle(cond, teacher, lab):
@@ -109,7 +141,7 @@ def test_total_loss_oracle_denoiser_is_zero(tiny_cfg, tiny_corpus):
 
 
 def test_total_loss_lambdas_zero_reduces_to_data_term(tiny_cfg, tiny_corpus):
-    model = build_hand_model(hand_config_from(tiny_cfg))
+    model = build_hand_model()
     normalizer = Normalizer.fit([c.motion for c in tiny_corpus])
     bundle = make_bundle(tiny_cfg, normalizer, hand_model=model)
     tcfg = train_config_from(tiny_cfg)
@@ -128,7 +160,7 @@ def test_total_loss_lambdas_zero_reduces_to_data_term(tiny_cfg, tiny_corpus):
 
 
 def test_total_loss_breakdown_sums_to_total(tiny_cfg, tiny_corpus):
-    model = build_hand_model(hand_config_from(tiny_cfg))
+    model = build_hand_model()
     normalizer = Normalizer.fit([c.motion for c in tiny_corpus])
     bundle = make_bundle(tiny_cfg, normalizer, hand_model=model)
     tcfg = train_config_from(tiny_cfg)
