@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--report", required=True, help="report JSON path")
     e.add_argument("--plots", default=None, help="optional directory for SVG plots")
     e.add_argument("--csv", default=None, help="optional per-sequence CSV path")
-    e.add_argument("--seed", type=int, default=0)
     return p
 
 

@@ -6,7 +6,8 @@ and ``TrainConfig``, and take their defaults from those dataclasses; the hand
 is the fixed recipe ``HandModelConfig()``. ``desk`` is the small CPU preset every
 default test runs on; ``paper`` mirrors the published model scale (4 layers,
 8 heads, 512-wide, mesh widths [32,64,64,64]). A key that is not in the
-defaults, or a value not of its default's JSON kind, is rejected.
+defaults, a value not of its default's JSON kind, or an integer setting that
+holds a non-integer or a value below its ``INT_LEAST``, is rejected.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ DEFAULTS: dict = {
 }
 HAND_RECIPE = json.loads(HandModelConfig().to_json())  # as checkpoints stored it under "hand"
 
+# The least value of each integer setting the program can run with; an integer
+# setting not listed takes any integer (``schedule.steps`` is checked by
+# ``make_schedule``). ``denoiser.mesh_widths`` holds one or more positive integers.
+INT_LEAST = {
+    "frames": 1,
+    "denoiser.layers": 0, "denoiser.heads": 1, "denoiser.width": 1,
+    "denoiser.ffn_multiplier": 1, "denoiser.step_features": 1,
+    "train.epochs": 0, "train.batch_size": 1, "train.eval_subset": 0,
+}
+_INT_KIND = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
 PRESET_OVERRIDES: dict = {
     "desk": {},
     "paper": {
@@ -119,14 +131,20 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
     for k, default in defaults.items():
         if k not in cfg:
             raise ConfigError(f"{what} lacks '{where}{k}'")
-        if _json_kind(cfg[k]) != _json_kind(default):
+        value = cfg[k]
+        if _json_kind(value) != _json_kind(default):
             raise ConfigError(f"{what} '{where}{k}': expected {_json_kind(default)}, "
-                              f"got {_json_kind(cfg[k])}")
+                              f"got {_json_kind(value)}")
         if isinstance(default, dict):
-            check_config(cfg[k], what, default, f"{where}{k}.")
+            check_config(value, what, default, f"{where}{k}.")
+        elif type(default) is int:  # bool defaults are not ints here
+            least = INT_LEAST.get(where + k)
+            if type(value) is not int or (least is not None and value < least):
+                raise ConfigError(f"{what} '{where}{k}' must be {_INT_KIND[least]}, got {value!r}")
+        elif isinstance(default, list) and (not value or any(type(v) is not int or v < 1 for v in value)):
+            raise ConfigError(f"{what} '{where}{k}' must be a non-empty list of positive integers, "
+                              f"got {value!r}")
     if defaults is DEFAULTS:  # the whole config, not a section of it
-        if type(cfg["frames"]) is not int or cfg["frames"] < 1:
-            raise ConfigError(f"{what} 'frames' must be a positive integer, got {cfg['frames']!r}")
         if cfg.get("hand", HAND_RECIPE) != HAND_RECIPE:
             raise ConfigError(f"{what} 'hand' differs from the fixed hand recipe")
 

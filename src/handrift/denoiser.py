@@ -19,10 +19,16 @@ whole prefix. The conditioning y is the same at every step of a reverse chain,
 so a refine pools y's mesh codes once (``encode_condition``) and each step
 skins and graph-convolves only x^n's meshes; a deterministic chain's first
 step, where x^N is y itself, reuses y's codes for both.
+
+The body is written once over an op namespace, ``self.ops``: the ``tensor``
+module, which records the graph training differentiates, or, on the copy
+``frozen()`` returns, ``tensor.plain``, the same arithmetic on bare arrays for
+every pass no gradient flows through. Both give bitwise-equal values.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,22 +68,22 @@ def positional_encoding(frames: int, width: int) -> np.ndarray:
     return pe
 
 
-def sample_state(logits, tau: float, rng: RandomStream | None, hard: bool = False):
+def sample_state(logits, tau: float, rng: RandomStream | None, hard: bool = False, ops=tz):
     """Gumbel-softmax over the last axis; straight-through one-hot when hard.
 
     With rng=None no noise is injected (argmax limit), keeping deterministic
-    inference a pure function of its inputs.
+    inference a pure function of its inputs. ``ops`` is the op namespace
+    (``tensor``, or ``tensor.plain`` where no gradient flows).
     """
     if tau <= 0:
         raise ConfigError(f"gumbel temperature must be > 0, got {tau}")
-    logits = tz.as_tensor(logits)
-    z = logits if rng is None else logits + Tensor(rng.gumbel(logits.shape))
-    soft = tz.softmax(z, temperature=tau, axis=-1)
+    z = logits if rng is None else logits + rng.gumbel(np.shape(logits))
+    soft = ops.softmax(z, temperature=tau, axis=-1)
     if not hard:
         return soft
-    idx = np.argmax(soft.data, axis=-1)
-    onehot = np.eye(logits.shape[-1])[idx]
-    return soft + Tensor(onehot - soft.data)
+    soft_value = ops.value(soft)
+    onehot = np.eye(soft_value.shape[-1])[np.argmax(soft_value, axis=-1)]
+    return soft + (onehot - soft_value)
 
 
 def _param_spec(cfg: DenoiserConfig) -> list:
@@ -153,8 +159,23 @@ class Denoiser:
         self.normalizer = normalizer
         self.total_steps = total_steps
         self.state_feedback = state_feedback  # False: condition on a neutral state
+        self.ops = tz
         self.adjacency = Tensor(hand_model.adjacency_norm)
         self.params = params if params is not None else self.init_params(seed)
+
+    def frozen(self) -> "Denoiser":
+        """A gradient-free view for inference: the same passes on plain numpy.
+
+        A shallow copy whose ops are ``tensor.plain``, whose params are the
+        live ``.data`` arrays (an in-place optimizer step shows through) and
+        whose adjacency is an array. It copies no weights and leaves this
+        denoiser untouched; its passes return arrays.
+        """
+        view = copy.copy(self)
+        view.ops = tz.plain
+        view.params = {k: p.data for k, p in self.params.items()}
+        view.adjacency = self.adjacency.data
+        return view
 
     # -- parameters ------------------------------------------------------
 
@@ -168,31 +189,34 @@ class Denoiser:
 
     # -- building blocks ---------------------------------------------------
 
+    # Constants enter the body as bare arrays, always on an operator's right
+    # or inside an ops call, so each op sees a Tensor operand first in
+    # training and plain arrays at inference.
+
     def _lin(self, name, x):
-        return tz.matmul(x, self.params[f"{name}.w"]) + self.params[f"{name}.b"]
+        return self.ops.matmul(x, self.params[f"{name}.w"]) + self.params[f"{name}.b"]
 
     def _ln(self, name, x):
-        return tz.layer_norm(x) * self.params[f"{name}.g"] + self.params[f"{name}.b"]
+        return self.ops.layer_norm(x) * self.params[f"{name}.g"] + self.params[f"{name}.b"]
 
-    @staticmethod
-    def _check(t: Tensor, layer: str):
-        if not np.all(np.isfinite(t.data)):
+    def _check(self, t, layer: str):
+        if not np.all(np.isfinite(self.ops.value(t))):
             raise NumericalError(f"non-finite activations in {layer}")
         return t
 
-    def encode_meshes(self, meshes: np.ndarray) -> Tensor:
+    def encode_meshes(self, meshes: np.ndarray):
         """Graph convolutions over template adjacency, mean-pooled: (M,V,3) -> (M,C)."""
         if meshes.shape[-2] != self.hand_model.vertex_count:
             raise ShapeError(
                 f"mesh has {meshes.shape[-2]} vertices, template has {self.hand_model.vertex_count}"
             )
-        h = Tensor(np.asarray(meshes, dtype=np.float64) * self.cfg.mesh_scale)
+        h = np.asarray(meshes, dtype=np.float64) * self.cfg.mesh_scale
         for i in range(len(self.cfg.mesh_widths)):
-            h = tz.tanh(self._lin(f"mesh.{i}", tz.matmul(self.adjacency, h)))
+            h = self.ops.tanh(self._lin(f"mesh.{i}", self.ops.matmul(self.adjacency, h)))
             self._check(h, f"mesh encoder layer {i}")
-        return tz.tmean(h, axis=-2)
+        return h.mean(axis=-2)
 
-    def embed_step(self, n, total_steps: int) -> Tensor:
+    def embed_step(self, n, total_steps: int):
         """Sinusoidal features of n/N through a 2-layer perceptron; n may be (B,)."""
         n_arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
         if np.any(n_arr < 1) or np.any(n_arr > total_steps):
@@ -201,25 +225,25 @@ class Denoiser:
         half = self.cfg.step_features // 2
         freqs = np.pi * 2.0 ** np.arange(half)
         feats = np.concatenate([np.sin(u[:, None] * freqs), np.cos(u[:, None] * freqs)], axis=1)
-        h = tz.tanh(self._lin("step.0", Tensor(feats)))
+        h = self.ops.tanh(self._lin("step.0", feats))
         return self._lin("step.1", h)  # (B, width)
 
     def _heads(self, proj, x):
         """Project (B,T,W) through ``proj`` and split heads: (B,H,T,W/H)."""
         cfg = self.cfg
         B, T = x.shape[0], x.shape[1]
-        t = tz.reshape(self._lin(proj, x), (B, T, cfg.heads, cfg.width // cfg.heads))
-        return tz.transpose(t, (0, 2, 1, 3))
+        t = self._lin(proj, x).reshape((B, T, cfg.heads, cfg.width // cfg.heads))
+        return t.transpose((0, 2, 1, 3))
 
     def _mix(self, name, q, k, v, mask: np.ndarray | None, layer: str):
         """Scaled dot-product attention of split heads, merged and projected."""
         B, Tq = q.shape[0], q.shape[2]
-        scores = tz.matmul(q, tz.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[3]))
+        scores = self.ops.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[3]))
         if mask is not None:
-            scores = scores + Tensor(mask)  # (Tq,Tk) additive causal mask, -inf blocked
-        attn = tz.softmax(scores, axis=-1)
-        out = tz.matmul(attn, v)
-        out = tz.reshape(tz.transpose(out, (0, 2, 1, 3)), (B, Tq, self.cfg.width))
+            scores = scores + mask  # (Tq,Tk) additive causal mask, -inf blocked
+        attn = self.ops.softmax(scores, axis=-1)
+        out = self.ops.matmul(attn, v)
+        out = out.transpose((0, 2, 1, 3)).reshape((B, Tq, self.cfg.width))
         return self._check(self._lin(f"{name}.o", out), layer)
 
     def _attend(self, name, q_in, kv_in, mask: np.ndarray, layer: str):
@@ -229,7 +253,7 @@ class Denoiser:
         return self._mix(name, q, k, v, mask, layer)
 
     def _ffn(self, name, x):
-        return self._lin(f"{name}.1", tz.tanh(self._lin(f"{name}.0", x)))
+        return self._lin(f"{name}.1", self.ops.tanh(self._lin(f"{name}.0", x)))
 
     @staticmethod
     def _causal_mask(tq: int, tk: int) -> np.ndarray:
@@ -242,7 +266,7 @@ class Denoiser:
         verts, _ = skin_mesh_batch(*pose_parts(flat), self.hand_model)
         return verts
 
-    def encode_condition(self, y_norm) -> Tensor:
+    def encode_condition(self, y_norm):
         """Pooled mesh codes (B*T, C) of the conditioning y, for ``encode(..., y_code=)``.
 
         y is the same at every step of a reverse chain, so a refine encodes
@@ -251,7 +275,7 @@ class Denoiser:
         return self.encode_meshes(self._skin(np.asarray(y_norm, dtype=np.float64)))
 
     def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray,
-                         total_steps: int, y_code: Tensor | None, pe: np.ndarray) -> Tensor:
+                         total_steps: int, y_code, pe: np.ndarray):
         """Causal encoder over per-frame mesh tokens: returns memory (B,T,W)."""
         cfg = self.cfg
         B, T, _ = x_n_norm.shape
@@ -262,11 +286,11 @@ class Denoiser:
             x_code = y_code
         else:
             x_code = self.encode_meshes(self._skin(x_n_norm))
-        frame = tz.concatenate([y_code, x_code], axis=-1)
-        tokens = tz.reshape(self._lin("frame_proj", frame), (B, T, cfg.width))
+        frame = self.ops.concatenate([y_code, x_code], axis=-1)
+        tokens = self._lin("frame_proj", frame).reshape((B, T, cfg.width))
 
-        step = tz.reshape(self.embed_step(n_arr, total_steps), (B, 1, cfg.width))
-        tokens = tokens + step + Tensor(pe)
+        step = self.embed_step(n_arr, total_steps).reshape((B, 1, cfg.width))
+        tokens = tokens + step + pe
         mask = self._causal_mask(T, T)
         h = tokens
         for i in range(cfg.layers):
@@ -276,8 +300,7 @@ class Denoiser:
             self._check(h, f"encoder layer {i}")
         return self._ln("enc_ln", h)
 
-    def _decode_rows(self, cond, cache: list, t0: int, prev_pose: Tensor | None,
-                     prev_state: Tensor | None):
+    def _decode_rows(self, cond, cache: list, t0: int, prev_pose, prev_state):
         """Run the decoder over rows t0..t0+R-1: (x_hat (B,R,D), state logits (B,R,S)).
 
         Row t's input is the start token (t = 0) or the fed-back frame t-1,
@@ -296,16 +319,14 @@ class Denoiser:
             cache[:] = [[self._heads(f"dec.{i}.cross.k", memory),
                          self._heads(f"dec.{i}.cross.v", memory), None, None]
                         for i in range(cfg.layers)]
-            parts.append(tz.reshape(self.params["start"], (1, 1, cfg.width))
-                         + Tensor(np.zeros((B, 1, cfg.width))))
+            parts.append(self.params["start"].reshape((1, 1, cfg.width)) + np.zeros((B, 1, cfg.width)))
         if prev_pose is not None and prev_pose.shape[1] > 0:
             if prev_state is None:
-                prev_state = Tensor(np.zeros(prev_pose.shape[:2] + (STATE_COUNT,)))
-            parts.append(self._lin("dec_in", prev_pose) + tz.matmul(prev_state, self.params["state_emb"]))
-        u = parts[0] if len(parts) == 1 else tz.concatenate(parts, axis=1)
+                prev_state = np.zeros(prev_pose.shape[:2] + (STATE_COUNT,))
+            parts.append(self._lin("dec_in", prev_pose) + self.ops.matmul(prev_state, self.params["state_emb"]))
+        u = parts[0] if len(parts) == 1 else self.ops.concatenate(parts, axis=1)
         R = u.shape[1]
-        h = (u + obs_tokens[:, t0 : t0 + R] + Tensor(pe[t0 : t0 + R])
-             + tz.reshape(step_emb, (B, 1, cfg.width)))
+        h = u + obs_tokens[:, t0 : t0 + R] + pe[t0 : t0 + R] + step_emb.reshape((B, 1, cfg.width))
         mask = self._causal_mask(R, t0 + R) if R > 1 else None
         for i, layer in enumerate(cache):
             cross_k, cross_v, self_k, self_v = layer
@@ -314,8 +335,8 @@ class Denoiser:
             k = self._heads(f"dec.{i}.self.k", hn)
             v = self._heads(f"dec.{i}.self.v", hn)
             if self_k is not None:
-                k = tz.concatenate([self_k, k], axis=2)
-                v = tz.concatenate([self_v, v], axis=2)
+                k = self.ops.concatenate([self_k, k], axis=2)
+                v = self.ops.concatenate([self_v, v], axis=2)
             layer[2:] = k, v
             h = h + self._mix(f"dec.{i}.self", q, k, v, mask, f"decoder layer {i} self")
             q = self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h))
@@ -329,8 +350,7 @@ class Denoiser:
 
     # -- public passes ----------------------------------------------------
 
-    def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None,
-               y_code: Tensor | None = None):
+    def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None, y_code=None):
         """Shared conditioning: (memory (B,T,W), step emb (B,W), obs tokens (B,T,W), pe (T,W)).
 
         The observation tokens project each frame's raw normalized (y_t, x^n_t)
@@ -348,8 +368,7 @@ class Denoiser:
         pe = positional_encoding(T, self.cfg.width)
         memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps, y_code, pe)
         step_emb = self.embed_step(n_arr, steps)
-        obs = Tensor(np.concatenate([y_norm, x_n_norm], axis=-1))
-        obs_tokens = self._lin("dec_obs", obs)
+        obs_tokens = self._lin("dec_obs", np.concatenate([y_norm, x_n_norm], axis=-1))
         return memory, step_emb, obs_tokens, pe
 
     def decode_teacher(self, cond, teacher_pose_norm, teacher_labels):
@@ -362,8 +381,8 @@ class Denoiser:
         onehot = None
         if teacher_labels is not None and self.state_feedback:
             labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
-            onehot = Tensor(np.eye(STATE_COUNT)[labels])
-        prev_pose = Tensor(np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1])
+            onehot = np.eye(STATE_COUNT)[labels]
+        prev_pose = np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1]
         return self._decode_rows(cond, [], 0, prev_pose, onehot)
 
     def forward_teacher(self, x_n_norm, y_norm, n, teacher_pose_norm, teacher_labels):
@@ -377,7 +396,7 @@ class Denoiser:
         return self.decode_teacher(cond, teacher_pose_norm, teacher_labels)
 
     def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None,
-                     total_steps: int | None = None, y_code: Tensor | None = None):
+                     total_steps: int | None = None, y_code=None):
         """Sequential inference pass feeding back its own pose/state predictions.
 
         With rng=None state feedback uses the argmax one-hot (deterministic);
@@ -389,12 +408,11 @@ class Denoiser:
         cond = self.encode(x_n_norm, y_norm, n, total_steps, y_code)
         cache: list = []
         pose = state = None
-        poses: list[Tensor] = []
-        logits_seq: list[Tensor] = []
+        poses, logits_seq = [], []
         for t in range(cond[0].shape[1]):
             pose, logit = self._decode_rows(cond, cache, t, pose, state)
             poses.append(pose)
             logits_seq.append(logit)
             if self.state_feedback:
-                state = sample_state(logit, self.cfg.gumbel_tau, rng, hard=True)
-        return tz.concatenate(poses, axis=1), tz.concatenate(logits_seq, axis=1)
+                state = sample_state(logit, self.cfg.gumbel_tau, rng, hard=True, ops=self.ops)
+        return self.ops.concatenate(poses, axis=1), self.ops.concatenate(logits_seq, axis=1)

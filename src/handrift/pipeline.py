@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import check_config, config_hash, denoiser_config_from
 from .denoiser import Denoiser, param_shapes
@@ -114,25 +113,24 @@ def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
     Returns (raw refined (W,T,61), state logits (W,T,S)). A non-probabilistic
     model, trained only at n = N on x^N = y, runs the one-step chain: its step
     embedding reads n/N = 1 either way. The schedule's step count reaches the
-    denoiser as an argument; the bundle is never modified. y's mesh codes are
-    encoded once and reused at every step of the chain.
+    denoiser as an argument; the bundle is never modified. The chain runs the
+    denoiser's gradient-free copy, and y's mesh codes are encoded once and
+    reused at every step of it.
     """
     y_norm = bundle.normalizer.normalize(y_raw)
-    den = bundle.denoiser
+    den = bundle.denoiser.frozen()
     schedule = bundle.schedule
     if not bundle.probabilistic:
         steps, deterministic = 1, True
     if steps is not None and steps != schedule.steps:
         sch = bundle.config["schedule"]
         schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
-    with tz.no_grad():
-        y_code = den.encode_condition(y_norm)
+    y_code = den.encode_condition(y_norm)
 
-        def denoise_fn(x_n, y, n):
-            xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps, y_code=y_code)
-            return xh.data, lgt.data
+    def denoise_fn(x_n, y, n):
+        return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps, y_code=y_code)
 
-        out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)
+    out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)
     return bundle.normalizer.denormalize(out), lg
 
 

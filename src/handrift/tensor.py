@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,6 +130,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def value(x) -> np.ndarray:
+    """The array behind ``x``: a Tensor's data, or ``x`` itself as an array."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
+
+
 @dataclass
 class ComputeGraph:
     """Topologically ordered view of the operations reachable from a root."""
@@ -227,8 +233,10 @@ def add(a, b) -> Tensor:
     out_data = _broadcast("add", np.add, a, b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -238,8 +246,10 @@ def sub(a, b) -> Tensor:
     out_data = _broadcast("sub", np.subtract, a, b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -249,8 +259,10 @@ def mul(a, b) -> Tensor:
     out_data = _broadcast("multiply", np.multiply, a, b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -260,8 +272,10 @@ def div(a, b) -> Tensor:
     out_data = _broadcast("divide", np.divide, a, b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -361,8 +375,10 @@ def where(mask, a, b) -> Tensor:
     out_data = np.where(mask, a.data, b.data)
 
     def bw(g):
-        _accum(a, _unbroadcast(np.where(mask, g, 0.0), a.data.shape))
-        _accum(b, _unbroadcast(np.where(mask, 0.0, g), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.where(mask, g, 0.0), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.where(mask, 0.0, g), b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -383,8 +399,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: batch dims of {a.data.shape} @ {b.data.shape} do not broadcast") from None
 
     def bw(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -428,7 +446,8 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+            if t.requires_grad:
+                _accum(t, piece)
 
     return _make(out_data, tuple(tensors), bw)
 
@@ -486,16 +505,20 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+def _softmax_forward(x: np.ndarray, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
+    z = x / temperature
+    z = z - np.max(z, axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, temperature: float = 1.0, axis: int = -1) -> Tensor:
     """Numerically stable softmax(x / temperature) along ``axis``.
 
     Entries of exactly -inf are legal (attention masks) and get weight 0.
     """
     a = as_tensor(a)
-    z = a.data / temperature
-    z = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax_forward(a.data, temperature, axis)
 
     def bw(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
@@ -521,18 +544,38 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
+def _layer_norm_forward(x: np.ndarray, eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(normalized x, 1 / its standard deviation) along the last axis."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * inv, inv
+
+
 def layer_norm(a, eps: float = 1e-8) -> Tensor:
     """Normalize the last axis to zero mean, unit variance (no affine part)."""
     a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out_data = xc * inv
-    n = a.data.shape[-1]
+    out_data, inv = _layer_norm_forward(a.data, eps)
 
     def bw(g):
         gy = g * inv
         _accum(a, gy - gy.mean(axis=-1, keepdims=True) - out_data * (gy * out_data).mean(axis=-1, keepdims=True))
 
     return _make(out_data, (a,), bw)
+
+
+# ---------------------------------------------------------------------------
+# the same ops over plain arrays
+
+# Where no gradient flows, a body written over an op namespace (``matmul``,
+# ``tanh``, ``concatenate``, ``softmax``, ``layer_norm``, ``value``, plus the
+# operators and the ``reshape``/``transpose``/``mean`` methods that Tensor and
+# ndarray share) runs on ``plain`` instead of this module: the same forward
+# arithmetic, bitwise, with no Tensor, closure or graph.
+plain = SimpleNamespace(
+    matmul=np.matmul,
+    tanh=np.tanh,
+    concatenate=np.concatenate,
+    softmax=_softmax_forward,
+    layer_norm=lambda a, eps=1e-8: _layer_norm_forward(a, eps)[0],
+    value=np.asarray,
+)

@@ -91,11 +91,10 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     teacher_states = labels if tcfg.use_state else None
     cond = den.encode(x_n, y_norm, n_arr)
     if self_condition:
-        with tz.no_grad():
-            first_pass, first_logits = den.decode_teacher(cond, teacher, teacher_states)
-        teacher = first_pass.data
+        teacher, first_logits = den.frozen().decode_teacher(
+            tuple(tz.value(c) for c in cond), teacher, teacher_states)
         if teacher_states is not None:
-            teacher_states = np.argmax(first_logits.data, axis=-1)
+            teacher_states = np.argmax(first_logits, axis=-1)
     x_hat, logits = den.decode_teacher(cond, teacher, teacher_states)
 
     diff = x_hat - Tensor(x_norm)

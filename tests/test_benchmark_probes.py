@@ -4,8 +4,8 @@
 ``Tracer`` raises AttributeError for a probe whose target was renamed or
 removed. Entering it here makes such a rename fail this suite, not only the
 benchmark's own tests. A fast path that stops calling a probed name leaves
-its span silent, which fails a benchmark run; the evaluation probe below
-catches that here too.
+its span silent, which fails a benchmark run; the evaluation and refine
+probes below catch that here too.
 """
 
 import importlib.util
@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from handrift import denoiser
+from handrift.config import load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.hand import build_hand_model
-from handrift.pipeline import evaluate_pair, motion_to_joints
+from handrift.motion import Normalizer
+from handrift.pipeline import evaluate_pair, make_bundle, motion_to_joints, refine_sequence
 from handrift.rng import RandomStream
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
@@ -56,3 +58,28 @@ def test_fk_and_skinning_spans_fire_on_evaluation(spans):
     assert calls[skin]["calls"] == 2  # one skinning pass per motion of the pair ...
     assert calls[fk]["calls"] == 3    # ... holding its FK, and one FK for motion_to_joints
     assert tracer.counts[f"{fk}.count"] == 3 * gt.shape[0]
+
+
+@pytest.mark.parametrize("stochastic", [False, True], ids=["deterministic", "stochastic"])
+def test_denoiser_and_diffusion_spans_fire_on_refine(spans, stochastic):
+    """A refine, on whatever path, passes through every probed denoiser and chain method."""
+    cfg = load_config(None, {"frames": 8, "schedule": {"steps": 3},
+                             "denoiser": {"layers": 1, "heads": 2, "width": 8, "mesh_widths": [4],
+                                          "step_features": 4, "ffn_multiplier": 1}})
+    model = build_hand_model()
+    motion, _, _ = generate_sequence(sample_script(RandomStream(0, "probe-refine"), 14), model)
+    bundle = make_bundle(cfg, Normalizer.fit([motion]), hand_model=model)
+
+    def run():
+        rng = RandomStream(1, "probe-refine") if stochastic else None
+        return refine_sequence(bundle, motion, deterministic=not stochastic, rng=rng)[0]
+
+    with spans.Tracer() as tracer:
+        traced = run()
+    expected = ["denoiser.forward_free", "denoiser.encode", "denoiser.encode_meshes",
+                "diffusion.refine", "diffusion.reverse_transition"]
+    assert tracer.missing(expected) == []
+    calls = tracer.summary()
+    assert calls["diffusion.refine"]["calls"] == 1  # the 8-frame windows share one chain
+    assert calls["denoiser.forward_free"]["calls"] == calls["diffusion.reverse_transition"]["calls"] == 3
+    np.testing.assert_array_equal(traced, run())

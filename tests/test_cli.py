@@ -105,10 +105,20 @@ def test_train_unknown_config_key_exits_one(tmp_path, workspace, capsys, train_s
      "config 'train.perturb.noise_std': expected number, got list"),
     (lambda c: {**c, "frames": 0}, "config 'frames' must be a positive integer, got 0"),
     (lambda c: {**c, "frames": 14.0}, "config 'frames' must be a positive integer, got 14.0"),
+    (lambda c: {**c, "train": {**c["train"], "epochs": 1.5}},
+     "config 'train.epochs' must be a non-negative integer, got 1.5"),
+    (lambda c: {**c, "denoiser": {**c["denoiser"], "width": 4.0}},
+     "config 'denoiser.width' must be a positive integer, got 4.0"),
+    (lambda c: {**c, "train": {**c["train"], "batch_size": 0}},
+     "config 'train.batch_size' must be a positive integer, got 0"),
+    (lambda c: {**c, "schedule": {**c["schedule"], "steps": 2.5}},
+     "config 'schedule.steps' must be an integer, got 2.5"),
 ], ids=["hand", "smoothfilter-sigma", "state-classes", "max-frames", "epochs-string",
-        "noise-std-list", "frames-zero", "frames-float"])
+        "noise-std-list", "frames-zero", "frames-float", "epochs-float", "width-float",
+        "batch-size-zero", "steps-float"])
 def test_train_bad_config_exits_one(tmp_path, workspace, capsys, edit, message):
-    """Removed keys are unknown keys, and every value must be of its default's kind."""
+    """Removed keys are unknown keys, every value must be of its default's kind, and an
+    integer setting must hold an integer it can run with."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(edit(TINY_CONFIG)))
     ckpt = tmp_path / "x.ckpt"
@@ -424,8 +434,17 @@ def _stored_config(edit):
     (lambda c: {**c, "denoiser": {**c["denoiser"], "heads": 3}}, "width 16 not divisible by heads 3"),
     (lambda c: {**c, "hand": {**HAND_RECIPE, "seed": 5}},
      "stored config 'hand' differs from the fixed hand recipe"),
+    (lambda c: {**c, "train": {**c["train"], "epochs": 1.5}},
+     "stored config 'train.epochs' must be a non-negative integer, got 1.5"),
+    (lambda c: {**c, "denoiser": {**c["denoiser"], "width": 16.0}},
+     "stored config 'denoiser.width' must be a positive integer, got 16.0"),
+    (lambda c: {**c, "train": {**c["train"], "batch_size": 0}},
+     "stored config 'train.batch_size' must be a positive integer, got 0"),
+    (lambda c: {**c, "schedule": {**c["schedule"], "steps": 2.5}},
+     "stored config 'schedule.steps' must be an integer, got 2.5"),
 ], ids=["empty", "frames-only", "train-only", "no-schedule", "train-number", "width-string",
-        "no-probabilistic", "frames-zero", "steps-zero", "heads-not-dividing-width", "hand-seed"])
+        "no-probabilistic", "frames-zero", "steps-zero", "heads-not-dividing-width", "hand-seed",
+        "epochs-float", "width-float", "batch-size-zero", "steps-float"])
 def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"
     _with_manifest(workspace["ckpt"], bad, _stored_config(edit))

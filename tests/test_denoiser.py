@@ -7,6 +7,7 @@ from handrift.denoiser import Denoiser, DenoiserConfig, sample_state
 from handrift.errors import ConfigError, ShapeError
 from handrift.hand import build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
+from handrift.optim import AdamW
 from handrift.physics import STATE_COUNT
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
@@ -170,6 +171,62 @@ def test_forward_free_with_condition_codes_is_bitwise_equal(toy, seeded):
     assert y_code.shape == (3 * 8, TOY.mesh_widths[-1])
     np.testing.assert_array_equal(pose.data, ref_pose.data)
     np.testing.assert_array_equal(logits.data, ref_logits.data)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic", "no-state-feedback"])
+def test_frozen_copy_matches_tensor_path_bitwise(toy, mode, B):
+    """Every pass of the plain-numpy copy gives bitwise the Tensor path's values."""
+    rng = np.random.default_rng(13)
+    x, y = random_batch(rng, B=B, T=16)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    labels = rng.integers(0, STATE_COUNT, size=(B, 16))
+    for p in toy.params.values():  # larger weights so states and poses vary per frame
+        p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
+    toy.state_feedback = mode != "no-state-feedback"
+
+    def stream():
+        return RandomStream(4, "frozen-gumbel") if mode == "stochastic" else None
+
+    def passes(den):
+        y_code = den.encode_condition(y)
+        cond = den.encode(x_n, y, 3)
+        return (y_code, *cond,
+                *den.forward_free(x_n, y, 3, rng=stream(), y_code=y_code),
+                *den.forward_free(x_n, y, 3, rng=stream()),             # y encoded inside
+                *den.forward_free(y, y, 4, rng=stream(), y_code=y_code),  # x^N is y itself
+                *den.decode_teacher(cond, x, labels),
+                *den.decode_teacher(cond, x, None))
+
+    with tz.no_grad():
+        reference = passes(toy)
+    frozen = passes(toy.frozen())
+    assert np.unique(np.argmax(reference[6].data, -1)).size > 1  # the fed-back states vary
+    assert len(frozen) == len(reference) == 15
+    for got, ref in zip(frozen, reference):
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, tz.value(ref))
+
+
+def test_frozen_copy_shares_live_weights_and_leaves_the_denoiser_untouched(toy):
+    params, adjacency = dict(toy.params), toy.adjacency
+    frozen = toy.frozen()
+    assert toy.ops is tz and frozen.ops is tz.plain
+    assert toy.params == params and all(isinstance(p, Tensor) for p in toy.params.values())
+    assert toy.adjacency is adjacency and isinstance(adjacency, Tensor)
+    assert frozen.adjacency is adjacency.data
+    assert all(frozen.params[k] is p.data for k, p in toy.params.items())  # no weight copied
+
+    rng = np.random.default_rng(14)
+    x, y = random_batch(rng, B=2, T=5)
+    before = frozen.forward_free(y, y, 2)[0]
+    x_hat, _ = toy.forward_teacher(y, y, 2, x, None)
+    backward(tz.tsum(x_hat * x_hat))
+    AdamW(toy.params, lr=1e-2).step()  # updates each param's data in place
+    after = frozen.forward_free(y, y, 2)[0]
+    with tz.no_grad():
+        np.testing.assert_array_equal(after, toy.forward_free(y, y, 2)[0].data)
+    assert np.abs(after - before).max() > 0
 
 
 def test_causality_bitwise_under_future_perturbation(toy):

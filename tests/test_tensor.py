@@ -174,6 +174,47 @@ def test_where_selects_gradient_branch():
     np.testing.assert_allclose(x.grad, [2.0, 10.0, 2.0])
 
 
+_MASK = np.array([[True, False, True]])
+BINARY_OPS = {  # name -> (op, first operand's shape, second operand's shape)
+    "matmul": (tz.matmul, (2, 4, 3), (3, 5)),
+    "add": (tz.add, (2, 3), (1, 3)),
+    "sub": (tz.sub, (2, 3), (3,)),
+    "mul": (tz.mul, (2, 3), (1, 3)),
+    "div": (tz.div, (2, 3), (2, 1)),
+    "where": (lambda a, b: tz.where(_MASK, a, b), (2, 3), (1, 3)),
+    "concatenate": (lambda a, b: tz.concatenate([a, b], axis=0), (2, 3), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("live", [0, 1], ids=["first-live", "second-live"])
+@pytest.mark.parametrize("name", sorted(BINARY_OPS))
+def test_backward_skips_constant_operand(name, live, monkeypatch):
+    """The live operand's gradient is bitwise the same whether or not the other operand
+    requires one; a constant operand is handed no gradient and gets no ``.grad``."""
+    op, *shapes = BINARY_OPS[name]
+    rng = np.random.default_rng(8)
+    arrays = [rng.normal(size=shapes[0]), rng.uniform(0.5, 2.0, size=shapes[1])]
+    weights = rng.normal(size=op(*arrays).shape)
+    accumulate = tz._accum
+
+    def run(other_requires_grad):
+        operands = [Tensor(a, requires_grad=i == live or other_requires_grad)
+                    for i, a in enumerate(arrays)]
+        handed = []
+        monkeypatch.setattr(tz, "_accum", lambda t, g: (handed.append(t), accumulate(t, g)))
+        backward(tz.tsum(op(*operands) * Tensor(weights)))
+        monkeypatch.setattr(tz, "_accum", accumulate)
+        return operands, handed
+
+    both, _ = run(True)
+    operands, handed = run(False)
+    constant = operands[1 - live]
+    np.testing.assert_array_equal(operands[live].grad, both[live].grad)
+    assert both[1 - live].grad is not None
+    assert constant.grad is None
+    assert not any(t is constant for t in handed)
+
+
 def test_no_grad_skips_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with tz.no_grad():
