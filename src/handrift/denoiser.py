@@ -2,8 +2,12 @@
 
 Per frame, the meshes of the noisy sample and the conditioning estimate are
 encoded by a shared graph-convolution stack over the fixed template
-adjacency and mean-pooled; together with a sinusoidal step embedding and
-temporal positional encoding they feed a causal transformer encoder. A
+adjacency and mean-pooled. Each layer is one ``graph_conv`` op,
+tanh((adjacency @ h) @ W + b), with its own backward pass; it convolves each
+(V,C) mesh on its own, so a mesh's code does not depend on the batch it rides
+in. Together with a sinusoidal step embedding (computed once per ``encode``
+and shared by the encoder tokens and the decoder rows) and temporal
+positional encoding, the codes feed a causal transformer encoder. A
 causal decoder predicts each frame's pose and state logits autoregressively,
 conditioned on the previous frame's pose and a (Gumbel-)sampled state
 embedding: teacher-forced in training, fed back on itself at inference.
@@ -160,21 +164,20 @@ class Denoiser:
         self.total_steps = total_steps
         self.state_feedback = state_feedback  # False: condition on a neutral state
         self.ops = tz
-        self.adjacency = Tensor(hand_model.adjacency_norm)
+        self.adjacency = hand_model.adjacency_norm  # a constant: no gradient reaches it
         self.params = params if params is not None else self.init_params(seed)
 
     def frozen(self) -> "Denoiser":
         """A gradient-free view for inference: the same passes on plain numpy.
 
-        A shallow copy whose ops are ``tensor.plain``, whose params are the
-        live ``.data`` arrays (an in-place optimizer step shows through) and
-        whose adjacency is an array. It copies no weights and leaves this
-        denoiser untouched; its passes return arrays.
+        A shallow copy whose ops are ``tensor.plain`` and whose params are the
+        live ``.data`` arrays (an in-place optimizer step shows through). It
+        copies no weights and leaves this denoiser untouched; its passes
+        return arrays.
         """
         view = copy.copy(self)
         view.ops = tz.plain
         view.params = {k: p.data for k, p in self.params.items()}
-        view.adjacency = self.adjacency.data
         return view
 
     # -- parameters ------------------------------------------------------
@@ -212,7 +215,8 @@ class Denoiser:
             )
         h = np.asarray(meshes, dtype=np.float64) * self.cfg.mesh_scale
         for i in range(len(self.cfg.mesh_widths)):
-            h = self.ops.tanh(self._lin(f"mesh.{i}", self.ops.matmul(self.adjacency, h)))
+            w, b = self.params[f"mesh.{i}.w"], self.params[f"mesh.{i}.b"]
+            h = self.ops.graph_conv(h, self.adjacency, w, b)
             self._check(h, f"mesh encoder layer {i}")
         return h.mean(axis=-2)
 
@@ -274,8 +278,8 @@ class Denoiser:
         """
         return self.encode_meshes(self._skin(np.asarray(y_norm, dtype=np.float64)))
 
-    def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, n_arr: np.ndarray,
-                         total_steps: int, y_code, pe: np.ndarray):
+    def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, step_emb, y_code,
+                         pe: np.ndarray):
         """Causal encoder over per-frame mesh tokens: returns memory (B,T,W)."""
         cfg = self.cfg
         B, T, _ = x_n_norm.shape
@@ -289,8 +293,7 @@ class Denoiser:
         frame = self.ops.concatenate([y_code, x_code], axis=-1)
         tokens = self._lin("frame_proj", frame).reshape((B, T, cfg.width))
 
-        step = self.embed_step(n_arr, total_steps).reshape((B, 1, cfg.width))
-        tokens = tokens + step + pe
+        tokens = tokens + step_emb.reshape((B, 1, cfg.width)) + pe
         mask = self._causal_mask(T, T)
         h = tokens
         for i in range(cfg.layers):
@@ -366,8 +369,8 @@ class Denoiser:
         n_arr = np.broadcast_to(np.asarray(n), (B,)).astype(np.int64)
         steps = self.total_steps if total_steps is None else total_steps
         pe = positional_encoding(T, self.cfg.width)
-        memory = self._encode_sequence(x_n_norm, y_norm, n_arr, steps, y_code, pe)
         step_emb = self.embed_step(n_arr, steps)
+        memory = self._encode_sequence(x_n_norm, y_norm, step_emb, y_code, pe)
         obs_tokens = self._lin("dec_obs", np.concatenate([y_norm, x_n_norm], axis=-1))
         return memory, step_emb, obs_tokens, pe
 

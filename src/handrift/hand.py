@@ -7,13 +7,14 @@ set of capsule rings strung along the bones, rigged by linear blend skinning
 with one joint per ring, which keeps the joint regressor exact under
 articulation. Forward kinematics runs in plain numpy, one tree level (five
 joints) at a time; when an input needs a gradient (the training loss's joint
-term) the same FK runs in autodiff tensor ops, so joint positions are
-differentiable w.r.t. pose and shape.
+term) the same four levels run in autodiff tensor ops, so joint positions
+are differentiable w.r.t. pose and shape.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,8 +359,16 @@ def rodrigues(w: Tensor) -> Tensor:
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    """``rodrigues`` in plain numpy, op for op, for callers that need no gradient."""
+    """``rodrigues`` in plain numpy, op for op, for callers that need no gradient.
+
+    A single 3-vector takes a scalar path (Python floats, K^2 in closed form):
+    within a few ulp of the batch path, several times faster per call.
+    """
     w = np.asarray(w, dtype=np.float64)
+    if w.shape == (3,):
+        R = _so3_exp_one(*w.tolist())
+        if R is not None:
+            return R
     lead = w.shape[:-1]
     w2 = w.reshape(-1, 3)
     m = w2.shape[0]
@@ -374,6 +383,24 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
     K = np.concatenate([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=1).reshape(m, 3, 3)
     R = np.eye(3) + sin_c.reshape(m, 1, 1) * K + cos_c.reshape(m, 1, 1) * (K @ K)
     return R.reshape(lead + (3, 3))
+
+
+def _so3_exp_one(x: float, y: float, z: float) -> np.ndarray | None:
+    """``so3_exp`` of one finite rotation vector; None where the angle overflows."""
+    xx, yy, zz = x * x, y * y, z * z
+    s2 = xx + yy + zz
+    if not math.isfinite(s2):  # the batch path's nan/inf, warnings included
+        return None
+    if s2 < _SMALL_ANGLE**2:
+        sin_c, cos_c = 1.0 - s2 * (1.0 / 6.0), 0.5 - s2 * (1.0 / 24.0)
+    else:
+        theta = math.sqrt(s2)
+        sin_c, cos_c = math.sin(theta) / theta, (1.0 - math.cos(theta)) / s2
+    sx, sy, sz = sin_c * x, sin_c * y, sin_c * z
+    cxy, cxz, cyz = cos_c * x * y, cos_c * x * z, cos_c * y * z
+    return np.array([[1.0 - cos_c * (yy + zz), cxy - sz, cxz + sy],
+                     [cxy + sz, 1.0 - cos_c * (xx + zz), cyz - sx],
+                     [cxz - sy, cyz + sx, 1.0 - cos_c * (xx + yy)]])
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
@@ -469,44 +496,29 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
 
 
 def _fk_tensor(root_orient, theta, beta, trans, model: HandModel):
-    """``fk_transforms`` in autodiff tensor ops, joint by joint, for the training loss."""
-    ro = tz.as_tensor(root_orient)
-    th = tz.as_tensor(theta)
-    be = tz.as_tensor(beta)
-    tr = tz.as_tensor(trans)
+    """``fk_transforms`` in autodiff tensor ops for the training loss.
+
+    The same four batched tree levels as the numpy FK, op for op, so the
+    values are bitwise equal. Joint 1 + 4f + d is finger f's joint at depth d,
+    so stacking the levels finger-major restores index order in C layout,
+    which the metrics' last bits depend on, as the numpy FK's does.
+    """
+    ro, th, be, tr = (tz.as_tensor(x) for x in (root_orient, theta, beta, trans))
     lead = ro.shape[:-1]
     m = int(np.prod(lead, dtype=np.int64)) if lead else 1
-    ro = tz.reshape(ro, (m, 1, 3))
-    th = tz.reshape(th, (m, 15, 3))
-    be = tz.reshape(be, (m, 10))
-    tr = tz.reshape(tr, (m, 3))
-
-    aa = tz.concatenate([ro, th], axis=1)  # (m,16,3): root + articulated
-    rot16 = rodrigues(tz.reshape(aa, (m * 16, 3)))
-    rot16 = tz.reshape(rot16, (m, 16, 3, 3))
-    slot = {0: 0}
-    slot.update({j: i + 1 for i, j in enumerate(ARTICULATED)})
-
-    scales = bone_scales(be, model)  # (m,20)
+    aa = tz.concatenate([tz.reshape(ro, (m, 1, 3)), tz.reshape(th, (m, 15, 3))], axis=1)
+    rot16 = tz.reshape(rodrigues(aa), (m, 16, 3, 3))  # root + articulated
+    scales = bone_scales(tz.reshape(be, (m, 10)), model)
     offsets = Tensor(model.rest_offsets[1:]) * tz.reshape(scales, (m, BONE_COUNT, 1))  # (m,20,3)
 
-    rot_g: list = [None] * JOINT_COUNT
-    pos: list = [None] * JOINT_COUNT
-    rot_g[0] = rot16[:, 0]
-    pos[0] = tr
-    for j in range(1, JOINT_COUNT):
-        p = PARENTS[j]
-        off = tz.reshape(offsets[:, j - 1], (m, 3, 1))
-        pos[j] = pos[p] + tz.reshape(tz.matmul(rot_g[p], off), (m, 3))
-        if j in slot:
-            rot_g[j] = tz.matmul(rot_g[p], rot16[:, slot[j]])
-        else:  # tips carry no pose parameters
-            rot_g[j] = rot_g[p]
-
-    joints = tz.stack([tz.reshape(p_, (m, 1, 3)) for p_ in pos], axis=1)
-    joints = tz.reshape(joints, (m, JOINT_COUNT, 3))
-    rots = tz.stack([tz.reshape(r_, (m, 1, 3, 3)) for r_ in rot_g], axis=1)
-    rots = tz.reshape(rots, (m, JOINT_COUNT, 3, 3))
+    pos = [tz.reshape(tr, (m, 1, 3))]
+    rot = [rot16[:, 0:1]]
+    for depth in range(len(_LEVELS)):  # parents: the level before, or the wrist; bones depth::4
+        off = tz.reshape(offsets[:, depth::4], (m, 5, 3, 1))
+        pos.append(pos[-1] + tz.reshape(tz.matmul(rot[-1], off), (m, 5, 3)))
+        rot.append(tz.matmul(rot[-1], rot16[:, 1 + depth :: 3]) if depth < 3 else rot[-1])
+    joints = tz.concatenate([pos[0], tz.reshape(tz.stack(pos[1:], axis=2), (m, BONE_COUNT, 3))], axis=1)
+    rots = tz.concatenate([rot[0], tz.reshape(tz.stack(rot[1:], axis=2), (m, BONE_COUNT, 3, 3))], axis=1)
     return tz.reshape(joints, lead + (JOINT_COUNT, 3)), tz.reshape(rots, lead + (JOINT_COUNT, 3, 3))
 
 

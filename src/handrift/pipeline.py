@@ -134,15 +134,35 @@ def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
     return bundle.normalizer.denormalize(out), lg
 
 
-def refine_sequence(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool = True,
+def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
                     rng: RandomStream | None = None, steps: int | None = None):
     """Refine a raw (T,61) sequence of any length; returns (refined, StateTrack).
 
     Inputs longer than the trained window are cut into 50%-overlap windows,
     refined together as one batch, and blended with linear (triangular)
     cross-fade weights; predicted states vote with the same weights.
+
+    ``y_raw`` may also be a list of sequences, for a list of (refined,
+    StateTrack) back: the windows of every clip with the same window length
+    (the trained one, or a shorter clip's own) go through one reverse chain.
     """
-    y_raw = np.asarray(y_raw, dtype=np.float64)
+    clips = y_raw if isinstance(y_raw, list) else [y_raw]
+    plans = [_windows(bundle, np.asarray(clip, dtype=np.float64)) for clip in clips]
+    results: list = [None] * len(plans)
+    for win in dict.fromkeys(win for _, win, _ in plans):  # window lengths, first seen first
+        group = [i for i, (_, w, _) in enumerate(plans) if w == win]
+        windows = np.stack([plans[i][0][s : s + win] for i in group for s in plans[i][2]])
+        refined, logits = _refine_windows(bundle, windows, deterministic, rng, steps)
+        labels = np.argmax(logits, axis=-1)
+        for i in group:  # each clip's windows, in the order they were stacked
+            n = len(plans[i][2])
+            results[i] = _blend(bundle, plans[i], refined[:n], labels[:n])
+            refined, labels = refined[n:], labels[n:]
+    return results if isinstance(y_raw, list) else results[0]
+
+
+def _windows(bundle: RefineBundle, y_raw: np.ndarray):
+    """(clip, window length, window starts) of a checked raw (T,61) clip."""
     if y_raw.ndim != 2 or y_raw.shape[1] != FRAME_DIM:
         raise InputError(f"refine expects (T,{FRAME_DIM}), got {y_raw.shape}")
     T = y_raw.shape[0]
@@ -153,12 +173,15 @@ def refine_sequence(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
     starts = list(range(0, T - win + 1, stride))
     if starts[-1] != T - win:
         starts.append(T - win)
-    windows = np.stack([y_raw[s : s + win] for s in starts])
-    refined, logits = _refine_windows(bundle, windows, deterministic, rng, steps)
-    labels = np.argmax(logits, axis=-1)
+    return y_raw, win, starts
+
+
+def _blend(bundle: RefineBundle, plan, refined: np.ndarray, labels: np.ndarray):
+    """Cross-fade one clip's refined windows and state votes: (refined (T,61), StateTrack)."""
+    y_raw, win, starts = plan
     if len(starts) == 1:
         return _finalize_shape(bundle, refined[0]), StateTrack(labels=labels[0])
-
+    T = y_raw.shape[0]
     acc = np.zeros((T, FRAME_DIM))
     votes = np.zeros((T, STATE_COUNT))
     weight = np.zeros(T)

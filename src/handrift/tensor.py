@@ -197,8 +197,8 @@ def _make(data, parents, backward_fn) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+    if t.grad is None:  # never written in place (+ and zero_grad rebind), so shared, not copied
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 
@@ -402,9 +402,45 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if b.data.ndim == 2:  # a weight: one GEMM over the flattened batch
+                _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
+
+
+def _graph_conv_forward(h: np.ndarray, adjacency: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(tanh((adjacency @ h) @ w + b), adjacency @ h) for (M,V,C) meshes."""
+    ah = np.matmul(adjacency, h)
+    z = np.matmul(ah, w)
+    z += b
+    return np.tanh(z, out=z), ah
+
+
+def graph_conv(h, adjacency, w, b) -> Tensor:
+    """One graph-convolution layer, ``tanh((adjacency @ h) @ w + b)``, as one node.
+
+    ``h`` is (M,V,C): each mesh is convolved on its own, so its output does
+    not depend on the batch it rides in. The adjacency is a constant.
+    """
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    adjacency = value(adjacency)
+    out_data, ah = _graph_conv_forward(h.data, adjacency, w.data, b.data)
+
+    def bw(g):
+        gz = out_data * out_data
+        np.subtract(1.0, gz, out=gz)
+        gz *= g
+        gz2 = gz.reshape(-1, gz.shape[-1])
+        if w.requires_grad:
+            _accum(w, ah.reshape(-1, ah.shape[-1]).T @ gz2)
+        if b.requires_grad:  # a GEMV: several times faster than sum(axis=0) down long columns
+            _accum(b, np.ones(len(gz2)) @ gz2)
+        if h.requires_grad:
+            _accum(h, np.matmul(adjacency.T, gz @ w.data.T))
+
+    return _make(out_data, (h, w, b), bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -567,12 +603,13 @@ def layer_norm(a, eps: float = 1e-8) -> Tensor:
 # the same ops over plain arrays
 
 # Where no gradient flows, a body written over an op namespace (``matmul``,
-# ``tanh``, ``concatenate``, ``softmax``, ``layer_norm``, ``value``, plus the
-# operators and the ``reshape``/``transpose``/``mean`` methods that Tensor and
-# ndarray share) runs on ``plain`` instead of this module: the same forward
-# arithmetic, bitwise, with no Tensor, closure or graph.
+# ``graph_conv``, ``tanh``, ``concatenate``, ``softmax``, ``layer_norm``,
+# ``value``, plus the operators and the ``reshape``/``transpose``/``mean``
+# methods that Tensor and ndarray share) runs on ``plain`` instead of this
+# module: the same forward arithmetic, bitwise, with no Tensor, closure or graph.
 plain = SimpleNamespace(
     matmul=np.matmul,
+    graph_conv=lambda h, adjacency, w, b: _graph_conv_forward(h, adjacency, w, b)[0],
     tanh=np.tanh,
     concatenate=np.concatenate,
     softmax=_softmax_forward,

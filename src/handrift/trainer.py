@@ -217,6 +217,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
             opt.set_epoch(epoch)
             perm = root.split(f"shuffle-{epoch}").permutation(n_seq)
             comp_sums: dict = {}
+            grad_norms = []
             for step in range(steps_per_epoch):
                 idx = perm[step * tcfg.batch_size : (step + 1) * tcfg.batch_size]
                 if len(idx) == 0:
@@ -248,6 +249,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                     )
                 opt.zero_grad()
                 backward(loss)
+                grad_norms.append(_global_norm(p.grad for p in den.params.values() if p.grad is not None))
                 try:
                     opt.step()
                 except OptimizerError:
@@ -260,6 +262,8 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                 "epoch": epoch,
                 "lr": opt.lr,
                 "loss": {k: v / steps_per_epoch for k, v in sorted(comp_sums.items())},
+                "grad_norm": float(np.mean(grad_norms)),  # mean over the steps, before AdamW
+                "param_norm": _global_norm(p.data for p in den.params.values()),
             }
             if eval_items:
                 row["eval"] = _quick_eval(bundle, eval_items, eval_noisy)
@@ -276,13 +280,19 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
     return bundle, log_rows
 
 
+def _global_norm(arrays) -> float:
+    """The L2 norm of all the arrays' entries together."""
+    return float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
+
+
 def _quick_eval(bundle: RefineBundle, eval_items, eval_noisy) -> dict:
+    """Holdout means of refined and input MJE/ACCL; one reverse chain per window length."""
     model = bundle.hand_model
     rows = {"mje": [], "accl": [], "input_mje": [], "input_accl": []}
-    for item, noisy in zip(eval_items, eval_noisy):
+    refined_clips = refine_sequence(bundle, list(eval_noisy), deterministic=True)
+    for item, noisy, (refined, _) in zip(eval_items, eval_noisy, refined_clips):
         gt_j = motion_to_joints(item.motion, model)
         in_j = motion_to_joints(noisy, model)
-        refined, _ = refine_sequence(bundle, noisy, deterministic=True)
         out_j = motion_to_joints(refined, model)
         rows["mje"].append(mje(out_j, gt_j))
         rows["accl"].append(accl_error(out_j, gt_j))

@@ -5,7 +5,7 @@ constant-acceleration baseline) are cached on disk under tests/.cache as
 ``<variant>-<config hash>-<code hash>.ckpt`` (and ``.log``): the first 16 hex
 digits of the sha256 of the variant's config and of the handrift modules that
 training imports (``training_sources_digest``). A change to either retrains
-the variant on the next run; one retrain takes 3-4 min on 2 CPU cores.
+the variant on the next run; one retrain takes about 2 min on 2 CPU cores.
 Delete tests/.cache to force retraining.
 """
 

@@ -59,11 +59,23 @@ def test_encode_meshes_permutation_equivariance(toy, hand_model):
     mesh = rng.normal(size=(1, hand_model.vertex_count, 3)) * 20
     base = toy.encode_meshes(mesh).data
     perm = rng.permutation(hand_model.vertex_count)
-    adj = toy.adjacency.data
-    toy.adjacency = Tensor(adj[np.ix_(perm, perm)])
+    adj = toy.adjacency
+    toy.adjacency = adj[np.ix_(perm, perm)]
     permuted = toy.encode_meshes(mesh[:, perm]).data
-    toy.adjacency = Tensor(adj)
+    toy.adjacency = adj
     np.testing.assert_allclose(permuted, base, atol=1e-12)
+
+
+def test_mesh_code_does_not_depend_on_its_batch(toy, hand_model):
+    """Each mesh is convolved on its own: its code is bitwise the same alone and
+    inside a larger batch, on the autodiff and the plain path alike."""
+    meshes = np.random.default_rng(9).normal(size=(6, hand_model.vertex_count, 3)) * 20
+    frozen = toy.frozen()
+    batch = toy.encode_meshes(meshes).data
+    np.testing.assert_array_equal(frozen.encode_meshes(meshes), batch)
+    for i in range(len(meshes)):
+        np.testing.assert_array_equal(toy.encode_meshes(meshes[i : i + 1]).data[0], batch[i])
+        np.testing.assert_array_equal(frozen.encode_meshes(meshes[i : i + 1])[0], batch[i])
 
 
 def test_encode_meshes_zero_weights_zero_embedding(toy, hand_model):
@@ -213,8 +225,8 @@ def test_frozen_copy_shares_live_weights_and_leaves_the_denoiser_untouched(toy):
     frozen = toy.frozen()
     assert toy.ops is tz and frozen.ops is tz.plain
     assert toy.params == params and all(isinstance(p, Tensor) for p in toy.params.values())
-    assert toy.adjacency is adjacency and isinstance(adjacency, Tensor)
-    assert frozen.adjacency is adjacency.data
+    assert toy.adjacency is adjacency and isinstance(adjacency, np.ndarray)
+    assert frozen.adjacency is adjacency  # a constant both paths share
     assert all(frozen.params[k] is p.data for k, p in toy.params.items())  # no weight copied
 
     rng = np.random.default_rng(14)

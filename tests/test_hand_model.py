@@ -200,6 +200,43 @@ def test_numpy_fk_bitwise_equals_autodiff_fk(model, lead):
     np.testing.assert_array_equal(joints_ng, joints)
 
 
+def per_joint_fk(root_orient, theta, beta, trans, model):
+    """Autodiff FK one joint at a time down the tree: the reference for the level-wise one."""
+    m = int(np.prod(root_orient.shape[:-1]))
+    aa = tz.concatenate([tz.reshape(root_orient, (m, 1, 3)), tz.reshape(theta, (m, 15, 3))], axis=1)
+    rot16 = tz.reshape(hand.rodrigues(aa), (m, 16, 3, 3))
+    slot = {0: 0, **{j: i + 1 for i, j in enumerate(hand.ARTICULATED)}}
+    scales = hand.bone_scales(tz.reshape(beta, (m, 10)), model)
+    offsets = Tensor(model.rest_offsets[1:]) * tz.reshape(scales, (m, 20, 1))
+    rot, pos = [rot16[:, 0]], [tz.reshape(trans, (m, 3))]
+    for j in range(1, 21):
+        p = hand.PARENTS[j]
+        pos.append(pos[p] + tz.reshape(tz.matmul(rot[p], tz.reshape(offsets[:, j - 1], (m, 3, 1))), (m, 3)))
+        rot.append(tz.matmul(rot[p], rot16[:, slot[j]]) if j in slot else rot[p])
+    return tz.stack(pos, axis=1), tz.stack(rot, axis=1)
+
+
+def test_level_wise_fk_gradients_match_per_joint_reference(model):
+    """Joints and rotations bitwise equal; every input's gradient within 1e-12
+    (relative to its largest entry) of the per-joint FK's."""
+    rng = np.random.default_rng(17)
+    inputs = fk_inputs(rng, (16,))
+    weights = Tensor(rng.normal(size=(16, 21, 3))), Tensor(rng.normal(size=(16, 21, 3, 3)))
+
+    def run(fk):
+        leaves = [Tensor(x, requires_grad=True) for x in inputs]
+        joints, rots = fk(*leaves, model)
+        backward(tz.tsum(joints * weights[0]) + tz.tsum(rots * weights[1]))
+        return joints.data, rots.data, [leaf.grad for leaf in leaves]
+
+    joints, rots, grads = run(hand._fk_tensor)
+    ref_joints, ref_rots, ref_grads = run(per_joint_fk)
+    np.testing.assert_array_equal(joints, ref_joints)
+    np.testing.assert_array_equal(rots, ref_rots)
+    for got, ref in zip(grads, ref_grads):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_rest_joints_match_per_joint_loop(model):
     beta = np.random.default_rng(12).normal(scale=40.0, size=(4, 10))
     with tz.no_grad():
@@ -242,6 +279,19 @@ def test_so3_exp_matches_rodrigues():
     assert R.shape == (20, 20, 3, 3)
     np.testing.assert_allclose(R, ref, rtol=0, atol=1e-15)
     np.testing.assert_allclose(hand.so3_exp(np.zeros(3)), np.eye(3), rtol=0, atol=0)
+
+
+def test_so3_exp_single_vector_path_matches_batch_path():
+    """One 3-vector takes the scalar path; it stays within 1e-15 of the batch path
+    on both sides of the 1e-7 small-angle switch."""
+    rng = np.random.default_rng(6)
+    axes = rng.normal(size=(400, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([[0.0], np.geomspace(1e-10, 9.9e-8, 99), np.geomspace(1.01e-7, 3.0, 300)])
+    for w in axes * angles[:, None]:
+        one = hand.so3_exp(w)
+        assert one.shape == (3, 3)
+        assert np.abs(one - hand.so3_exp(w[None])[0]).max() <= 1e-15
 
 
 def test_model_config_json_roundtrip(model):

@@ -156,6 +156,73 @@ def test_batched_matmul_broadcast_gradients():
     check_grad(build, w)
 
 
+def test_weight_gradient_matches_batched_and_summed_product():
+    """A 2-D right operand's gradient is one GEMM over the flattened batch: within
+    1e-12 (relative to its largest entry) of the per-sample products summed."""
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(8, 16, 64))
+    g = rng.normal(size=(8, 16, 32))
+    w = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
+    backward(tz.tsum(tz.matmul(Tensor(a), w) * Tensor(g)))
+    ref = (np.swapaxes(a, -1, -2) @ g).sum(axis=0)
+    assert np.abs(w.grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def graph_conv_operands(rng, meshes=3, vertices=5, c_in=2, c_out=4):
+    """(h, adjacency, w, b) with a non-symmetric adjacency, so a transpose slip shows."""
+    return (rng.normal(size=(meshes, vertices, c_in)), rng.uniform(size=(vertices, vertices)) / vertices,
+            rng.normal(size=(c_in, c_out)), rng.normal(size=c_out))
+
+
+def test_graph_conv_gradients_match_finite_differences():
+    rng = np.random.default_rng(21)
+    h, adjacency, w, b = graph_conv_operands(rng)
+    h, w, b = (Tensor(x, requires_grad=True) for x in (h, w, b))
+    weights = Tensor(rng.normal(size=(3, 5, 4)))
+
+    def build():
+        return tz.tsum(tz.graph_conv(h, adjacency, w, b) * weights)
+
+    for leaf in (w, b, h):
+        check_grad(build, leaf)
+
+
+def test_graph_conv_is_the_composed_layer():
+    """Forward bitwise equal to tanh((adjacency @ h) @ w + b) composed from ops, on
+    both namespaces; gradients within 1e-12 of the composed graph's."""
+    rng = np.random.default_rng(23)
+    h, adjacency, w, b = graph_conv_operands(rng, meshes=4, vertices=7, c_in=3, c_out=5)
+    weights = Tensor(rng.normal(size=(4, 7, 5)))
+
+    def run(layer):
+        leaves = [Tensor(x, requires_grad=True) for x in (h, w, b)]
+        out = layer(*leaves)
+        backward(tz.tsum(out * weights))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    fused, fused_grads = run(lambda h_, w_, b_: tz.graph_conv(h_, adjacency, w_, b_))
+    composed, composed_grads = run(lambda h_, w_, b_: tz.tanh(tz.matmul(tz.matmul(adjacency, h_), w_) + b_))
+    np.testing.assert_array_equal(fused, composed)
+    plain = tz.plain.graph_conv(h, adjacency, w, b)
+    np.testing.assert_array_equal(plain, np.tanh(np.matmul(np.matmul(adjacency, h), w) + b))
+    np.testing.assert_array_equal(plain, fused)
+    for got, ref in zip(fused_grads, composed_grads):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shared_first_gradient_survives_a_later_backward():
+    """A first gradient is kept, not copied; accumulation rebinds, so a leaf that
+    shares the array with another keeps its value when the other one adds."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.full(3, 2.0), requires_grad=True)
+    backward(tz.tsum(a + b))  # add hands the one gradient array to both leaves
+    assert a.grad is b.grad
+    before = b.grad.copy()
+    backward(tz.tsum(a * 3.0))
+    np.testing.assert_array_equal(a.grad, before + 3.0)
+    np.testing.assert_array_equal(b.grad, before)
+
+
 def test_getitem_scatter_gradient():
     rng = np.random.default_rng(17)
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
@@ -175,8 +242,10 @@ def test_where_selects_gradient_branch():
 
 
 _MASK = np.array([[True, False, True]])
+_ADJACENCY = np.random.default_rng(3).uniform(size=(4, 4))
 BINARY_OPS = {  # name -> (op, first operand's shape, second operand's shape)
     "matmul": (tz.matmul, (2, 4, 3), (3, 5)),
+    "graph_conv": (lambda h, w: tz.graph_conv(h, _ADJACENCY, w, np.zeros(5)), (2, 4, 3), (3, 5)),
     "add": (tz.add, (2, 3), (1, 3)),
     "sub": (tz.sub, (2, 3), (3,)),
     "mul": (tz.mul, (2, 3), (1, 3)),

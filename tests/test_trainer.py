@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from handrift import pipeline
 from handrift import tensor as tz
 from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
@@ -198,6 +199,15 @@ def test_train_log_rows_structure(tiny_cfg, tiny_corpus, tmp_path):
     assert parsed == rows or len(parsed) == len(rows)
 
 
+def test_train_log_records_gradient_and_parameter_norms(tiny_cfg, tiny_corpus):
+    bundle, rows = train(_fresh_items(tiny_corpus), tiny_cfg)
+    for row in rows:
+        for key in ("grad_norm", "param_norm"):
+            assert np.isfinite(row[key]) and row[key] > 0
+    params = bundle.denoiser.params.values()
+    assert rows[-1]["param_norm"] == pytest.approx(np.sqrt(sum(np.sum(p.data**2) for p in params)))
+
+
 def test_train_divergence_aborts_with_checkpoint(tiny_cfg, tiny_corpus, tmp_path):
     cfg = load_config(None, {**{k: tiny_cfg[k] for k in ("frames", "schedule", "denoiser")},
                              "train": {**tiny_cfg["train"], "divergence_threshold": 1e-9}})
@@ -297,6 +307,31 @@ def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
     refined, track = refine_sequence(bundle, y_raw)
     np.testing.assert_allclose(refined, acc / weight[:, None], rtol=0, atol=1e-10)
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
+
+
+def test_refine_sequence_of_mixed_length_clips_matches_single_clip_refines(
+        tiny_ckpt, tiny_corpus, monkeypatch):
+    """Clips longer than a window, exactly one window and shorter refine together in
+    one reverse chain per window length; each within 1e-12 of its own refine."""
+    bundle = load_bundle(tiny_ckpt)
+    a, b = tiny_corpus[0].motion, tiny_corpus[1].motion
+    clips = [np.concatenate([a, b[::-1]])[:25], b, a[:9], np.concatenate([b, a, b])[:30]]
+    assert [min(len(c), bundle.frames) for c in clips] == [14, 14, 9, 14]
+    chains = []
+    refine_chain = pipeline.refine
+
+    def counted(y, *args, **kwargs):
+        chains.append(y.shape[0])
+        return refine_chain(y, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "refine", counted)
+    together = refine_sequence(bundle, clips)
+    assert chains == [3 + 1 + 4, 1]  # the 14-frame windows of three clips, then the short clip
+    for clip, (refined, track) in zip(clips, together):
+        alone, alone_track = refine_sequence(bundle, clip)
+        assert refined.shape == clip.shape
+        assert np.abs(refined - alone).max() <= 1e-12 * np.abs(alone).max()
+        np.testing.assert_array_equal(track.labels, alone_track.labels)
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "steps4"])
