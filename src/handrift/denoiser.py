@@ -20,14 +20,17 @@ cross-attention keys/values projected from the memory once. Teacher forcing
 is one block of all T rows; free running encodes once and decodes T blocks of
 one row, so a frame costs one row through each layer, not a re-decode of the
 whole prefix. The conditioning y is the same at every step of a reverse chain,
-so a refine pools y's mesh codes once (``encode_condition``) and each step
-skins and graph-convolves only x^n's meshes; a deterministic chain's first
-step, where x^N is y itself, reuses y's codes for both.
+so a refine pools y's mesh codes once (``encode_condition``), once per clip
+frame however many overlapping windows hold it, and each step skins and
+graph-convolves only x^n's meshes; a deterministic chain's first step, where
+x^N is y itself, reuses y's codes for both.
 
 The body is written once over an op namespace, ``self.ops``: the ``tensor``
 module, which records the graph training differentiates, or, on the copy
 ``frozen()`` returns, ``tensor.plain``, the same arithmetic on bare arrays for
-every pass no gradient flows through. Both give bitwise-equal values.
+every pass no gradient flows through. Both give bitwise-equal values. The
+plain copy runs the mesh encoder over blocks of ``MESH_BLOCK`` meshes; the
+Tensor path keeps one block.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ from .motion import FRAME_DIM, Normalizer, pose_parts
 from .physics import STATE_COUNT
 from .rng import RandomStream
 from .tensor import Tensor
+
+
+# Meshes per graph-convolution pass on the gradient-free path. A block's
+# per-layer (32, 98, 16) arrays take about 400 kB and are reused from the heap,
+# where a 240-mesh pass allocates about 10 MB a call and page-faults it in anew.
+MESH_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -203,17 +212,29 @@ class Denoiser:
         return self.ops.layer_norm(x) * self.params[f"{name}.g"] + self.params[f"{name}.b"]
 
     def _check(self, t, layer: str):
-        if not np.all(np.isfinite(self.ops.value(t))):
+        if not np.isfinite(self.ops.value(t)).all():
             raise NumericalError(f"non-finite activations in {layer}")
         return t
 
     def encode_meshes(self, meshes: np.ndarray):
-        """Graph convolutions over template adjacency, mean-pooled: (M,V,3) -> (M,C)."""
+        """Graph convolutions over template adjacency, mean-pooled: (M,V,3) -> (M,C).
+
+        Without a gradient the meshes go through in blocks of ``MESH_BLOCK``. A
+        mesh's code does not depend on its batch, so the result is bitwise
+        that of one pass.
+        """
         if meshes.shape[-2] != self.hand_model.vertex_count:
             raise ShapeError(
                 f"mesh has {meshes.shape[-2]} vertices, template has {self.hand_model.vertex_count}"
             )
         h = np.asarray(meshes, dtype=np.float64) * self.cfg.mesh_scale
+        if self.ops is tz.plain and len(h) > MESH_BLOCK:
+            return np.concatenate([self._pool_meshes(h[i : i + MESH_BLOCK])
+                                   for i in range(0, len(h), MESH_BLOCK)])
+        return self._pool_meshes(h)
+
+    def _pool_meshes(self, h):
+        """The graph-convolution stack and mean-pool over scaled (M,V,3) meshes."""
         for i in range(len(self.cfg.mesh_widths)):
             w, b = self.params[f"mesh.{i}.w"], self.params[f"mesh.{i}.b"]
             h = self.ops.graph_conv(h, self.adjacency, w, b)
@@ -271,8 +292,9 @@ class Denoiser:
         return verts
 
     def encode_condition(self, y_norm):
-        """Pooled mesh codes (B*T, C) of the conditioning y, for ``encode(..., y_code=)``.
+        """Pooled mesh codes of the conditioning frames y (..., D), one row per frame.
 
+        Row-flattened (B*T, C) codes of a (B,T,D) y are ``encode(..., y_code=)``'s.
         y is the same at every step of a reverse chain, so a refine encodes
         its meshes once here instead of at every step.
         """

@@ -9,13 +9,18 @@ articulation. Forward kinematics runs in plain numpy, one tree level (five
 joints) at a time; when an input needs a gradient (the training loss's joint
 term) the same four levels run in autodiff tensor ops, so joint positions
 are differentiable w.r.t. pose and shape.
+
+A run can use only the default recipe, so ``build_hand_model`` builds that
+model once per process and hands every caller the same instance; its arrays
+are read-only, so no caller can change it under another.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -111,7 +116,7 @@ class HandModel:
     vert_frac: np.ndarray             # (V,) position along the bone
     vert_radial: np.ndarray           # (V,3) static radial offset, mm
     vert_attach: np.ndarray           # (V,) skinning joint (weight 1)
-    ring_slices: list                 # list of (start, stop) vertex ranges per ring
+    ring_slices: tuple                # (start, stop) vertex range of each ring
     regressor: np.ndarray             # (21,V), rows non-negative, sum to 1
     adjacency_norm: np.ndarray        # (V,V) row-normalized (A+I) for mesh conv
 
@@ -138,8 +143,23 @@ def _bone_depth(child: int) -> int:
 
 
 def build_hand_model(config: HandModelConfig | None = None) -> HandModel:
+    """The hand model of a recipe, its arrays read-only.
+
+    The default recipe, the only one a run can use, is built once per process
+    and that instance returned to every caller; any other recipe is built anew.
+    """
+    if config is None or config == HandModelConfig():
+        return _default_hand_model()
+    return _build_hand_model(config)
+
+
+@functools.cache
+def _default_hand_model() -> HandModel:
+    return _build_hand_model(HandModelConfig())
+
+
+def _build_hand_model(cfg: HandModelConfig) -> HandModel:
     """Construct the full model deterministically from its config."""
-    cfg = config or HandModelConfig()
     rng = RandomStream(cfg.seed, "shape-basis")
     basis = rng.uniform(-cfg.shape_entry_range, cfg.shape_entry_range, (BONE_COUNT, 10))
 
@@ -189,7 +209,7 @@ def build_hand_model(config: HandModelConfig | None = None) -> HandModel:
         vert_frac=vert_frac,
         vert_radial=vert_radial,
         vert_attach=vert_attach,
-        ring_slices=ring_slices,
+        ring_slices=tuple(ring_slices),
         regressor=np.zeros((JOINT_COUNT, V)),
         adjacency_norm=np.zeros((V, V)),
     )
@@ -197,6 +217,10 @@ def build_hand_model(config: HandModelConfig | None = None) -> HandModel:
     A = _build_adjacency(model, rings)
     model.regressor[:] = H
     model.adjacency_norm[:] = A
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return model
 
 

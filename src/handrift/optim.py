@@ -36,6 +36,10 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch arrays, viewed per parameter: a step allocates no temporaries
+        scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
+        self._scratch = {k: [s[: p.data.size].reshape(p.data.shape) for s in scratch]
+                         for k, p in params.items()}
 
     def set_epoch(self, epoch: int):
         """Apply the stepped decay schedule for a 0-indexed epoch number."""
@@ -47,6 +51,8 @@ class AdamW:
             p.grad = None
 
     def step(self):
+        """One update, in place and op for op as
+        ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)``."""
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
@@ -54,14 +60,24 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise OptimizerError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]
             v = self.v[name]
+            a, b = self._scratch[name]
+            np.multiply(g, 1 - b1, out=a)
             m *= b1
-            m += (1 - b1) * g
+            m += a
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+            v += a
+            np.divide(m, 1 - b1**t, out=a)  # m_hat
+            np.divide(v, 1 - b2**t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            np.multiply(p.data, self.weight_decay, out=b)
+            a += b
+            a *= self.lr
+            p.data -= a

@@ -106,18 +106,21 @@ def _check_tensors(tensors: dict, expected: dict):
 # refinement
 
 
-def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool,
-                    rng: RandomStream | None, steps: int | None):
-    """Refine a (W,T,61) batch of raw windows through one reverse chain.
+def _refine_windows(bundle: RefineBundle, frames_raw: np.ndarray, rows: np.ndarray,
+                    deterministic: bool, rng: RandomStream | None, steps: int | None):
+    """Refine the windows ``frames_raw[rows]`` ((W,T) row indices into raw (F,61)
+    clip frames) through one reverse chain.
 
     Returns (raw refined (W,T,61), state logits (W,T,S)). A non-probabilistic
     model, trained only at n = N on x^N = y, runs the one-step chain: its step
     embedding reads n/N = 1 either way. The schedule's step count reaches the
     denoiser as an argument; the bundle is never modified. The chain runs the
-    denoiser's gradient-free copy, and y's mesh codes are encoded once and
-    reused at every step of it.
+    denoiser's gradient-free copy. y's mesh codes are encoded once per clip
+    frame, not per window row (half-overlap windows hold most frames twice),
+    and reused at every step of the chain.
     """
-    y_norm = bundle.normalizer.normalize(y_raw)
+    frames_norm = bundle.normalizer.normalize(frames_raw)
+    y_norm = frames_norm[rows]
     den = bundle.denoiser.frozen()
     schedule = bundle.schedule
     if not bundle.probabilistic:
@@ -125,7 +128,7 @@ def _refine_windows(bundle: RefineBundle, y_raw: np.ndarray, deterministic: bool
     if steps is not None and steps != schedule.steps:
         sch = bundle.config["schedule"]
         schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
-    y_code = den.encode_condition(y_norm)
+    y_code = den.encode_condition(frames_norm)[rows.reshape(-1)]
 
     def denoise_fn(x_n, y, n):
         return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps, y_code=y_code)
@@ -151,8 +154,10 @@ def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
     results: list = [None] * len(plans)
     for win in dict.fromkeys(win for _, win, _ in plans):  # window lengths, first seen first
         group = [i for i, (_, w, _) in enumerate(plans) if w == win]
-        windows = np.stack([plans[i][0][s : s + win] for i in group for s in plans[i][2]])
-        refined, logits = _refine_windows(bundle, windows, deterministic, rng, steps)
+        offsets = np.cumsum([0] + [len(plans[i][0]) for i in group])
+        rows = np.stack([o + s + np.arange(win) for i, o in zip(group, offsets) for s in plans[i][2]])
+        frames = np.concatenate([plans[i][0] for i in group])
+        refined, logits = _refine_windows(bundle, frames, rows, deterministic, rng, steps)
         labels = np.argmax(logits, axis=-1)
         for i in group:  # each clip's windows, in the order they were stacked
             n = len(plans[i][2])

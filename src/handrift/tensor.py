@@ -10,7 +10,6 @@ mutates parameter ``data`` in place between steps).
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -19,24 +18,23 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# thread-local so concurrent inference (no_grad) never disables recording
-# for other threads
-_STATE = threading.local()
+_grad_enabled = True  # one flag per process: graphs are built and run on one thread
 
 
 def grad_enabled() -> bool:
-    return getattr(_STATE, "enabled", True)
+    return _grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (pure inference mode)."""
-    prev = grad_enabled()
-    _STATE.enabled = False
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _STATE.enabled = prev
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -492,14 +490,25 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return concatenate([reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:]) for t in tensors], axis=axis)
 
 
+def _is_basic_index(key) -> bool:
+    """True for a key of ints, slices, None and Ellipsis: it selects no element twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool)) for k in parts)
+
+
 def getitem(a, key) -> Tensor:
-    """Basic (slice/int/ellipsis) indexing with scatter-add backward."""
+    """Indexing; the backward assigns into zeros for a basic key, scatter-adds otherwise."""
     a = as_tensor(a)
     out_data = a.data[key]
+    basic = _is_basic_index(key)
 
     def bw(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if basic:  # no repeated index to accumulate: the same values as np.add.at
+            buf[key] = g
+        else:
+            np.add.at(buf, key, g)
         _accum(a, buf)
 
     return _make(out_data, (a,), bw)
@@ -543,7 +552,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def _softmax_forward(x: np.ndarray, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
     z = x / temperature
-    z = z - np.max(z, axis=axis, keepdims=True)
+    z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -580,10 +589,15 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, bitwise, without ndarray.mean's Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm_forward(x: np.ndarray, eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """(normalized x, 1 / its standard deviation) along the last axis."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xc = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + eps)
     return xc * inv, inv
 
 
@@ -594,7 +608,7 @@ def layer_norm(a, eps: float = 1e-8) -> Tensor:
 
     def bw(g):
         gy = g * inv
-        _accum(a, gy - gy.mean(axis=-1, keepdims=True) - out_data * (gy * out_data).mean(axis=-1, keepdims=True))
+        _accum(a, gy - _mean_last(gy) - out_data * _mean_last(gy * out_data))
 
     return _make(out_data, (a,), bw)
 

@@ -97,10 +97,15 @@ def training_sources_digest() -> str:
     return digest.hexdigest()
 
 
+def cache_tag(variant: str) -> str:
+    """``<variant>-<config hash>-<code digest>``: the stem of the variant's cached files."""
+    return f"{variant}-{config_hash(desk_config(variant))[:16]}-{training_sources_digest()[:16]}"
+
+
 def train_cached(variant: str, corpus):
     cfg = desk_config(variant)
     CACHE.mkdir(exist_ok=True)
-    tag = f"{variant}-{config_hash(cfg)[:16]}-{training_sources_digest()[:16]}"
+    tag = cache_tag(variant)
     ckpt = CACHE / f"{tag}.ckpt"
     log = CACHE / f"{tag}.log"
     if ckpt.exists() and log.exists():

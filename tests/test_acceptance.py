@@ -28,7 +28,15 @@ from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
 from handrift.trainer import total_loss, train_config_from, training_loss_ema
 
-from conftest import desk_config
+from conftest import CACHE, VARIANTS, cache_tag, desk_config
+
+
+def test_model_cache_holds_only_current_models():
+    """Every cached checkpoint and log carries a current variant's tag, so the models
+    criteria 5-7 load were trained by the current code from the current configs."""
+    current = {cache_tag(variant) for variant in VARIANTS}
+    stale = sorted(p.name for p in CACHE.glob("*") if p.suffix in (".ckpt", ".log") and p.stem not in current)
+    assert not stale, f"{CACHE} holds files of code or configs that are gone: {stale}"
 
 
 def report(criterion, ok: bool, detail: str):

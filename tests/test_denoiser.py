@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from handrift import denoiser
 from handrift import tensor as tz
 from handrift.config import default_config, denoiser_config_from
 from handrift.denoiser import Denoiser, DenoiserConfig, sample_state
@@ -76,6 +77,18 @@ def test_mesh_code_does_not_depend_on_its_batch(toy, hand_model):
     for i in range(len(meshes)):
         np.testing.assert_array_equal(toy.encode_meshes(meshes[i : i + 1]).data[0], batch[i])
         np.testing.assert_array_equal(frozen.encode_meshes(meshes[i : i + 1])[0], batch[i])
+
+
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 240])
+def test_blocked_mesh_encoder_equals_one_pass(toy, hand_model, monkeypatch, count):
+    """The gradient-free copy encodes meshes in blocks of MESH_BLOCK: bitwise the codes
+    of one pass over all of them, and of the Tensor path, which keeps one block."""
+    meshes = np.random.default_rng(count).normal(size=(count, hand_model.vertex_count, 3)) * 20
+    frozen = toy.frozen()
+    blocked = frozen.encode_meshes(meshes)
+    monkeypatch.setattr(denoiser, "MESH_BLOCK", count)
+    np.testing.assert_array_equal(blocked, frozen.encode_meshes(meshes))
+    np.testing.assert_array_equal(blocked, toy.encode_meshes(meshes).data)
 
 
 def test_encode_meshes_zero_weights_zero_embedding(toy, hand_model):

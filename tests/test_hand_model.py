@@ -304,6 +304,25 @@ def test_model_config_json_roundtrip(model):
     assert json.loads(text)["seed"] == model.config.seed
 
 
+def test_default_hand_model_is_built_once_and_read_only(model):
+    assert hand.build_hand_model() is model
+    assert hand.build_hand_model(hand.HandModelConfig()) is model
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 10
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.reshape(-1)[0] = 1.0
+
+
+def test_non_default_recipe_builds_a_fresh_model(model):
+    cfg = hand.HandModelConfig(seed=5)
+    m1, m2 = hand.build_hand_model(cfg), hand.build_hand_model(cfg)
+    assert m1 is not m2 and m1 is not model
+    assert m1.config == cfg
+    assert not np.array_equal(m1.shape_basis, model.shape_basis)
+    np.testing.assert_array_equal(m1.shape_basis, m2.shape_basis)
+
+
 def test_configurable_vertex_count():
     cfg = hand.HandModelConfig(ring_verts=3)
     m = hand.build_hand_model(cfg)

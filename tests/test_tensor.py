@@ -233,6 +233,65 @@ def test_getitem_scatter_gradient():
     check_grad(build, x)
 
 
+def test_getitem_basic_key_gradient_equals_scatter_add():
+    """A key of ints, slices, None and Ellipsis takes the assignment backward, with
+    the gradient np.add.at gives."""
+    rng = np.random.default_rng(19)
+    keys = [(slice(1, 4), slice(None, None, 2)), 2, np.int64(-1), (Ellipsis, 1),
+            (None, slice(0, 3), -1), (slice(None), None, slice(3, 0, -1))]
+    for key in keys:
+        assert tz._is_basic_index(key)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        out = x[key]
+        g = rng.normal(size=out.shape)
+        backward(tz.tsum(out * Tensor(g)))
+        ref = np.zeros((5, 4))
+        np.add.at(ref, key, g)
+        np.testing.assert_array_equal(x.grad, ref)
+
+
+def test_getitem_fancy_key_accumulates_repeated_index():
+    for key in (np.array([1, 1, 3]), [1, 1, 3], (np.array([1, 3, 1]),)):
+        assert not tz._is_basic_index(key)
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        out = x[key]
+        backward(tz.tsum(out * Tensor(out.data + 1.0)))
+        np.testing.assert_array_equal(x.grad, [0.0, 4.0, 0.0, 4.0])
+
+
+def _layer_norm_with_mean(x, eps=1e-8):
+    """The layer norm written with ndarray.mean, as it was before its wrapper-free form."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * inv, inv
+
+
+def test_hot_path_reductions_equal_numpy_wrapper_formulas():
+    """layer_norm's forward and backward and softmax's forward are bitwise the
+    ``.mean`` and ``np.max`` formulas they replace."""
+    rng = np.random.default_rng(31)
+    for shape in [(7,), (5, 64), (2, 3, 16, 9)]:
+        x = rng.normal(size=shape) * 3 + 1
+        g = rng.normal(size=shape)
+        y, inv = _layer_norm_with_mean(x)
+        np.testing.assert_array_equal(tz.plain.layer_norm(x), y)
+        t = Tensor(x, requires_grad=True)
+        out = tz.layer_norm(t)
+        backward(tz.tsum(out * Tensor(g)))
+        np.testing.assert_array_equal(out.data, y)
+        gy = g * inv
+        np.testing.assert_array_equal(
+            t.grad, gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+        masked = x.copy()
+        masked[..., 0] = -np.inf  # an attention mask's blocked entry
+        for logits in (x, masked):
+            for temperature in (1.0, 0.37):
+                z = logits / temperature
+                e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+                np.testing.assert_array_equal(tz.plain.softmax(logits, temperature),
+                                              e / e.sum(axis=-1, keepdims=True))
+
+
 def test_where_selects_gradient_branch():
     x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
     mask = np.array([True, False, True])
@@ -337,6 +396,40 @@ def test_adamw_matches_hand_unrolled_sequence():
     assert p.data[0] == pytest.approx(theta, rel=1e-12)
 
 
+def _adamw_step_with_temporaries(p, g, m, v, t, lr, b1, b2, eps, wd):
+    """One parameter's update as AdamW.step wrote it before it worked in place."""
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+
+
+def test_adamw_in_place_step_is_bitwise_the_expression():
+    rng = np.random.default_rng(41)
+    shapes = {"w": (6, 5), "b": (5,), "s": (3, 2, 4)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = AdamW(params, lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.1,
+                lr_decay_factor=0.5, lr_decay_epochs=2)
+    for t in range(1, 7):
+        opt.set_epoch(t - 1)
+        grads = {k: rng.normal(size=s) * 10.0 ** (t - 3) for k, s in shapes.items()}
+        if t == 3:
+            grads["b"] = None  # a parameter no gradient reached is left alone
+        for k, p in params.items():
+            p.grad = grads[k]
+        opt.step()
+        for k in shapes:
+            if grads[k] is not None:
+                _adamw_step_with_temporaries(ref[k], grads[k], m[k], v[k], t, opt.lr, 0.9, 0.999, 1e-8, 0.1)
+            np.testing.assert_array_equal(params[k].data, ref[k])
+
+
 def test_adamw_lr_decay_schedule():
     p = Tensor(np.zeros(1), requires_grad=True)
     opt = AdamW({"p": p}, lr=1e-4, lr_decay_factor=0.8, lr_decay_epochs=5)
@@ -390,20 +483,14 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_no_grad_is_thread_local():
-    import threading
-
-    results = {}
-
-    def worker():
-        with tz.no_grad():
-            results["worker_inside"] = tz.grad_enabled()
-        results["worker_after"] = tz.grad_enabled()
-
+def test_no_grad_nests_and_restores():
+    assert tz.grad_enabled()
     with tz.no_grad():
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        results["main_inside"] = tz.grad_enabled()
-    assert results == {"worker_inside": False, "worker_after": True, "main_inside": False}
+        with tz.no_grad():
+            assert not tz.grad_enabled()
+        assert not tz.grad_enabled()
+    assert tz.grad_enabled()
+    with pytest.raises(RuntimeError):
+        with tz.no_grad():
+            raise RuntimeError("inside")
     assert tz.grad_enabled()

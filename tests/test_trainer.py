@@ -379,10 +379,53 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     rows.clear()
     refined, track = refine_sequence(bundle, y_raw, deterministic=deterministic, rng=stream(),
                                      steps=steps)
-    # y once, then x^n per step; a deterministic chain starts at x^N = y, whose codes it has
-    assert rows == [len(starts) * win] * (schedule.steps if deterministic else 1 + schedule.steps)
+    # y once per clip frame, then x^n per step; a deterministic chain starts at x^N = y,
+    # whose codes it has
+    assert rows == [T] + [len(starts) * win] * (schedule.steps - 1 if deterministic else schedule.steps)
     np.testing.assert_array_equal(refined, acc / weight[:, None])
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
+
+
+def _refine_encoding_y_per_window(bundle, clip, deterministic, rng):
+    """refine_sequence of one clip as it was before y's codes were shared across
+    overlapping windows: y's meshes encoded per window row. (refined, StateTrack)."""
+    plan = pipeline._windows(bundle, clip)
+    _, win, starts = plan
+    y_norm = bundle.normalizer.normalize(np.stack([clip[s : s + win] for s in starts]))
+    den = bundle.denoiser.frozen()
+    y_code = den.encode_condition(y_norm)
+
+    def denoise_fn(x_n, y, n):
+        return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
+
+    out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng, deterministic=deterministic)
+    return pipeline._blend(bundle, plan, bundle.normalizer.denormalize(out), np.argmax(logits, axis=-1))
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+def test_condition_codes_encoded_once_per_clip_frame(tiny_ckpt, tiny_corpus, deterministic):
+    """y's codes come from each clip frame once, gathered per window row: bitwise the
+    per-window codes, and the same refined clips, for a 37- and a 128-frame clip."""
+    bundle = load_bundle(tiny_ckpt)
+    motions = [item.motion for item in tiny_corpus]
+    long = np.concatenate(motions + [m[::-1] for m in motions] + motions)[:128]
+    clips = [long[:37], long]
+    den = bundle.denoiser.frozen()
+    for clip in clips:
+        _, win, starts = pipeline._windows(bundle, clip)
+        rows = np.concatenate([s + np.arange(win) for s in starts])
+        per_frame = den.encode_condition(bundle.normalizer.normalize(clip))[rows]
+        per_window = den.encode_condition(bundle.normalizer.normalize(clip[rows]))
+        np.testing.assert_array_equal(per_frame, per_window)
+
+    for i, clip in enumerate(clips):
+        def stream():
+            return None if deterministic else RandomStream(13, f"clip-{i}")
+
+        ref, ref_track = _refine_encoding_y_per_window(bundle, clip, deterministic, stream())
+        refined, track = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+        np.testing.assert_array_equal(refined, ref)
+        np.testing.assert_array_equal(track.labels, ref_track.labels)
 
 
 def test_non_probabilistic_refine_encodes_meshes_once(tiny_cfg, tiny_corpus, monkeypatch):
@@ -405,12 +448,12 @@ def test_non_probabilistic_refine_encodes_meshes_once(tiny_cfg, tiny_corpus, mon
     monkeypatch.setattr(Denoiser, "forward_free",  # a copy of y is not y: encoded again
                         lambda self, x_n, y, *a, **k: forward_free(self, x_n.copy(), y, *a, **k))
     twice, twice_track = refine_sequence(bundle, y_raw)
-    assert rows == [70, 70]
+    assert rows == [42, 70]  # y's 42 clip frames, then x^n's 70 window rows
 
     monkeypatch.setattr(Denoiser, "forward_free", forward_free)
     rows.clear()
     refined, track = refine_sequence(bundle, y_raw)
-    assert rows == [70]
+    assert rows == [42]
     np.testing.assert_array_equal(refined, twice)
     np.testing.assert_array_equal(track.labels, twice_track.labels)
 
