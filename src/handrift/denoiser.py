@@ -14,21 +14,27 @@ embedding: teacher-forced in training, fed back on itself at inference.
 
 Everything, encoder self-attention included, is causally masked, so decoded
 frame t never depends on inputs after t. That makes free-running decoding
-incremental. One decoder body, ``_decode_rows``, serves both passes: it runs
-a block of rows against a per-layer cache of self-attention keys/values and
-cross-attention keys/values projected from the memory once. Teacher forcing
-is one block of all T rows; free running encodes once and decodes T blocks of
-one row, so a frame costs one row through each layer, not a re-decode of the
-whole prefix. The conditioning y is the same at every step of a reverse chain,
-so a refine pools y's mesh codes once (``encode_condition``), once per clip
-frame however many overlapping windows hold it, and each step skins and
-graph-convolves only x^n's meshes; a deterministic chain's first step, where
-x^N is y itself, reuses y's codes for both.
+incremental. The decoder has two bodies. Teacher forcing (``decode_teacher``)
+decodes all T rows in one causally masked block. Free running
+(``forward_free``) encodes once and then runs the row step: frame t goes once
+through each layer as a (B,W) row, one GEMM per projection over all windows,
+against per-layer buffers of the earlier frames' self-attention keys/values
+and the cross-attention keys/values projected from the memory once. A frame
+thus costs one row through each layer, not a re-decode of the whole prefix.
+The row step fuses its projections from the live params at every call, so it
+equals a teacher-forced re-decode of every prefix up to rounding, not bitwise.
+The conditioning y is the same at every step of a reverse chain, so a refine
+pools y's mesh codes once (``encode_condition``), once per clip frame however
+many overlapping windows hold it, and each step skins and graph-convolves only
+x^n's meshes; a deterministic chain's first step, where x^N is y itself,
+reuses y's codes for both.
 
-The body is written once over an op namespace, ``self.ops``: the ``tensor``
-module, which records the graph training differentiates, or, on the copy
-``frozen()`` returns, ``tensor.plain``, the same arithmetic on bare arrays for
-every pass no gradient flows through. Both give bitwise-equal values. The
+The encoder and the teacher body are written once over an op namespace,
+``self.ops``: the ``tensor`` module, which records the graph training
+differentiates, or, on the copy ``frozen()`` returns, ``tensor.plain``, the
+same arithmetic on bare arrays for every pass no gradient flows through. Both
+give bitwise-equal values. The row step runs on plain arrays only: a
+Tensor-ops denoiser's ``forward_free`` runs on its ``frozen()`` view. The
 plain copy runs the mesh encoder over blocks of ``MESH_BLOCK`` meshes; the
 Tensor path keeps one block.
 """
@@ -153,6 +159,14 @@ def _param_spec(cfg: DenoiserConfig) -> list:
     linear("head_pose", cfg.width, FRAME_DIM, gain=0.02)
     linear("head_state", cfg.width, STATE_COUNT, gain=0.02)
     return spec
+
+
+def _fold(params: dict, norm: str, names: list) -> tuple:
+    """(w, b) of the linear layers ``names`` side by side, applied after the layer
+    norm ``norm`` with its gain and bias folded in: LN(x) @ w + b."""
+    w = np.concatenate([params[f"{n}.w"] for n in names], axis=1)
+    b = np.concatenate([params[f"{n}.b"] for n in names])
+    return params[f"{norm}.g"][:, None] * w, params[f"{norm}.b"] @ w + b
 
 
 def param_shapes(cfg: DenoiserConfig) -> dict[str, tuple]:
@@ -281,9 +295,9 @@ class Denoiser:
         return self._lin(f"{name}.1", self.ops.tanh(self._lin(f"{name}.0", x)))
 
     @staticmethod
-    def _causal_mask(tq: int, tk: int) -> np.ndarray:
-        """Additive mask for the last tq of tk positions attending to all tk."""
-        return np.where(np.arange(tk)[None, :] <= np.arange(tk - tq, tk)[:, None], 0.0, -np.inf)
+    def _causal_mask(t: int) -> np.ndarray:
+        """Additive (t,t) mask: position i attends to positions 0..i."""
+        return np.where(np.arange(t)[None, :] <= np.arange(t)[:, None], 0.0, -np.inf)
 
     def _skin(self, norm: np.ndarray) -> np.ndarray:
         """Posed meshes of every frame of a normalized (B,T,D) batch: (B*T,V,3)."""
@@ -316,7 +330,7 @@ class Denoiser:
         tokens = self._lin("frame_proj", frame).reshape((B, T, cfg.width))
 
         tokens = tokens + step_emb.reshape((B, 1, cfg.width)) + pe
-        mask = self._causal_mask(T, T)
+        mask = self._causal_mask(T)
         h = tokens
         for i in range(cfg.layers):
             hn = self._ln(f"enc.{i}.ln1", h)
@@ -324,54 +338,6 @@ class Denoiser:
             h = h + self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", h))
             self._check(h, f"encoder layer {i}")
         return self._ln("enc_ln", h)
-
-    def _decode_rows(self, cond, cache: list, t0: int, prev_pose, prev_state):
-        """Run the decoder over rows t0..t0+R-1: (x_hat (B,R,D), state logits (B,R,S)).
-
-        Row t's input is the start token (t = 0) or the fed-back frame t-1,
-        dec_in(pose) + state @ state_emb, plus frame t's observation token,
-        positional encoding and step embedding. ``prev_pose``/``prev_state``
-        (B,R',*) are the fed-back frames t0-1..t0+R-2 (R' = R - 1 at t0 = 0, else
-        R); ``prev_state=None`` is the neutral zero state. An empty ``cache``
-        (t0 = 0) gets each layer's cross-attention K/V, projected from the memory
-        once; every call appends its rows' self-attention K/V.
-        """
-        cfg = self.cfg
-        memory, step_emb, obs_tokens, pe = cond
-        B = memory.shape[0]
-        parts = []
-        if t0 == 0:
-            cache[:] = [[self._heads(f"dec.{i}.cross.k", memory),
-                         self._heads(f"dec.{i}.cross.v", memory), None, None]
-                        for i in range(cfg.layers)]
-            parts.append(self.params["start"].reshape((1, 1, cfg.width)) + np.zeros((B, 1, cfg.width)))
-        if prev_pose is not None and prev_pose.shape[1] > 0:
-            if prev_state is None:
-                prev_state = np.zeros(prev_pose.shape[:2] + (STATE_COUNT,))
-            parts.append(self._lin("dec_in", prev_pose) + self.ops.matmul(prev_state, self.params["state_emb"]))
-        u = parts[0] if len(parts) == 1 else self.ops.concatenate(parts, axis=1)
-        R = u.shape[1]
-        h = u + obs_tokens[:, t0 : t0 + R] + pe[t0 : t0 + R] + step_emb.reshape((B, 1, cfg.width))
-        mask = self._causal_mask(R, t0 + R) if R > 1 else None
-        for i, layer in enumerate(cache):
-            cross_k, cross_v, self_k, self_v = layer
-            hn = self._ln(f"dec.{i}.ln1", h)
-            q = self._heads(f"dec.{i}.self.q", hn)
-            k = self._heads(f"dec.{i}.self.k", hn)
-            v = self._heads(f"dec.{i}.self.v", hn)
-            if self_k is not None:
-                k = self.ops.concatenate([self_k, k], axis=2)
-                v = self.ops.concatenate([self_v, v], axis=2)
-            layer[2:] = k, v
-            h = h + self._mix(f"dec.{i}.self", q, k, v, mask, f"decoder layer {i} self")
-            q = self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h))
-            h = h + self._mix(f"dec.{i}.cross", q, cross_k[:, :, : t0 + R], cross_v[:, :, : t0 + R],
-                              mask, f"decoder layer {i} cross")
-            h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
-            self._check(h, f"decoder layer {i}")
-        h = self._ln("dec_ln", h)
-        x_hat = self._check(self._lin("head_pose", h), "pose head")
-        return x_hat, self._check(self._lin("head_state", h), "state head")
 
     # -- public passes ----------------------------------------------------
 
@@ -397,18 +363,44 @@ class Denoiser:
         return memory, step_emb, obs_tokens, pe
 
     def decode_teacher(self, cond, teacher_pose_norm, teacher_labels):
-        """Parallel decode with forced previous-frame pose/state inputs.
+        """Parallel decode of all T rows with forced previous-frame pose/state inputs.
 
+        Row t's input is the start token (t = 0) or frame t-1's teacher pose and
+        state, dec_in(pose) + onehot(state) @ state_emb, plus frame t's
+        observation token, positional encoding and step embedding.
         ``teacher_labels=None`` (or state feedback disabled) conditions every
         position on the neutral zero state instead.
         """
-        T = cond[0].shape[1]
-        onehot = None
-        if teacher_labels is not None and self.state_feedback:
-            labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
-            onehot = np.eye(STATE_COUNT)[labels]
-        prev_pose = np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1]
-        return self._decode_rows(cond, [], 0, prev_pose, onehot)
+        cfg = self.cfg
+        memory, step_emb, obs_tokens, pe = cond
+        B, T = memory.shape[0], memory.shape[1]
+        u = self.params["start"].reshape((1, 1, cfg.width)) + np.zeros((B, 1, cfg.width))
+        if T > 1:
+            prev_pose = np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1]
+            if teacher_labels is not None and self.state_feedback:
+                labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
+                prev_state = np.eye(STATE_COUNT)[labels]
+            else:
+                prev_state = np.zeros(prev_pose.shape[:2] + (STATE_COUNT,))
+            fed = self._lin("dec_in", prev_pose) + self.ops.matmul(prev_state, self.params["state_emb"])
+            u = self.ops.concatenate([u, fed], axis=1)
+        h = u + obs_tokens + pe + step_emb.reshape((B, 1, cfg.width))
+        mask = self._causal_mask(T) if T > 1 else None
+        for i in range(cfg.layers):
+            hn = self._ln(f"dec.{i}.ln1", h)
+            h = h + self._attend(f"dec.{i}.self", hn, hn, mask, f"decoder layer {i} self")
+            q = self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h))
+            # These full-length slices are getitem nodes whose backward hands on a C-ordered
+            # gradient. The weight gradients' batch sums round by memory layout, so without
+            # them the trained weights would change in their last digits.
+            k = self._heads(f"dec.{i}.cross.k", memory)[:, :, :T]
+            v = self._heads(f"dec.{i}.cross.v", memory)[:, :, :T]
+            h = h + self._mix(f"dec.{i}.cross", q, k, v, mask, f"decoder layer {i} cross")
+            h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
+            self._check(h, f"decoder layer {i}")
+        h = self._ln("dec_ln", h)
+        x_hat = self._check(self._lin("head_pose", h), "pose head")
+        return x_hat, self._check(self._lin("head_state", h), "state head")
 
     def forward_teacher(self, x_n_norm, y_norm, n, teacher_pose_norm, teacher_labels):
         """Teacher-forced pass for training.
@@ -425,19 +417,82 @@ class Denoiser:
         """Sequential inference pass feeding back its own pose/state predictions.
 
         With rng=None state feedback uses the argmax one-hot (deterministic);
-        otherwise hard Gumbel-Softmax samples. Each frame runs one decoder row
-        against cached keys/values (see the module docstring); the result
-        equals a causal re-decode of every prefix. ``y_code`` is as in
-        ``encode``. Returns (x_hat, state_logits).
+        otherwise hard Gumbel-Softmax samples. It runs on plain arrays, a
+        Tensor-ops denoiser on its ``frozen()`` view, and decodes frame by frame
+        with the row step (see the module docstring). It equals a causal
+        teacher-forced re-decode of every prefix up to rounding. ``y_code`` is as
+        in ``encode``. Returns arrays (x_hat (B,T,D), state_logits (B,T,S)).
         """
-        cond = self.encode(x_n_norm, y_norm, n, total_steps, y_code)
-        cache: list = []
-        pose = state = None
-        poses, logits_seq = [], []
-        for t in range(cond[0].shape[1]):
-            pose, logit = self._decode_rows(cond, cache, t, pose, state)
-            poses.append(pose)
-            logits_seq.append(logit)
+        den = self if self.ops is tz.plain else self.frozen()
+        if y_code is not None:
+            y_code = tz.value(y_code)
+        memory, step_emb, obs_tokens, pe = den.encode(x_n_norm, y_norm, n, total_steps, y_code)
+        return den._decode_free(memory, obs_tokens + pe + step_emb[:, None], rng)
+
+    def _decode_free(self, memory: np.ndarray, rows_in: np.ndarray, rng: RandomStream | None):
+        """The row step: decode (B,T,W) ``memory`` frame by frame on plain arrays.
+
+        ``rows_in`` (B,T,W) is each frame's observation token + positional
+        encoding + step embedding. Frame t runs once through each layer as a
+        (B,W) row, one GEMM per projection over all B windows. The projections
+        are fused from the live params on every call: self-attention Q|K|V,
+        dec_in|state_emb and the pose|state heads are one matrix each, and each
+        layer norm's gain and bias are folded into the projections after it.
+        The queries carry the 1/sqrt(d) score scale. Each layer writes frame t's
+        self-attention keys/values into preallocated (B,H,T,d) buffers; the frame
+        attends to their first t+1 rows and to the first t+1 of the memory's
+        cross-attention keys/values, projected once.
+        """
+        cfg, p = self.cfg, self.params
+        B, T, W = memory.shape
+        H, d = cfg.heads, W // cfg.heads
+        D = FRAME_DIM
+        scale = 1.0 / np.sqrt(d)
+        in_w = np.concatenate([p["dec_in.w"], p["state_emb"]])
+        layers = []
+        for i in range(cfg.layers):
+            name = f"dec.{i}"
+            qkv_w, qkv_b = _fold(p, f"{name}.ln1", [f"{name}.self.{c}" for c in "qkv"])
+            qkv_w[:, :W] *= scale
+            qkv_b[:W] *= scale
+            cross_q = tuple(a * scale for a in _fold(p, f"{name}.ln2", [f"{name}.cross.q"]))
+            layers.append(((qkv_w, qkv_b), (p[f"{name}.self.o.w"], p[f"{name}.self.o.b"]),
+                           cross_q, (p[f"{name}.cross.o.w"], p[f"{name}.cross.o.b"]),
+                           _fold(p, f"{name}.ln3", [f"{name}.ffn.0"]),
+                           (p[f"{name}.ffn.1.w"], p[f"{name}.ffn.1.b"]),
+                           self._heads(f"{name}.cross.k", memory),
+                           self._heads(f"{name}.cross.v", memory),
+                           np.empty((B, H, T, d)), np.empty((B, H, T, d))))
+        head_w, head_b = _fold(p, "dec_ln", ["head_pose", "head_state"])
+        x_hat, logits = np.empty((B, T, D)), np.empty((B, T, STATE_COUNT))
+        fed = np.zeros((B, D + STATE_COUNT))  # frame t-1's pose | state (zero without feedback)
+        mean = np.full((W, 1), 1.0 / W)
+
+        def norm(x):  # tensor.layer_norm (eps 1e-8), its two means taken as GEMVs
+            xc = x - x @ mean
+            return xc * (1.0 / np.sqrt((xc * xc) @ mean + 1e-8))
+
+        def attend(q, k, v, t):  # softmax(q k^T) v over the first t+1 keys; q is pre-scaled
+            scores = np.matmul(q, k[:, :, : t + 1].transpose(0, 1, 3, 2))
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            return np.matmul(e / e.sum(axis=-1, keepdims=True), v[:, :, : t + 1]).reshape(B, W)
+
+        for t in range(T):
+            h = rows_in[:, t] + (p["start"] if t == 0 else fed @ in_w + p["dec_in.b"])
+            for i, (qkv, o, cq, co, f0, f1, cross_k, cross_v, keys, values) in enumerate(layers):
+                x = (norm(h) @ qkv[0] + qkv[1]).reshape(B, 3, H, 1, d)  # q | k | v
+                keys[:, :, t], values[:, :, t] = x[:, 1, :, 0], x[:, 2, :, 0]
+                a = attend(x[:, 0], keys, values, t) @ o[0] + o[1]
+                h = h + self._check(a, f"decoder layer {i} self")
+                q = (norm(h) @ cq[0] + cq[1]).reshape(B, H, 1, d)
+                a = attend(q, cross_k, cross_v, t) @ co[0] + co[1]
+                h = h + self._check(a, f"decoder layer {i} cross")
+                h = h + (np.tanh(norm(h) @ f0[0] + f0[1]) @ f1[0] + f1[1])
+                self._check(h, f"decoder layer {i}")
+            out = norm(h) @ head_w + head_b
+            x_hat[:, t] = self._check(out[:, :D], "pose head")
+            logits[:, t] = self._check(out[:, D:], "state head")
+            fed[:, :D] = out[:, :D]
             if self.state_feedback:
-                state = sample_state(logit, self.cfg.gumbel_tau, rng, hard=True, ops=self.ops)
-        return self.ops.concatenate(poses, axis=1), self.ops.concatenate(logits_seq, axis=1)
+                fed[:, D:] = sample_state(out[:, D:], cfg.gumbel_tau, rng, hard=True, ops=tz.plain)
+        return x_hat, logits

@@ -46,10 +46,12 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) 
     Closed-form orthogonal Procrustes with reflection correction (det=+1);
     optional uniform scale. Raises on degenerate targets (fewer than 3
     points, or in any frame an all-equal prediction or collinear ground
-    truth).
+    truth). The clouds are made C-contiguous first: the batched products and
+    SVDs below round by memory layout, so a strided view would align to other
+    last digits than its contiguous copy.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
+    pred = np.ascontiguousarray(pred, dtype=np.float64)
+    gt = np.ascontiguousarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"procrustes: shapes {pred.shape} vs {gt.shape}")
     if pred.shape[-2] < 3:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from handrift import denoiser
 from handrift import tensor as tz
 from handrift.config import default_config, denoiser_config_from
 from handrift.denoiser import Denoiser, DenoiserConfig, sample_state
-from handrift.errors import ConfigError, ShapeError
+from handrift.errors import ConfigError, NumericalError, ShapeError
 from handrift.hand import build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
 from handrift.optim import AdamW
@@ -158,6 +160,117 @@ def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
     return Tensor(poses), Tensor(np.concatenate(logits_seq, axis=1))
 
 
+def row_loop_free(den, x_n_norm, y_norm, n, rng=None):
+    """Reference free-running decode: the per-row loop the row step replaced. Each
+    frame runs one (B,1,W) row through the denoiser's own building blocks, one
+    projection per weight, against self-attention keys/values that grow by
+    concatenation and cross-attention keys/values projected once."""
+    cfg = den.cfg
+    memory, step_emb, obs_tokens, pe = den.encode(x_n_norm, y_norm, n)
+    B, T = memory.shape[:2]
+    cache = [[den._heads(f"dec.{i}.cross.k", memory), den._heads(f"dec.{i}.cross.v", memory),
+              None, None] for i in range(cfg.layers)]
+    pose = state = None
+    poses, logits_seq = [], []
+    for t in range(T):
+        if t == 0:
+            u = den.params["start"].reshape((1, 1, cfg.width)) + np.zeros((B, 1, cfg.width))
+        else:
+            fed_state = np.zeros(pose.shape[:2] + (STATE_COUNT,)) if state is None else state
+            u = den._lin("dec_in", pose) + den.ops.matmul(fed_state, den.params["state_emb"])
+        h = u + obs_tokens[:, t : t + 1] + pe[t : t + 1] + step_emb.reshape((B, 1, cfg.width))
+        for i, layer in enumerate(cache):
+            cross_k, cross_v, self_k, self_v = layer
+            hn = den._ln(f"dec.{i}.ln1", h)
+            q = den._heads(f"dec.{i}.self.q", hn)
+            k = den._heads(f"dec.{i}.self.k", hn)
+            v = den._heads(f"dec.{i}.self.v", hn)
+            if self_k is not None:
+                k = den.ops.concatenate([self_k, k], axis=2)
+                v = den.ops.concatenate([self_v, v], axis=2)
+            layer[2:] = k, v
+            h = h + den._mix(f"dec.{i}.self", q, k, v, None, f"decoder layer {i} self")
+            q = den._heads(f"dec.{i}.cross.q", den._ln(f"dec.{i}.ln2", h))
+            h = h + den._mix(f"dec.{i}.cross", q, cross_k[:, :, : t + 1], cross_v[:, :, : t + 1],
+                             None, f"decoder layer {i} cross")
+            h = h + den._ffn(f"dec.{i}.ffn", den._ln(f"dec.{i}.ln3", h))
+        h = den._ln("dec_ln", h)
+        pose, logit = den._lin("head_pose", h), den._lin("head_state", h)
+        poses.append(pose)
+        logits_seq.append(logit)
+        if den.state_feedback:
+            state = sample_state(logit, cfg.gumbel_tau, rng, hard=True, ops=den.ops)
+    return np.concatenate(poses, axis=1), np.concatenate(logits_seq, axis=1)
+
+
+@pytest.mark.parametrize("B", [1, 3, 15])
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic", "no-state-feedback"])
+def test_row_step_matches_per_row_loop(toy, mode, B):
+    """The row step (one GEMM per fused projection over all windows, a preallocated
+    key/value cache) gives the per-row loop's values up to rounding, and the same
+    state labels. The tolerance, 1e-10 in normalized units, bounds the
+    GEMM-versus-GEMV and folding differences with room to spare: they are about 1e-15."""
+    rng = np.random.default_rng(20 + B)
+    x, y = random_batch(rng, B=B, T=16)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    for p in toy.params.values():  # larger weights so states and poses vary per frame
+        p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
+    toy.state_feedback = mode != "no-state-feedback"
+    frozen = toy.frozen()
+
+    def stream():
+        return RandomStream(6, "row-step-gumbel") if mode == "stochastic" else None
+
+    ref_pose, ref_logits = row_loop_free(frozen, x_n, y, 3, rng=stream())
+    pose, logits = frozen.forward_free(x_n, y, 3, rng=stream())
+    labels = np.argmax(ref_logits, -1)
+    assert np.unique(labels).size > 1 and np.ptp(labels, axis=1).max() > 0  # the states vary
+    np.testing.assert_allclose(pose, ref_pose, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(np.argmax(logits, -1), labels)
+
+
+@pytest.mark.parametrize("name, value, where", [("dec.0.self.o.b", np.nan, "decoder layer 0 self"),
+                                                ("dec.1.ffn.1.b", np.inf, "decoder layer 1"),
+                                                ("head_pose.b", np.nan, "pose head")])
+def test_row_step_names_the_layer_that_goes_non_finite(hand_model, normalizer, name, value, where):
+    cfg = DenoiserConfig(layers=2, heads=2, width=16, mesh_widths=(4, 6), step_features=8,
+                         ffn_multiplier=2)
+    den = Denoiser(cfg, hand_model, normalizer, seed=3, total_steps=4)
+    den.params[name].data[0] = value
+    _, y = random_batch(np.random.default_rng(24), B=2, T=5)
+    for model in (den, den.frozen()):
+        with pytest.raises(NumericalError, match=f"in {where}$"):
+            model.forward_free(y, y, 2)
+
+
+def test_row_step_reads_live_weights_and_mutates_no_model_state(toy):
+    """The fused weights are built from the live params at every call: an in-place
+    AdamW step shows through. A call adds no attribute and changes no parameter."""
+    rng = np.random.default_rng(25)
+    x, y = random_batch(rng, B=2, T=6)
+    frozen = toy.frozen()
+    attrs = {id(m): dict(vars(m)) for m in (toy, frozen)}
+    params = {k: p.data.copy() for k, p in toy.params.items()}
+    before = toy.forward_free(y, y, 2)
+    np.testing.assert_array_equal(frozen.forward_free(y, y, 2)[0], before[0])
+    for m in (toy, frozen):
+        assert vars(m).keys() == attrs[id(m)].keys()
+        assert all(vars(m)[k] is v for k, v in attrs[id(m)].items())
+    for k, p in toy.params.items():
+        np.testing.assert_array_equal(p.data, params[k])
+        assert frozen.params[k] is p.data
+
+    x_hat, _ = toy.forward_teacher(y, y, 2, x, None)
+    backward(tz.tsum(x_hat * x_hat))
+    AdamW(toy.params, lr=1e-2).step()
+    after = toy.forward_free(y, y, 2)
+    assert np.abs(after[0] - before[0]).max() > 1e-6
+    ref_pose, _ = row_loop_free(toy.frozen(), y, y, 2)
+    np.testing.assert_allclose(after[0], ref_pose, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(frozen.forward_free(y, y, 2)[0], after[0])
+
+
 @pytest.mark.parametrize("seeded", [False, True])
 def test_cached_free_decode_matches_prefix_recompute(toy, seeded):
     rng = np.random.default_rng(11)
@@ -173,8 +286,24 @@ def test_cached_free_decode_matches_prefix_recompute(toy, seeded):
         ref_pose, ref_logits = prefix_recompute_free(toy, x_n, y, 3, rng=stream())
         pose, logits = toy.forward_free(x_n, y, 3, rng=stream())
     assert np.ptp(np.argmax(ref_logits.data, -1), axis=1).min() > 0  # fed-back states vary
-    np.testing.assert_allclose(pose.data, ref_pose.data, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(logits.data, ref_logits.data, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(pose, ref_pose.data, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(logits, ref_logits.data, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("cfg", [replace(TOY, layers=0), replace(TOY, width=32)],
+                         ids=["no-layers", "width32-2heads"])
+def test_row_step_on_edge_configs_matches_prefix_recompute(hand_model, normalizer, cfg):
+    den = Denoiser(cfg, hand_model, normalizer, seed=3, total_steps=4)
+    rng = np.random.default_rng(11)
+    x, y = random_batch(rng, B=3, T=16)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    for p in den.params.values():
+        p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
+    with tz.no_grad():
+        ref_pose, ref_logits = prefix_recompute_free(den, x_n, y, 3)
+    pose, logits = den.forward_free(x_n, y, 3)
+    np.testing.assert_allclose(pose, ref_pose.data, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(logits, ref_logits.data, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -194,14 +323,16 @@ def test_forward_free_with_condition_codes_is_bitwise_equal(toy, seeded):
         ref_pose, ref_logits = toy.forward_free(x_n, y, 3, rng=stream())
         pose, logits = toy.forward_free(x_n, y, 3, rng=stream(), y_code=y_code)
     assert y_code.shape == (3 * 8, TOY.mesh_widths[-1])
-    np.testing.assert_array_equal(pose.data, ref_pose.data)
-    np.testing.assert_array_equal(logits.data, ref_logits.data)
+    np.testing.assert_array_equal(pose, ref_pose)
+    np.testing.assert_array_equal(logits, ref_logits)
 
 
 @pytest.mark.parametrize("B", [1, 3])
 @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "no-state-feedback"])
 def test_frozen_copy_matches_tensor_path_bitwise(toy, mode, B):
-    """Every pass of the plain-numpy copy gives bitwise the Tensor path's values."""
+    """Every pass of the plain-numpy copy gives bitwise the Tensor path's values. The
+    free-running passes have one implementation: a Tensor-ops denoiser runs them on
+    its frozen view and returns arrays."""
     rng = np.random.default_rng(13)
     x, y = random_batch(rng, B=B, T=16)
     x_n = x + rng.normal(size=x.shape) * 0.2
@@ -226,8 +357,9 @@ def test_frozen_copy_matches_tensor_path_bitwise(toy, mode, B):
     with tz.no_grad():
         reference = passes(toy)
     frozen = passes(toy.frozen())
-    assert np.unique(np.argmax(reference[6].data, -1)).size > 1  # the fed-back states vary
+    assert np.unique(np.argmax(reference[6], -1)).size > 1  # the fed-back states vary
     assert len(frozen) == len(reference) == 15
+    assert all(isinstance(ref, np.ndarray) for ref in reference[5:11])  # forward_free's
     for got, ref in zip(frozen, reference):
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, tz.value(ref))
@@ -250,7 +382,7 @@ def test_frozen_copy_shares_live_weights_and_leaves_the_denoiser_untouched(toy):
     AdamW(toy.params, lr=1e-2).step()  # updates each param's data in place
     after = frozen.forward_free(y, y, 2)[0]
     with tz.no_grad():
-        np.testing.assert_array_equal(after, toy.forward_free(y, y, 2)[0].data)
+        np.testing.assert_array_equal(after, toy.forward_free(y, y, 2)[0])
     assert np.abs(after - before).max() > 0
 
 
@@ -264,9 +396,9 @@ def test_causality_bitwise_under_future_perturbation(toy):
     y2[:, k:] += 10.0
     with tz.no_grad():
         pert_pose, pert_logits = toy.forward_free(y2, y2, 1)
-    np.testing.assert_array_equal(base_pose.data[:, :k], pert_pose.data[:, :k])
-    np.testing.assert_array_equal(base_logits.data[:, :k], pert_logits.data[:, :k])
-    assert np.abs(base_pose.data[:, k:] - pert_pose.data[:, k:]).max() > 0
+    np.testing.assert_array_equal(base_pose[:, :k], pert_pose[:, :k])
+    np.testing.assert_array_equal(base_logits[:, :k], pert_logits[:, :k])
+    assert np.abs(base_pose[:, k:] - pert_pose[:, k:]).max() > 0
 
 
 def test_teacher_forced_agrees_with_free_running_on_own_outputs(toy):
@@ -275,10 +407,10 @@ def test_teacher_forced_agrees_with_free_running_on_own_outputs(toy):
     x, y = random_batch(rng, B=1, T=5)
     with tz.no_grad():
         free_pose, free_logits = toy.forward_free(y, y, 2)
-        labels = np.argmax(free_logits.data, axis=-1)
-        tf_pose, tf_logits = toy.forward_teacher(y, y, 2, free_pose.data, labels)
-    np.testing.assert_allclose(tf_pose.data, free_pose.data, atol=1e-10)
-    np.testing.assert_allclose(tf_logits.data, free_logits.data, atol=1e-10)
+        labels = np.argmax(free_logits, axis=-1)
+        tf_pose, tf_logits = toy.forward_teacher(y, y, 2, free_pose, labels)
+    np.testing.assert_allclose(tf_pose.data, free_pose, atol=1e-10)
+    np.testing.assert_allclose(tf_logits.data, free_logits, atol=1e-10)
 
 
 def test_outputs_finite_for_bounded_weights(toy):
@@ -288,7 +420,7 @@ def test_outputs_finite_for_bounded_weights(toy):
     x, y = random_batch(rng, B=1, T=4)
     with tz.no_grad():
         x_hat, logits = toy.forward_free(y * 3, y, 1)
-    assert np.all(np.isfinite(x_hat.data)) and np.all(np.isfinite(logits.data))
+    assert np.all(np.isfinite(x_hat)) and np.all(np.isfinite(logits))
 
 
 def test_denoiser_gradient_matches_finite_differences(toy):

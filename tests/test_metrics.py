@@ -7,6 +7,7 @@ from handrift.datagen import generate_sequence, sample_script
 from handrift.errors import InputError, ShapeError
 from handrift.metrics import (EvalReport, accl_error, f_score, kin_metric, mje, p_mje,
                               p_mve_and_fscores, procrustes_align, sta_metric)
+from handrift.motion import pose_parts
 from handrift.physics import MotionState
 from handrift.pipeline import evaluate_pair
 from handrift.rng import RandomStream
@@ -52,6 +53,21 @@ def test_procrustes_rejects_degenerate():
         procrustes_align(rng.normal(size=(5, 3)), line)
     with pytest.raises(InputError):
         procrustes_align(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_procrustes_aligns_strided_views_as_their_contiguous_copies():
+    """Alignment does not depend on memory layout: skin_mesh_batch's strided vertices,
+    and a transposed ground truth, align bitwise as their C-order copies."""
+    rng = np.random.default_rng(4)
+    model = hand.build_hand_model()
+    pose = rng.normal(size=(24, 61)) * 0.2
+    verts, _ = hand.skin_mesh_batch(*pose_parts(pose), model)
+    assert not verts.flags.c_contiguous
+    gt = np.ascontiguousarray((verts + rng.normal(size=verts.shape)).transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not gt.flags.c_contiguous
+    aligned = procrustes_align(verts, gt)
+    np.testing.assert_array_equal(aligned, procrustes_align(verts.copy(), gt))
+    np.testing.assert_array_equal(aligned, procrustes_align(verts, gt.copy()))
 
 
 @pytest.mark.parametrize("points", [21, 98])

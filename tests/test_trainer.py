@@ -296,7 +296,7 @@ def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
 
     def denoise_fn(x_n, y, n):
         xh, lgt = den.forward_free(x_n[None], y[None], n)
-        return xh.data[0], lgt.data[0]
+        return xh[0], lgt[0]
 
     for s in (0, 7, 14, 21, 28):  # one window at a time, blended as refine_sequence does
         with tz.no_grad():
@@ -362,8 +362,7 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     rng = stream()
 
     def denoise_fn(x_n, y, n):  # no codes: y's meshes are encoded with x^n's at every step
-        xh, lgt = den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
-        return xh.data, lgt.data
+        return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
 
     windows = norm.normalize(np.stack([y_raw[s : s + win] for s in starts]))
     with tz.no_grad():
