@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import annotator_config_from, load_config
-from .datagen import generate_sequence, sample_script
+from .config import HAND_RECIPE, annotator_config_from, load_config
+from .datagen import ScriptSpec, generate_sequence, sample_script
 from .errors import CheckpointError, ConfigError, HandriftError, InputError, TrainingDivergedError
 from .hand import build_hand_model
 from .metrics import EvalReport
 from .motionfile import MotionData, read_motion, write_motion
-from .physics import ObjectTrack, annotate_states
+from .physics import ObjectTrack, annotate_states, hand_object_distance
 from .pipeline import evaluate_pair, load_bundle, refine_sequence
 from .rng import RandomStream
 from .trainer import CorpusItem, train
@@ -89,14 +90,32 @@ ABLATIONS = {
 }
 
 
+def _read_spec(path: Path) -> tuple[dict, int, dict]:
+    """(spec, frames, overrides) of a spec file holding a JSON object with an integer
+    ``frames`` and ``overrides`` of ``ScriptSpec`` fields; InputError otherwise."""
+    try:
+        spec = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise InputError(f"spec {path} is not valid JSON: {e}") from None
+    if not isinstance(spec, dict):
+        raise InputError(f"spec {path} must be a JSON object")
+    frames, overrides = spec.get("frames", 16), spec.get("overrides", {})
+    if type(frames) is not int:
+        raise InputError(f"spec 'frames' must be an integer, got {frames!r}")
+    if not isinstance(overrides, dict):
+        raise InputError("spec 'overrides' must be a JSON object")
+    unknown = sorted(set(overrides) - {f.name for f in fields(ScriptSpec)})
+    if unknown:
+        raise InputError(f"unknown spec override '{unknown[0]}'")
+    return spec, frames, overrides
+
+
 def cmd_generate(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         print(f"error: spec not found: {args.spec}", file=sys.stderr)
         return EXIT_USAGE
-    spec = json.loads(spec_path.read_text())
-    frames = int(spec.get("frames", 16))
-    overrides = spec.get("overrides", {})
+    spec, frames, overrides = _read_spec(spec_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -119,7 +138,7 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
         "frames": frames,
         "spec": spec,
-        "hand_config": json.loads(model.config.to_json()),
+        "hand_config": HAND_RECIPE,
         "files": entries,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -158,6 +177,10 @@ def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     if not corpus:
         print(f"error: no motion files in {args.corpus}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0 <= args.holdout < len(corpus):
+        print(f"error: --holdout must be at least 0 and below the corpus size {len(corpus)}, "
+              f"got {args.holdout}", file=sys.stderr)
         return EXIT_USAGE
     eval_corpus = None
     if args.holdout > 0:
@@ -231,6 +254,9 @@ def cmd_evaluate(args) -> int:
         model = build_hand_model()
     ann_cfg = annotator_config_from(cfg)
 
+    def object_track(gt: MotionData) -> ObjectTrack:
+        return ObjectTrack(gt.object_center, gt.contact_threshold or ann_cfg.contact_threshold_mm)
+
     def one(pair):
         pred_f, gt_f = pair
         pred = read_motion(pred_f)
@@ -239,8 +265,7 @@ def cmd_evaluate(args) -> int:
             if gt.states is not None:
                 labels = gt.states
             elif gt.object_center is not None:
-                obj = ObjectTrack(gt.object_center, gt.contact_threshold or ann_cfg.contact_threshold_mm)
-                labels = annotate_states(gt.frames, obj, model, ann_cfg).labels
+                labels = annotate_states(gt.frames, object_track(gt), model, ann_cfg).labels
             else:
                 raise ConfigError(f"{gt_f.name}: ground truth carries neither states nor an object track")
             row = evaluate_pair(pred.frames, gt.frames, labels, model)
@@ -284,10 +309,7 @@ def cmd_evaluate(args) -> int:
                                        f"{stem}: acceleration error", y_label="mm/frame^2"))
             (plot_dir / f"{stem}_states.svg").write_text(svgplot.state_timeline(labels, f"{stem}: states"))
             if gt.object_center is not None:
-                from .physics import hand_object_distance
-
-                obj = ObjectTrack(gt.object_center, gt.contact_threshold or 10.0)
-                d = hand_object_distance(gt.frames, obj, model)
+                d = hand_object_distance(gt.frames, object_track(gt), model, ann_cfg.use_palm_center)
                 (plot_dir / f"{stem}_distance.svg").write_text(
                     svgplot.line_chart([("d(t)", d)], f"{stem}: hand-object distance", y_label="mm"))
     return EXIT_OK

@@ -43,7 +43,6 @@ class TrainConfig:
     constant_accel_baseline: bool = False
     divergence_threshold: float = 1e6
     eval_subset: int = 6
-    mode: str = "model_agnostic"    # or "paired": read external noisy estimates
     perturb: PerturbSpec = field(default_factory=lambda: PerturbSpec(
         noise_std=0.06, mask_prob=0.35, burst_mean=3.0, mask_noise_std=1.8))
 
@@ -53,8 +52,6 @@ class TrainConfig:
         if self.constant_accel_baseline and (self.use_state or self.use_kin or self.use_sta):
             raise ConfigError("constant_accel_baseline replaces the physics losses; "
                               "disable use_state/use_kin/use_sta")
-        if self.mode not in ("model_agnostic", "paired"):
-            raise ConfigError(f"unknown training mode '{self.mode}'")
 
 
 SECTIONS = {
@@ -72,7 +69,7 @@ DEFAULTS: dict = {
     "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
     "sequence_constant_beta": False,
 }
-HAND_RECIPE = json.loads(HandModelConfig().to_json())  # as checkpoints stored it under "hand"
+HAND_RECIPE = json.loads(json.dumps(asdict(HandModelConfig())))  # as checkpoints stored it under "hand"
 
 # The least value of each integer setting the program can run with; an integer
 # setting not listed takes any integer (``schedule.steps`` is checked by

@@ -87,22 +87,19 @@ def positional_encoding(frames: int, width: int) -> np.ndarray:
     return pe
 
 
-def sample_state(logits, tau: float, rng: RandomStream | None, hard: bool = False, ops=tz):
-    """Gumbel-softmax over the last axis; straight-through one-hot when hard.
+def sample_state(logits: np.ndarray, tau: float, rng: RandomStream | None) -> np.ndarray:
+    """Hard Gumbel-softmax over the last axis: the straight-through one-hot.
 
-    With rng=None no noise is injected (argmax limit), keeping deterministic
-    inference a pure function of its inputs. ``ops`` is the op namespace
-    (``tensor``, or ``tensor.plain`` where no gradient flows).
+    The value is soft + (onehot - soft), the one-hot up to rounding. With
+    rng=None no noise is injected (argmax limit), keeping deterministic
+    inference a pure function of its inputs.
     """
     if tau <= 0:
         raise ConfigError(f"gumbel temperature must be > 0, got {tau}")
     z = logits if rng is None else logits + rng.gumbel(np.shape(logits))
-    soft = ops.softmax(z, temperature=tau, axis=-1)
-    if not hard:
-        return soft
-    soft_value = ops.value(soft)
-    onehot = np.eye(soft_value.shape[-1])[np.argmax(soft_value, axis=-1)]
-    return soft + (onehot - soft_value)
+    soft = tz.plain.softmax(z, temperature=tau, axis=-1)
+    onehot = np.eye(soft.shape[-1])[np.argmax(soft, axis=-1)]
+    return soft + (onehot - soft)
 
 
 def _param_spec(cfg: DenoiserConfig) -> list:
@@ -494,5 +491,5 @@ class Denoiser:
             logits[:, t] = self._check(out[:, D:], "state head")
             fed[:, :D] = out[:, :D]
             if self.state_feedback:
-                fed[:, D:] = sample_state(out[:, D:], cfg.gumbel_tau, rng, hard=True, ops=tz.plain)
+                fed[:, D:] = sample_state(out[:, D:], cfg.gumbel_tau, rng)
         return x_hat, logits

@@ -18,7 +18,6 @@ are read-only, so no caller can change it under another.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -37,8 +36,6 @@ PARENTS = np.array([-1, 0, 1, 2, 3, 0, 5, 6, 7, 0, 9, 10, 11, 0, 13, 14, 15, 0, 
 TIP_JOINTS = (4, 8, 12, 16, 20)
 ARTICULATED = tuple(j for j in range(1, JOINT_COUNT) if j not in TIP_JOINTS)  # 15 joints
 BONE_COUNT = JOINT_COUNT - 1  # bone b connects PARENTS[b+1] -> b+1
-
-FINGER_NAMES = ("thumb", "index", "middle", "ring", "little")
 
 # Rest joint positions in mm: right hand, palm facing +z, fingers along +y.
 _THUMB_DIR = np.array([0.74, 0.62, 0.26])
@@ -91,18 +88,6 @@ class HandModelConfig:
     tip_radius: float = 2.5
     shape_entry_range: float = 0.05
     shape_scale_floor: float = 0.05
-
-    def to_json(self) -> str:
-        d = {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HandModelConfig":
-        d = json.loads(text)
-        for key in ("ring_fractions", "bone_radii"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -448,10 +433,6 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     return v * theta / (2.0 * np.sin(theta))
 
 
-def compose_axis_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return so3_log(so3_exp(a) @ so3_exp(b))
-
-
 # ---------------------------------------------------------------------------
 # kinematics
 
@@ -485,15 +466,15 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
 
     Returns (positions (..., 21, 3), global rotations (..., 21, 3, 3)): tensors,
     with gradient through all four inputs, if an input is a Tensor that requires
-    a gradient while recording is on; otherwise arrays from a plain numpy FK,
-    bitwise equal. ``scales`` (``bone_scales(beta)``) spares recomputing them.
+    a gradient; otherwise arrays from a plain numpy FK, bitwise equal. ``scales``
+    (``bone_scales(beta)``) spares recomputing them.
     """
     inputs = (root_orient, theta, beta, trans)
     arrays = [np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64) for x in inputs]
     for a, what in zip(arrays, ("root_orient", "theta", "beta", "root_translation")):
         if not np.all(np.isfinite(a)):
             raise InputError(f"non-finite values in {what}")
-    if tz.grad_enabled() and any(isinstance(x, Tensor) and x.requires_grad for x in inputs):
+    if any(isinstance(x, Tensor) and x.requires_grad for x in inputs):
         return _fk_tensor(*inputs, model)
 
     ro, th, be, tr = arrays
@@ -615,26 +596,3 @@ def regress_joints(vertices: np.ndarray, model: HandModel) -> np.ndarray:
         )
     return model.regressor @ vertices
 
-
-def model_spec_json(model: HandModel) -> str:
-    """Serialize the model recipe: joint tree, rest offsets and seeds.
-
-    Mesh, skinning weights and the regressor are regenerated
-    deterministically from this document by ``model_from_spec_json``.
-    """
-    doc = {
-        "config": json.loads(model.config.to_json()),
-        "parents": model.parents.tolist(),
-        "rest_offsets_mm": model.rest_offsets.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_spec_json(text: str) -> HandModel:
-    doc = json.loads(text)
-    model = build_hand_model(HandModelConfig.from_json(json.dumps(doc["config"])))
-    if doc["parents"] != model.parents.tolist():
-        raise InputError("model spec joint tree does not match this skeleton version")
-    if not np.allclose(np.asarray(doc["rest_offsets_mm"]), model.rest_offsets, atol=1e-12):
-        raise InputError("model spec rest offsets do not match this skeleton version")
-    return model

@@ -10,32 +10,12 @@ mutates parameter ``data`` in place between steps).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
-
-_grad_enabled = True  # one flag per process: graphs are built and run on one thread
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (pure inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
@@ -185,7 +165,7 @@ def backward(loss: Tensor, graph: ComputeGraph | None = None):
 
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -572,21 +552,11 @@ def softmax(a, temperature: float = 1.0, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(x))) composed from primitives with a constant max shift."""
+def log_softmax(a, axis: int = -1) -> Tensor:
+    """x - log(sum(exp(x))) along ``axis``, composed from primitives with a constant max shift."""
     a = as_tensor(a)
     shift = np.max(a.data, axis=axis, keepdims=True)
-    out = log(tsum(exp(sub(a, Tensor(shift))), axis=axis, keepdims=True)) + Tensor(shift)
-    if not keepdims:
-        new_shape = list(out.data.shape)
-        del new_shape[axis]
-        out = reshape(out, tuple(new_shape))
-    return out
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
+    return sub(a, log(tsum(exp(sub(a, Tensor(shift))), axis=axis, keepdims=True)) + Tensor(shift))
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Training: loss assembly over diffused samples and the epoch loop.
 
-Each step draws clean sequences, fabricates noisy estimates (or reads paired
-external ones), samples a diffusion step, forms x^n, and takes an AdamW step
-on the total objective: the squared data term on the denoiser output plus
-state / kinetics / stability losses and a joint-position auxiliary term.
+Each step draws clean sequences, fabricates noisy estimates from them, samples
+a diffusion step, forms x^n, and takes an AdamW step on the total objective:
+the squared data term on the denoiser output plus state / kinetics /
+stability losses and a joint-position auxiliary term.
 Ablation flags (``use_*``) switch individual terms off; the deterministic baseline
 reuses the identical code path with x^n fixed to y and a single step index.
 """
@@ -154,7 +154,6 @@ class CorpusItem:
     object_center: np.ndarray | None = None
     contact_threshold: float | None = None
     labels: np.ndarray | None = None        # annotator labels, filled by train()
-    paired_estimate: np.ndarray | None = None  # external noisy estimate ("paired" mode)
 
 
 def _ema(values, window=10):
@@ -187,8 +186,6 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                 raise ConfigError("corpus item lacks both labels and an object track")
             obj = ObjectTrack(item.object_center, item.contact_threshold or ann_cfg.contact_threshold_mm)
             item.labels = annotate_states(item.motion, obj, hand_model, ann_cfg).labels
-        if tcfg.mode == "paired" and item.paired_estimate is None:
-            raise ConfigError("paired training mode needs paired_estimate on every corpus item")
 
     root = RandomStream(cfg["seed"], "train")
     opt = AdamW(den.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
@@ -225,14 +222,11 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                 x_raw = np.stack([corpus[i].motion for i in idx])
                 labels = np.stack([corpus[i].labels for i in idx])
                 gt_j = np.stack([gt_joints_cache[i] for i in idx])
-                if tcfg.mode == "paired":
-                    y_raw = np.stack([corpus[i].paired_estimate for i in idx])
-                else:
-                    y_raw = np.stack([
-                        perturb(corpus[i].motion, tcfg.perturb,
-                                root.split(f"perturb-{epoch}-{step}-{j}"), channel_scale=normalizer.std)
-                        for j, i in enumerate(idx)
-                    ])
+                y_raw = np.stack([
+                    perturb(corpus[i].motion, tcfg.perturb,
+                            root.split(f"perturb-{epoch}-{step}-{j}"), channel_scale=normalizer.std)
+                    for j, i in enumerate(idx)
+                ])
                 x_norm = normalizer.normalize(x_raw.reshape(-1, FRAME_DIM)).reshape(x_raw.shape)
                 y_norm = normalizer.normalize(y_raw.reshape(-1, FRAME_DIM)).reshape(y_raw.shape)
 

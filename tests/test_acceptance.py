@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import handrift.tensor as tz
 from handrift.cli import main
 from handrift.config import annotator_config_from, load_config
 from handrift.datagen import perturb, smoothfilter_baseline
@@ -259,9 +258,8 @@ def test_denoiser_reads_diffusion_sample(trained_variants, desk_corpus):
         mse = {}
         for n in (1, sched.steps):
             x_n = forward_sample(x, y, n, sched, RandomStream(cfg["seed"], f"x-n-probe-{n}"))
-            with tz.no_grad():
-                x_hat, _ = bundle.denoiser.forward_teacher(x_n, y, n, x, labels)
-            mse[n] = ((x_hat.data - x) ** 2).mean(axis=(1, 2))
+            x_hat, _ = bundle.denoiser.frozen().forward_teacher(x_n, y, n, x, labels)
+            mse[n] = ((x_hat - x) ** 2).mean(axis=(1, 2))
         d = mse[1] - mse[sched.steps]
         ok = ok and d.mean() < -2 * d.std(ddof=1) / np.sqrt(d.size)
         rows.append(f"{name}: teacher-forced data MSE {mse[1].mean():.4f} at n=1, "

@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from handrift import svgplot
 from handrift.cli import main
 from handrift.config import HAND_RECIPE, config_hash, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.hand import build_hand_model
 from handrift.motion import Normalizer
 from handrift.motionfile import MotionData, read_motion, write_motion
+from handrift.physics import ObjectTrack, hand_object_distance
 from handrift.pipeline import make_bundle, save_bundle
 from handrift.rng import RandomStream
 
@@ -73,6 +75,22 @@ def test_generate_missing_spec_exits_one(tmp_path):
                  "--count", "1", "--seed", "0"]) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"frames": 16', "is not valid JSON"),
+    ("[1, 2]", "must be a JSON object"),
+    ('{"frames": "x"}', "spec 'frames' must be an integer, got 'x'"),
+    ('{"frames": 16, "overrides": {"nope": 1}}', "unknown spec override 'nope'"),
+], ids=["invalid-json", "not-an-object", "frames-string", "unknown-override"])
+def test_generate_bad_spec_exits_one(tmp_path, capsys, text, message):
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(text)
+    assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "1",
+                 "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_missing_config_exits_one(tmp_path, workspace, capsys):
     missing = tmp_path / "missing.json"
     code = main(["train", "--corpus", str(workspace["corpus"]), "--config", str(missing),
@@ -81,7 +99,8 @@ def test_train_missing_config_exits_one(tmp_path, workspace, capsys):
     assert f"config not found: {missing}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("train_section", [{"teacher_noise_std": 0.1}, {"epoch": 5}])
+@pytest.mark.parametrize("train_section", [{"teacher_noise_std": 0.1}, {"epoch": 5},
+                                           {"mode": "model_agnostic"}])
 def test_train_unknown_config_key_exits_one(tmp_path, workspace, capsys, train_section):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], **train_section}}))
@@ -90,6 +109,20 @@ def test_train_unknown_config_key_exits_one(tmp_path, workspace, capsys, train_s
                  "--out", str(ckpt)]) == 1
     assert f"unknown config key 'train.{next(iter(train_section))}'" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_train_holdout_must_leave_training_data(tmp_path, workspace, capsys):
+    """--holdout N needs 0 <= N < the corpus size (6 here): N = 5 trains on one sequence."""
+    ckpt = tmp_path / "x.ckpt"
+    for holdout in (-1, 6, 8):
+        assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(workspace["cfg"]),
+                     "--out", str(ckpt), f"--holdout={holdout}"]) == 1
+        assert (f"--holdout must be at least 0 and below the corpus size 6, got {holdout}"
+                in capsys.readouterr().err)
+        assert not ckpt.exists()
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(workspace["cfg"]),
+                 "--out", str(ckpt), "--holdout", "5"]) == 0
+    assert ckpt.exists()
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -604,6 +637,29 @@ def test_evaluate_plots_written(tmp_path, workspace):
     for f in svgs:
         text = f.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+def test_evaluate_distance_plot_uses_the_annotator_settings(tmp_path, workspace, monkeypatch):
+    """d(t) is drawn as the labels beside it were annotated: here from the palm center."""
+    model = build_hand_model()
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    gt = read_motion(src)
+    cfg = load_config(None, {**UNTRAINED, "annotator": {"use_palm_center": True}})
+    ckpt = tmp_path / "palm.ckpt"
+    save_bundle(ckpt, make_bundle(cfg, Normalizer.fit([gt.frames]), hand_model=model))
+    line_chart, charts = svgplot.line_chart, {}
+
+    def capture(series, title="", **kwargs):
+        charts[title] = series
+        return line_chart(series, title, **kwargs)
+
+    monkeypatch.setattr(svgplot, "line_chart", capture)
+    assert main(["evaluate", "--pred", str(src), "--gt", str(src), "--ckpt", str(ckpt),
+                 "--report", str(tmp_path / "r.json"), "--plots", str(tmp_path / "plots")]) == 0
+    [(_, d)] = charts[f"{src.stem}: hand-object distance"]
+    obj = ObjectTrack(gt.object_center, gt.contact_threshold)
+    np.testing.assert_array_equal(d, hand_object_distance(gt.frames, obj, model, use_palm_center=True))
+    assert not np.allclose(d, hand_object_distance(gt.frames, obj, model))
 
 
 def test_evaluate_single_pair_mode(tmp_path, workspace):

@@ -153,9 +153,9 @@ def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
         cond = (memory[:, :t], step_emb, obs_tokens[:, :t], pe[:t])
         pose, logits = den.decode_teacher(cond, poses, labels)
         logit_t = logits.data[:, t - 1 : t]
-        state = sample_state(logit_t, den.cfg.gumbel_tau, rng, hard=True)
+        state = sample_state(logit_t, den.cfg.gumbel_tau, rng)
         poses = np.concatenate([poses, pose.data[:, t - 1 : t]], axis=1)
-        labels = np.concatenate([labels, np.argmax(state.data, axis=-1)], axis=1)
+        labels = np.concatenate([labels, np.argmax(state, axis=-1)], axis=1)
         logits_seq.append(logit_t)
     return Tensor(poses), Tensor(np.concatenate(logits_seq, axis=1))
 
@@ -199,7 +199,7 @@ def row_loop_free(den, x_n_norm, y_norm, n, rng=None):
         poses.append(pose)
         logits_seq.append(logit)
         if den.state_feedback:
-            state = sample_state(logit, cfg.gumbel_tau, rng, hard=True, ops=den.ops)
+            state = sample_state(logit, cfg.gumbel_tau, rng)
     return np.concatenate(poses, axis=1), np.concatenate(logits_seq, axis=1)
 
 
@@ -282,9 +282,8 @@ def test_cached_free_decode_matches_prefix_recompute(toy, seeded):
     def stream():
         return RandomStream(4, "oracle-gumbel") if seeded else None
 
-    with tz.no_grad():
-        ref_pose, ref_logits = prefix_recompute_free(toy, x_n, y, 3, rng=stream())
-        pose, logits = toy.forward_free(x_n, y, 3, rng=stream())
+    ref_pose, ref_logits = prefix_recompute_free(toy, x_n, y, 3, rng=stream())
+    pose, logits = toy.forward_free(x_n, y, 3, rng=stream())
     assert np.ptp(np.argmax(ref_logits.data, -1), axis=1).min() > 0  # fed-back states vary
     np.testing.assert_allclose(pose, ref_pose.data, rtol=0, atol=1e-10)
     np.testing.assert_allclose(logits, ref_logits.data, rtol=0, atol=1e-10)
@@ -299,8 +298,7 @@ def test_row_step_on_edge_configs_matches_prefix_recompute(hand_model, normalize
     x_n = x + rng.normal(size=x.shape) * 0.2
     for p in den.params.values():
         p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
-    with tz.no_grad():
-        ref_pose, ref_logits = prefix_recompute_free(den, x_n, y, 3)
+    ref_pose, ref_logits = prefix_recompute_free(den, x_n, y, 3)
     pose, logits = den.forward_free(x_n, y, 3)
     np.testing.assert_allclose(pose, ref_pose.data, rtol=0, atol=1e-10)
     np.testing.assert_allclose(logits, ref_logits.data, rtol=0, atol=1e-10)
@@ -318,10 +316,9 @@ def test_forward_free_with_condition_codes_is_bitwise_equal(toy, seeded):
     def stream():
         return RandomStream(4, "cond-gumbel") if seeded else None
 
-    with tz.no_grad():
-        y_code = toy.encode_condition(y)
-        ref_pose, ref_logits = toy.forward_free(x_n, y, 3, rng=stream())
-        pose, logits = toy.forward_free(x_n, y, 3, rng=stream(), y_code=y_code)
+    y_code = toy.encode_condition(y)
+    ref_pose, ref_logits = toy.forward_free(x_n, y, 3, rng=stream())
+    pose, logits = toy.forward_free(x_n, y, 3, rng=stream(), y_code=y_code)
     assert y_code.shape == (3 * 8, TOY.mesh_widths[-1])
     np.testing.assert_array_equal(pose, ref_pose)
     np.testing.assert_array_equal(logits, ref_logits)
@@ -354,8 +351,7 @@ def test_frozen_copy_matches_tensor_path_bitwise(toy, mode, B):
                 *den.decode_teacher(cond, x, labels),
                 *den.decode_teacher(cond, x, None))
 
-    with tz.no_grad():
-        reference = passes(toy)
+    reference = passes(toy)
     frozen = passes(toy.frozen())
     assert np.unique(np.argmax(reference[6], -1)).size > 1  # the fed-back states vary
     assert len(frozen) == len(reference) == 15
@@ -381,21 +377,18 @@ def test_frozen_copy_shares_live_weights_and_leaves_the_denoiser_untouched(toy):
     backward(tz.tsum(x_hat * x_hat))
     AdamW(toy.params, lr=1e-2).step()  # updates each param's data in place
     after = frozen.forward_free(y, y, 2)[0]
-    with tz.no_grad():
-        np.testing.assert_array_equal(after, toy.forward_free(y, y, 2)[0])
+    np.testing.assert_array_equal(after, toy.forward_free(y, y, 2)[0])
     assert np.abs(after - before).max() > 0
 
 
 def test_causality_bitwise_under_future_perturbation(toy):
     rng = np.random.default_rng(3)
     x, y = random_batch(rng, B=1, T=6)
-    with tz.no_grad():
-        base_pose, base_logits = toy.forward_free(y, y, 1)
+    base_pose, base_logits = toy.forward_free(y, y, 1)
     k = 3  # perturb frames k.. of both inputs
     y2 = y.copy()
     y2[:, k:] += 10.0
-    with tz.no_grad():
-        pert_pose, pert_logits = toy.forward_free(y2, y2, 1)
+    pert_pose, pert_logits = toy.forward_free(y2, y2, 1)
     np.testing.assert_array_equal(base_pose[:, :k], pert_pose[:, :k])
     np.testing.assert_array_equal(base_logits[:, :k], pert_logits[:, :k])
     assert np.abs(base_pose[:, k:] - pert_pose[:, k:]).max() > 0
@@ -405,10 +398,9 @@ def test_teacher_forced_agrees_with_free_running_on_own_outputs(toy):
     # feed the free-running outputs back as teachers: positions must agree
     rng = np.random.default_rng(4)
     x, y = random_batch(rng, B=1, T=5)
-    with tz.no_grad():
-        free_pose, free_logits = toy.forward_free(y, y, 2)
-        labels = np.argmax(free_logits, axis=-1)
-        tf_pose, tf_logits = toy.forward_teacher(y, y, 2, free_pose, labels)
+    free_pose, free_logits = toy.forward_free(y, y, 2)
+    labels = np.argmax(free_logits, axis=-1)
+    tf_pose, tf_logits = toy.forward_teacher(y, y, 2, free_pose, labels)
     np.testing.assert_allclose(tf_pose.data, free_pose, atol=1e-10)
     np.testing.assert_allclose(tf_logits.data, free_logits, atol=1e-10)
 
@@ -418,8 +410,7 @@ def test_outputs_finite_for_bounded_weights(toy):
     for p in toy.params.values():
         p.data[:] = rng.uniform(-2.0, 2.0, size=p.data.shape)
     x, y = random_batch(rng, B=1, T=4)
-    with tz.no_grad():
-        x_hat, logits = toy.forward_free(y * 3, y, 1)
+    x_hat, logits = toy.forward_free(y * 3, y, 1)
     assert np.all(np.isfinite(x_hat)) and np.all(np.isfinite(logits))
 
 
@@ -459,16 +450,14 @@ def test_denoiser_gradient_matches_finite_differences(toy):
 
 def test_sample_state_zero_temperature_limit():
     logits = np.array([0.2, 1.7, -0.4, 0.0, 0.9])
-    out = sample_state(logits, tau=1e-6, rng=None).data
+    out = sample_state(logits, tau=1e-6, rng=None)
     np.testing.assert_allclose(out, np.eye(5)[1], atol=1e-12)
 
 
 def test_sample_state_sums_to_one_and_hard_is_onehot():
     rng = RandomStream(0, "gumbel")
     logits = np.array([[0.5, -0.2, 0.0, 1.0, 0.3]] * 7)
-    soft = sample_state(logits, tau=1.0, rng=rng).data
-    np.testing.assert_allclose(soft.sum(axis=-1), np.ones(7), atol=1e-12)
-    hard = sample_state(logits, tau=1.0, rng=rng, hard=True).data
+    hard = sample_state(logits, tau=1.0, rng=rng)
     np.testing.assert_allclose(hard.sum(axis=-1), np.ones(7), atol=1e-12)
     assert np.all(np.isin(np.round(hard, 12), [0.0, 1.0]))
 
@@ -477,19 +466,8 @@ def test_sample_state_uniform_logits_frequencies():
     rng = RandomStream(1, "gumbel-mc")
     draws = 100_000
     logits = np.zeros((draws, 5))
-    hard = sample_state(logits, tau=1.0, rng=rng, hard=True).data
+    hard = sample_state(logits, tau=1.0, rng=rng)
     freq = hard.mean(axis=0)
     se = np.sqrt(0.2 * 0.8 / draws)
     np.testing.assert_allclose(freq, np.full(5, 0.2), atol=3 * se)
 
-
-def test_sample_state_straight_through_gradient():
-    logits = Tensor(np.array([0.3, -0.1, 0.8]), requires_grad=True)
-    hard = sample_state(logits, tau=0.7, rng=None, hard=True)
-    loss = tz.tsum(hard * Tensor(np.array([1.0, 2.0, 3.0])))
-    backward(loss)
-    soft = tz.softmax(logits.data, temperature=0.7).data
-    # straight-through: gradient equals the soft sample's jacobian action
-    weights = np.array([1.0, 2.0, 3.0])
-    expect = soft * (weights - (weights * soft).sum()) / 0.7
-    np.testing.assert_allclose(logits.grad, expect, atol=1e-12)

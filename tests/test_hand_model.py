@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -50,8 +48,7 @@ def test_bone_lengths_scale_with_shape(model):
     for _ in range(20):
         pose = random_pose(rng)
         joints = hand.forward_kinematics(pose, model)
-        with tz.no_grad():
-            scales = hand.bone_scales(pose.beta, model).data
+        scales = hand.bone_scales(pose.beta, model).data
         for j in range(1, 21):
             length = np.linalg.norm(joints[j] - joints[model.parents[j]])
             expect = np.linalg.norm(model.rest_offsets[j]) * scales[j - 1]
@@ -65,7 +62,7 @@ def test_fk_equivariance_under_global_rotation(model):
         aa = rng.normal(scale=0.8, size=3)
         R = hand.so3_exp(aa)
         rotated = hand.HandPose(
-            root_orient=hand.compose_axis_angle(aa, pose.root_orient),
+            root_orient=hand.so3_log(hand.so3_exp(aa) @ hand.so3_exp(pose.root_orient)),
             theta=pose.theta,
             beta=pose.beta,
             root_translation=R @ pose.root_translation,
@@ -184,8 +181,7 @@ def fk_inputs(rng, lead):
 @pytest.mark.parametrize("lead", [(), (16,), (3, 8)], ids=["single", "T", "WxT"])
 def test_numpy_fk_bitwise_equals_autodiff_fk(model, lead):
     inputs = fk_inputs(np.random.default_rng(11), lead)
-    with tz.no_grad():
-        scales = hand.bone_scales(inputs[2], model).data
+    scales = hand.bone_scales(inputs[2], model).data
     floor = model.config.shape_scale_floor
     assert (scales == floor).any() and (scales > floor).any()  # both sides of the hinge
     joints_t, rots_t = hand.fk_transforms(*(Tensor(x, requires_grad=True) for x in inputs), model)
@@ -194,8 +190,8 @@ def test_numpy_fk_bitwise_equals_autodiff_fk(model, lead):
     assert isinstance(joints, np.ndarray) and joints.shape == lead + (21, 3)
     np.testing.assert_array_equal(joints, joints_t.data)
     np.testing.assert_array_equal(rots, rots_t.data)
-    with tz.no_grad():  # tensors that need no gradient take the numpy FK too
-        joints_ng, _ = hand.fk_transforms(*(Tensor(x, requires_grad=True) for x in inputs), model)
+    # tensors that need no gradient take the numpy FK too
+    joints_ng, _ = hand.fk_transforms(*(Tensor(x) for x in inputs), model)
     assert isinstance(joints_ng, np.ndarray)
     np.testing.assert_array_equal(joints_ng, joints)
 
@@ -239,8 +235,7 @@ def test_level_wise_fk_gradients_match_per_joint_reference(model):
 
 def test_rest_joints_match_per_joint_loop(model):
     beta = np.random.default_rng(12).normal(scale=40.0, size=(4, 10))
-    with tz.no_grad():
-        scales = hand.bone_scales(beta, model).data
+    scales = hand.bone_scales(beta, model).data
     ref = np.zeros((4, 21, 3))
     for j in range(1, 21):
         ref[:, j] = ref[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
@@ -273,8 +268,7 @@ def test_so3_exp_matches_rodrigues():
     # angles on both sides of the 1e-7 small-angle switch, up to 3 rad
     angles = np.concatenate([np.geomspace(1e-10, 9.9e-8, 100), np.geomspace(1.01e-7, 3.0, 300)])
     w = (axes * angles[:, None]).reshape(20, 20, 3)
-    with tz.no_grad():
-        ref = hand.rodrigues(Tensor(w)).data
+    ref = hand.rodrigues(Tensor(w)).data
     R = hand.so3_exp(w)
     assert R.shape == (20, 20, 3, 3)
     np.testing.assert_allclose(R, ref, rtol=0, atol=1e-15)
@@ -292,16 +286,6 @@ def test_so3_exp_single_vector_path_matches_batch_path():
         one = hand.so3_exp(w)
         assert one.shape == (3, 3)
         assert np.abs(one - hand.so3_exp(w[None])[0]).max() <= 1e-15
-
-
-def test_model_config_json_roundtrip(model):
-    text = model.config.to_json()
-    cfg2 = hand.HandModelConfig.from_json(text)
-    assert cfg2 == model.config
-    m2 = hand.build_hand_model(cfg2)
-    np.testing.assert_array_equal(m2.regressor, model.regressor)
-    np.testing.assert_array_equal(m2.shape_basis, model.shape_basis)
-    assert json.loads(text)["seed"] == model.config.seed
 
 
 def test_default_hand_model_is_built_once_and_read_only(model):
@@ -328,16 +312,3 @@ def test_configurable_vertex_count():
     m = hand.build_hand_model(cfg)
     assert m.vertex_count == 20 * 2 * 3 + 5 * 3 + 8
 
-
-def test_model_spec_json_roundtrip(model):
-    text = hand.model_spec_json(model)
-    rebuilt = hand.model_from_spec_json(text)
-    np.testing.assert_array_equal(rebuilt.regressor, model.regressor)
-    np.testing.assert_array_equal(rebuilt.vert_radial, model.vert_radial)
-    doc = json.loads(text)
-    assert doc["parents"] == model.parents.tolist()
-    assert len(doc["rest_offsets_mm"]) == 21
-    tampered = dict(doc)
-    tampered["parents"] = list(reversed(doc["parents"]))
-    with pytest.raises(InputError):
-        hand.model_from_spec_json(json.dumps(tampered))

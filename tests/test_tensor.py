@@ -83,12 +83,8 @@ def test_elementwise_shape_error_names_op(op, name, grad):
     a = Tensor(np.ones((2, 3)), requires_grad=grad)
     b = Tensor(np.ones(4), requires_grad=grad)
     pattern = rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast$"
-    if grad:
-        with pytest.raises(ShapeError, match=pattern):
-            op(a, b)
-    else:
-        with tz.no_grad(), pytest.raises(ShapeError, match=pattern):
-            op(a, b)
+    with pytest.raises(ShapeError, match=pattern):
+        op(a, b)
 
 
 def test_backward_requires_scalar():
@@ -343,11 +339,10 @@ def test_backward_skips_constant_operand(name, live, monkeypatch):
     assert not any(t is constant for t in handed)
 
 
-def test_no_grad_skips_graph():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with tz.no_grad():
-        y = x * 3.0
-    assert y._backward is None and not y.requires_grad
+def test_ops_on_constants_record_no_graph():
+    x = Tensor(np.ones((2, 3)))
+    y = tz.tanh(x * 3.0) @ Tensor(np.ones((3, 2)))
+    assert y._backward is None and y._parents == () and not y.requires_grad
 
 
 def test_determinism_bitwise():
@@ -481,16 +476,3 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     save_checkpoint(p2, loaded, seed=manifest["seed"], config_hash=manifest["config_hash"],
                     extra=manifest["extra"])
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_no_grad_nests_and_restores():
-    assert tz.grad_enabled()
-    with tz.no_grad():
-        with tz.no_grad():
-            assert not tz.grad_enabled()
-        assert not tz.grad_enabled()
-    assert tz.grad_enabled()
-    with pytest.raises(RuntimeError):
-        with tz.no_grad():
-            raise RuntimeError("inside")
-    assert tz.grad_enabled()

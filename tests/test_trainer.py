@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from handrift import pipeline
-from handrift import tensor as tz
 from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.denoiser import Denoiser
@@ -55,8 +54,6 @@ def test_train_config_validation():
     cfg.validate()
     with pytest.raises(ConfigError):
         TrainConfig(lambda_geo=-1.0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(mode="weird").validate()
 
 
 @pytest.mark.parametrize("train_section", [{"teacher_noise_std": 0.1}, {"epoch": 5}])
@@ -72,7 +69,7 @@ def test_load_config_rejects_unknown_keys(tmp_path, train_section):
 def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_path):
     """Stored configs bypass load_config: keys removed since still load."""
     removed = {"teacher_noise_std": 0.0, "lambda_state": 1.0, "lambda_kinetics": 1.0,
-               "lambda_stability": 1.0, "lambda_const_accel": 1.0}
+               "lambda_stability": 1.0, "lambda_const_accel": 1.0, "mode": "model_agnostic"}
     removed_denoiser = {"state_classes": 5, "max_frames": 256}
     old = {**tiny_cfg, "hand": HAND_RECIPE, "smoothfilter_sigma": 1.0,
            "denoiser": {**tiny_cfg["denoiser"], **removed_denoiser},
@@ -107,7 +104,7 @@ def test_config_surface_is_pinned():
         "seed", "sequence_constant_beta",
         "train.batch_size", "train.constant_accel_baseline", "train.divergence_threshold",
         "train.epochs", "train.eval_subset", "train.lambda_geo", "train.lr",
-        "train.lr_decay_epochs", "train.lr_decay_factor", "train.mode",
+        "train.lr_decay_epochs", "train.lr_decay_factor",
         "train.perturb.burst_mean", "train.perturb.mask_noise_std", "train.perturb.mask_prob",
         "train.perturb.noise_std", "train.probabilistic", "train.self_condition",
         "train.self_condition_start_epoch", "train.use_kin", "train.use_sta", "train.use_state",
@@ -242,24 +239,6 @@ def test_deterministic_baseline_reuses_pipeline(tiny_cfg, tiny_corpus):
     assert track.labels.shape == (tiny_corpus[0].motion.shape[0],)
 
 
-def test_paired_mode_requires_estimates(tiny_cfg, tiny_corpus):
-    cfg = json.loads(json.dumps(tiny_cfg))
-    cfg["train"]["mode"] = "paired"
-    with pytest.raises(ConfigError):
-        train(_fresh_items(tiny_corpus), cfg)
-
-
-def test_paired_mode_trains_on_external_estimates(tiny_cfg, tiny_corpus):
-    cfg = json.loads(json.dumps(tiny_cfg))
-    cfg["train"]["mode"] = "paired"
-    items = _fresh_items(tiny_corpus)
-    rng = np.random.default_rng(0)
-    for it in items:
-        it.paired_estimate = it.motion + rng.normal(size=it.motion.shape) * 0.05
-    bundle, rows = train(items, cfg)
-    assert len(rows) == cfg["train"]["epochs"]
-
-
 def test_ema_definition():
     vals = [10.0, 10.0, 10.0]
     out = _ema(vals, window=10)
@@ -299,8 +278,7 @@ def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
         return xh[0], lgt[0]
 
     for s in (0, 7, 14, 21, 28):  # one window at a time, blended as refine_sequence does
-        with tz.no_grad():
-            out, logits = refine(norm.normalize(y_raw[s : s + win]), denoise_fn, bundle.schedule)
+        out, logits = refine(norm.normalize(y_raw[s : s + win]), denoise_fn, bundle.schedule)
         acc[s : s + win] += tri[:, None] * norm.denormalize(out)
         votes[s : s + win] += tri[:, None] * np.eye(STATE_COUNT)[np.argmax(logits, axis=-1)]
         weight[s : s + win] += tri
@@ -365,8 +343,7 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
         return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
 
     windows = norm.normalize(np.stack([y_raw[s : s + win] for s in starts]))
-    with tz.no_grad():
-        out, logits = refine(windows, denoise_fn, schedule, rng=rng, deterministic=deterministic)
+    out, logits = refine(windows, denoise_fn, schedule, rng=rng, deterministic=deterministic)
     assert rows == [2 * len(starts) * win] * schedule.steps
     acc, votes, weight = np.zeros((T, FRAME_DIM)), np.zeros((T, STATE_COUNT)), np.zeros(T)
     tri = np.minimum(np.arange(1, win + 1), np.arange(win, 0, -1)).astype(np.float64)
