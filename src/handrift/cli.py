@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import HAND_RECIPE, annotator_config_from, load_config
-from .datagen import ScriptSpec, generate_sequence, sample_script
+from .datagen import MIN_SCRIPT_FRAMES, ScriptSpec, generate_sequence, sample_script
 from .errors import CheckpointError, ConfigError, HandriftError, InputError, TrainingDivergedError
 from .hand import build_hand_model
 from .metrics import EvalReport
@@ -90,9 +90,28 @@ ABLATIONS = {
 }
 
 
+def _override_kind(value, default) -> str | None:
+    """What a spec override must be to replace its ``ScriptSpec`` default, or None if it is."""
+    if isinstance(default, np.ndarray):
+        try:
+            arr = np.asarray(value)
+            fits = arr.dtype.kind in "iuf" and arr.shape == default.shape and np.isfinite(arr).all()
+        except ValueError:  # a ragged list
+            fits = False
+        if not fits:
+            return f"a list of shape {list(default.shape)} of finite numbers"
+    elif isinstance(default, int):
+        if type(value) is not int:
+            return "an integer"
+    elif type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+        return "a finite number"
+    return None
+
+
 def _read_spec(path: Path) -> tuple[dict, int, dict]:
     """(spec, frames, overrides) of a spec file holding a JSON object with an integer
-    ``frames`` and ``overrides`` of ``ScriptSpec`` fields; InputError otherwise."""
+    ``frames`` of at least ``MIN_SCRIPT_FRAMES`` and ``overrides`` of ``ScriptSpec``
+    fields, each of its default's kind and shape; InputError otherwise."""
     try:
         spec = json.loads(path.read_text())
     except json.JSONDecodeError as e:
@@ -102,11 +121,18 @@ def _read_spec(path: Path) -> tuple[dict, int, dict]:
     frames, overrides = spec.get("frames", 16), spec.get("overrides", {})
     if type(frames) is not int:
         raise InputError(f"spec 'frames' must be an integer, got {frames!r}")
+    if frames < MIN_SCRIPT_FRAMES:
+        raise InputError(f"spec 'frames' must be at least {MIN_SCRIPT_FRAMES}, got {frames}")
     if not isinstance(overrides, dict):
         raise InputError("spec 'overrides' must be a JSON object")
     unknown = sorted(set(overrides) - {f.name for f in fields(ScriptSpec)})
     if unknown:
         raise InputError(f"unknown spec override '{unknown[0]}'")
+    defaults = ScriptSpec()
+    for name, value in overrides.items():
+        kind = _override_kind(value, getattr(defaults, name))
+        if kind is not None:
+            raise InputError(f"spec override '{name}' must be {kind}, got {value!r}")
     return spec, frames, overrides
 
 

@@ -67,7 +67,6 @@ DEFAULTS: dict = {
     # JSON round trip: tuple fields become lists, as in a user file
     **{name: json.loads(json.dumps(asdict(cls()))) for name, cls in SECTIONS.items()},
     "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
-    "sequence_constant_beta": False,
 }
 HAND_RECIPE = json.loads(json.dumps(asdict(HandModelConfig())))  # as checkpoints stored it under "hand"
 
@@ -123,7 +122,8 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
     """Raise ConfigError unless ``cfg`` has every key of the defaults, of its JSON kind.
 
     Keys the defaults lack are allowed, so checkpoints written before a key
-    was removed still load; a stored ``hand`` section must be the fixed recipe.
+    was removed still load; a stored ``hand`` section must be the fixed recipe,
+    and a removed switch must be off, as what it switched on is gone.
     """
     for k, default in defaults.items():
         if k not in cfg:
@@ -144,6 +144,8 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
     if defaults is DEFAULTS:  # the whole config, not a section of it
         if cfg.get("hand", HAND_RECIPE) != HAND_RECIPE:
             raise ConfigError(f"{what} 'hand' differs from the fixed hand recipe")
+        if cfg.get("sequence_constant_beta", False):
+            raise ConfigError(f"{what} sets the removed key 'sequence_constant_beta' to true")
 
 
 def default_config(preset: str = "desk") -> dict:

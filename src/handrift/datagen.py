@@ -78,10 +78,13 @@ class ScriptSpec:
             raise ContractError("release needs >= 2 frames to depart (or 0 to stay grasping)")
 
 
+MIN_SCRIPT_FRAMES = 14  # the shortest length every phase of a randomized script fits in
+
+
 def sample_script(stream: RandomStream, total_frames: int = 16) -> ScriptSpec:
     """Randomized but feasible interaction script with the given length."""
-    if total_frames < 14:
-        raise ContractError(f"randomized scripts need >= 14 frames, got {total_frames}")
+    if total_frames < MIN_SCRIPT_FRAMES:
+        raise ContractError(f"randomized scripts need >= {MIN_SCRIPT_FRAMES} frames, got {total_frames}")
     free = int(stream.integers(0, 2))
     reach = int(stream.integers(5, 6))
     grasp = int(stream.integers(2, 4))
@@ -324,11 +327,6 @@ def gaussian_smooth(x: np.ndarray, sigma_frames: float) -> np.ndarray:
     for c in range(x.shape[1]):
         out[:, c] = np.convolve(padded[:, c], kernel, mode="valid")
     return out
-
-
-def smoothfilter_baseline(y: np.ndarray, sigma_frames: float = 1.0) -> np.ndarray:
-    """Heuristic refinement baseline: low-pass the estimates and stop."""
-    return gaussian_smooth(y, sigma_frames)
 
 
 def constant_accel_penalty(seq) -> tz.Tensor:

@@ -207,9 +207,6 @@ class Denoiser:
         return {name: Tensor(init(stream), requires_grad=True, name=name)
                 for name, _, init in _param_spec(self.cfg)}
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
-
     # -- building blocks ---------------------------------------------------
 
     # Constants enter the body as bare arrays, always on an operator's right
@@ -398,16 +395,6 @@ class Denoiser:
         h = self._ln("dec_ln", h)
         x_hat = self._check(self._lin("head_pose", h), "pose head")
         return x_hat, self._check(self._lin("head_state", h), "state head")
-
-    def forward_teacher(self, x_n_norm, y_norm, n, teacher_pose_norm, teacher_labels):
-        """Teacher-forced pass for training.
-
-        ``teacher_pose_norm`` (B,T,D) is the clean motion in normalized
-        coordinates; ``teacher_labels`` (B,T) int states. Returns
-        (x_hat (B,T,D), state_logits (B,T,S)) tensors with graph.
-        """
-        cond = self.encode(x_n_norm, y_norm, n)
-        return self.decode_teacher(cond, teacher_pose_norm, teacher_labels)
 
     def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None,
                      total_steps: int | None = None, y_code=None):

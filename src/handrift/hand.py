@@ -4,11 +4,12 @@ The skeleton is a 21-joint tree (wrist + 5 fingers x mcp/pip/dip/tip); the 15
 non-tip finger joints carry axis-angle pose parameters. Shape coefficients
 scale bone lengths through a fixed seeded basis. The mesh is a deterministic
 set of capsule rings strung along the bones, rigged by linear blend skinning
-with one joint per ring, which keeps the joint regressor exact under
-articulation. Forward kinematics runs in plain numpy, one tree level (five
-joints) at a time; when an input needs a gradient (the training loss's joint
-term) the same four levels run in autodiff tensor ops, so joint positions
-are differentiable w.r.t. pose and shape.
+with one joint per ring, so whole rings move rigidly: each joint stays the
+center of the rings that start at it (a tip, of its cap ring). Forward
+kinematics runs in plain numpy, one tree level (five joints) at a time; when
+an input needs a gradient (the training loss's joint term) the same four
+levels run in autodiff tensor ops, so joint positions are differentiable
+w.r.t. pose and shape.
 
 A run can use only the default recipe, so ``build_hand_model`` builds that
 model once per process and hands every caller the same instance; its arrays
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import InputError, ShapeError
+from .errors import InputError
 from .rng import RandomStream
 from .tensor import Tensor
 
@@ -77,7 +78,7 @@ REST_OFFSETS[1:] = REST_POSITIONS[1:] - REST_POSITIONS[PARENTS[1:]]
 
 @dataclass(frozen=True)
 class HandModelConfig:
-    """Deterministic recipe for the mesh, shape basis and regressor."""
+    """Deterministic recipe for the mesh and shape basis."""
 
     seed: int = 2024
     ring_verts: int = 2
@@ -102,7 +103,6 @@ class HandModel:
     vert_radial: np.ndarray           # (V,3) static radial offset, mm
     vert_attach: np.ndarray           # (V,) skinning joint (weight 1)
     ring_slices: tuple                # (start, stop) vertex range of each ring
-    regressor: np.ndarray             # (21,V), rows non-negative, sum to 1
     adjacency_norm: np.ndarray        # (V,V) row-normalized (A+I) for mesh conv
 
     @property
@@ -177,31 +177,19 @@ def _build_hand_model(cfg: HandModelConfig) -> HandModel:
         ring_slices.append((cursor, cursor + m))
         cursor += m
 
-    vert_parent = np.array(vp)
-    vert_child = np.array(vc)
-    vert_frac = np.array(vf, dtype=float)
-    vert_radial = np.array(vr)
-    vert_attach = np.array(va)
-    V = cursor
-
     model = HandModel(
         config=cfg,
         parents=PARENTS.copy(),
         rest_offsets=REST_OFFSETS.copy(),
         shape_basis=basis,
-        vert_parent=vert_parent,
-        vert_child=vert_child,
-        vert_frac=vert_frac,
-        vert_radial=vert_radial,
-        vert_attach=vert_attach,
+        vert_parent=np.array(vp),
+        vert_child=np.array(vc),
+        vert_frac=np.array(vf, dtype=float),
+        vert_radial=np.array(vr),
+        vert_attach=np.array(va),
         ring_slices=tuple(ring_slices),
-        regressor=np.zeros((JOINT_COUNT, V)),
-        adjacency_norm=np.zeros((V, V)),
+        adjacency_norm=_build_adjacency(ring_slices, rings),
     )
-    H = _fit_regressor(model, rings)
-    A = _build_adjacency(model, rings)
-    model.regressor[:] = H
-    model.adjacency_norm[:] = A
     for f in fields(model):
         value = getattr(model, f.name)
         if isinstance(value, np.ndarray):
@@ -209,40 +197,8 @@ def _build_hand_model(cfg: HandModelConfig) -> HandModel:
     return model
 
 
-def _fit_regressor(model: HandModel, rings) -> np.ndarray:
-    """Least-squares fit of each joint onto co-located ring centers.
-
-    Candidate rings for a joint are those whose center coincides with it at
-    rest (bone-start rings of its child bones, tip caps, the wrist base
-    ring). Fitted coefficients are clamped non-negative, renormalized to sum
-    one, and spread uniformly over each ring's vertices, which keeps the
-    regression exact under articulation because whole rings move rigidly.
-    """
-    V = model.vertex_count
-    rest = rest_joints(model, np.zeros(10))
-    centers = []
-    for (parent, child, f, _r, _m) in rings:
-        centers.append((1 - f) * rest[parent] + f * rest[child])
-    centers = np.array(centers)
-
-    H = np.zeros((JOINT_COUNT, V))
-    for j in range(JOINT_COUNT):
-        cand = [i for i, c in enumerate(centers) if np.linalg.norm(c - rest[j]) < 1e-9]
-        if not cand:
-            raise InputError(f"no ring covers joint {j}; template config is degenerate")
-        A = np.vstack([centers[cand].T, np.ones(len(cand))])
-        b = np.append(rest[j], 1.0)
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        coef = np.maximum(coef, 0.0)
-        coef = coef / coef.sum()
-        for weight, ridx in zip(coef, cand):
-            start, stop = model.ring_slices[ridx]
-            H[j, start:stop] += weight / (stop - start)
-    return H
-
-
-def _build_adjacency(model: HandModel, rings) -> np.ndarray:
-    V = model.vertex_count
+def _build_adjacency(ring_slices, rings) -> np.ndarray:
+    V = ring_slices[-1][1]
     A = np.zeros((V, V))
 
     def link(i, k):
@@ -250,16 +206,15 @@ def _build_adjacency(model: HandModel, rings) -> np.ndarray:
         A[k, i] = 1.0
 
     def link_rings(r1, r2):
-        s1, e1 = model.ring_slices[r1]
-        s2, e2 = model.ring_slices[r2]
-        m = min(e1 - s1, e2 - s2)
+        s1, e1 = ring_slices[r1]
+        s2, e2 = ring_slices[r2]
         for k in range(max(e1 - s1, e2 - s2)):
             link(s1 + k % (e1 - s1), s2 + k % (e2 - s2))
 
     by_bone: dict[tuple, list] = {}
     wrist_ring = None
     for idx, (parent, child, f, _r, _m) in enumerate(rings):
-        s, e = model.ring_slices[idx]
+        s, e = ring_slices[idx]
         n = e - s
         for k in range(n):  # within-ring cycle
             if n > 1:
@@ -283,51 +238,6 @@ def _build_adjacency(model: HandModel, rings) -> np.ndarray:
 
     np.fill_diagonal(A, A.diagonal() + 1.0)
     return A / A.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# pose container
-
-
-def wrap_axis_angle(v: np.ndarray) -> np.ndarray:
-    """Wrap axis-angle vectors so the rotation magnitude lies in [0, pi]."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
-    wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    factor = np.where(theta > 1e-12, wrapped / np.where(theta > 1e-12, theta, 1.0), 1.0)
-    return v * factor
-
-
-@dataclass
-class HandPose:
-    root_orient: np.ndarray
-    theta: np.ndarray                 # (15,3)
-    beta: np.ndarray                  # (10,)
-    root_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.root_orient = np.asarray(self.root_orient, dtype=float).reshape(3)
-        self.theta = np.asarray(self.theta, dtype=float).reshape(15, 3)
-        self.beta = np.asarray(self.beta, dtype=float).reshape(10)
-        self.root_translation = np.asarray(self.root_translation, dtype=float).reshape(3)
-        for arr, what in ((self.root_orient, "root_orient"), (self.theta, "theta"),
-                          (self.beta, "beta"), (self.root_translation, "root_translation")):
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"non-finite values in {what}")
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "HandPose":
-        """Build from a 61-float frame; axis-angle blocks are canonicalized."""
-        v = np.asarray(v, dtype=float).reshape(61)
-        return cls(
-            root_orient=wrap_axis_angle(v[0:3]),
-            theta=wrap_axis_angle(v[3:48].reshape(15, 3)),
-            beta=v[48:58],
-            root_translation=v[58:61],
-        )
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.root_orient, self.theta.reshape(45), self.beta, self.root_translation])
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +320,6 @@ def _so3_exp_one(x: float, y: float, z: float) -> np.ndarray | None:
     return np.array([[1.0 - cos_c * (yy + zz), cxy - sz, cxz + sy],
                      [cxy + sz, 1.0 - cos_c * (xx + zz), cyz - sx],
                      [cxz - sy, cyz + sx, 1.0 - cos_c * (xx + yy)]])
-
-
-def so3_log(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix -> axis-angle with |result| <= pi (numpy helper)."""
-    R = np.asarray(R, dtype=float)
-    cos_t = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_t)
-    if theta < 1e-10:
-        return np.zeros(3)
-    if np.pi - theta < 1e-6:
-        # near pi: extract the axis from the symmetric part
-        M = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diagonal(M), 0.0))
-        axis = axis / np.linalg.norm(axis)
-        col = np.argmax(np.abs(axis))
-        signs = np.sign(M[:, col] / np.where(axis[col] == 0, 1, axis[col]))
-        signs[signs == 0] = 1.0
-        axis = axis * signs * np.sign(axis[col])
-        return axis * theta
-    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return v * theta / (2.0 * np.sin(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +416,6 @@ def _fk_tensor(root_orient, theta, beta, trans, model: HandModel):
     return tz.reshape(joints, lead + (JOINT_COUNT, 3)), tz.reshape(rots, lead + (JOINT_COUNT, 3, 3))
 
 
-def forward_kinematics(pose: HandPose, model: HandModel) -> np.ndarray:
-    """Joint positions (21,3) in mm for a single pose."""
-    joints, _ = fk_transforms(pose.root_orient, pose.theta, pose.beta, pose.root_translation, model)
-    return joints
-
-
 def rest_joints(model: HandModel, beta) -> np.ndarray:
     """Shaped rest skeleton (beta-scaled bone offsets, identity rotations)."""
     return _rest_skeleton(model, _bone_scales_np(np.asarray(beta, dtype=float), model))
@@ -545,11 +428,6 @@ def _rest_skeleton(model: HandModel, scales: np.ndarray) -> np.ndarray:
     for level in _LEVELS:
         out[..., level, :] = out[..., PARENTS[level], :] + offsets[..., level - 1, :]
     return out
-
-
-def shaped_template(model: HandModel, beta) -> np.ndarray:
-    """Rest-pose mesh vertices for the given shape, (..., V, 3)."""
-    return _template_on(model, rest_joints(model, beta))
 
 
 def _template_on(model: HandModel, rj: np.ndarray) -> np.ndarray:
@@ -579,20 +457,3 @@ def skin_mesh_batch(root_orient, theta, beta, trans, model: HandModel):
     rotated = np.einsum("mvij,mvj->mvi", rots[:, att], centered)
     out = rotated + flat_joints[:, att]
     return out.reshape(lead + (model.vertex_count, 3)), joints
-
-
-def skin_mesh(pose: HandPose, model: HandModel) -> np.ndarray:
-    """Posed mesh vertices (V,3) in mm for a single pose."""
-    verts, _ = skin_mesh_batch(pose.root_orient, pose.theta, pose.beta, pose.root_translation, model)
-    return verts
-
-
-def regress_joints(vertices: np.ndarray, model: HandModel) -> np.ndarray:
-    """Joints as the fixed linear combination H @ vertices, (..., 21, 3)."""
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape[-2] != model.vertex_count:
-        raise ShapeError(
-            f"regress_joints: expected {model.vertex_count} vertices, got {vertices.shape[-2]}"
-        )
-    return model.regressor @ vertices
-

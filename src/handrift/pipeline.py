@@ -161,7 +161,7 @@ def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
         labels = np.argmax(logits, axis=-1)
         for i in group:  # each clip's windows, in the order they were stacked
             n = len(plans[i][2])
-            results[i] = _blend(bundle, plans[i], refined[:n], labels[:n])
+            results[i] = _blend(plans[i], refined[:n], labels[:n])
             refined, labels = refined[n:], labels[n:]
     return results if isinstance(y_raw, list) else results[0]
 
@@ -181,11 +181,11 @@ def _windows(bundle: RefineBundle, y_raw: np.ndarray):
     return y_raw, win, starts
 
 
-def _blend(bundle: RefineBundle, plan, refined: np.ndarray, labels: np.ndarray):
+def _blend(plan, refined: np.ndarray, labels: np.ndarray):
     """Cross-fade one clip's refined windows and state votes: (refined (T,61), StateTrack)."""
     y_raw, win, starts = plan
     if len(starts) == 1:
-        return _finalize_shape(bundle, refined[0]), StateTrack(labels=labels[0])
+        return refined[0], StateTrack(labels=labels[0])
     T = y_raw.shape[0]
     acc = np.zeros((T, FRAME_DIM))
     votes = np.zeros((T, STATE_COUNT))
@@ -195,16 +195,7 @@ def _blend(bundle: RefineBundle, plan, refined: np.ndarray, labels: np.ndarray):
         acc[s : s + win] += tri[:, None] * window
         votes[s : s + win, :] += tri[:, None] * np.eye(STATE_COUNT)[window_labels]
         weight[s : s + win] += tri
-    refined_full = acc / weight[:, None]
-    return _finalize_shape(bundle, refined_full), StateTrack(labels=np.argmax(votes, axis=-1))
-
-
-def _finalize_shape(bundle: RefineBundle, refined: np.ndarray) -> np.ndarray:
-    """Collapse shape channels to their sequence mean when configured so."""
-    if bundle.config.get("sequence_constant_beta", False):
-        refined = refined.copy()
-        refined[:, 48:58] = refined[:, 48:58].mean(axis=0)
-    return refined
+    return acc / weight[:, None], StateTrack(labels=np.argmax(votes, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,14 @@
 
 The graph is built implicitly: every operation whose inputs require gradients
 records a backward closure and parent links on its output. ``trace`` walks
-those links into an explicit topologically ordered :class:`ComputeGraph`,
-and ``backward`` runs the chain rule over it. Everything is single-threaded
-per graph; tensors are treated as immutable once created (only an optimizer
-mutates parameter ``data`` in place between steps).
+those links into a post-order list of nodes, and ``backward`` runs the chain
+rule over it in reverse. Everything is single-threaded per graph; tensors are
+treated as immutable once created (only an optimizer mutates parameter
+``data`` in place between steps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,16 +112,8 @@ def value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-@dataclass
-class ComputeGraph:
-    """Topologically ordered view of the operations reachable from a root."""
-
-    nodes: list  # post-order: parents before children
-    leaves: list  # tensors with requires_grad and no parents
-
-
-def trace(root: Tensor) -> ComputeGraph:
-    """Collect the graph below ``root`` with an iterative post-order walk."""
+def trace(root: Tensor) -> list[Tensor]:
+    """The nodes below ``root`` in post-order (parents before children), by an iterative walk."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -138,11 +129,10 @@ def trace(root: Tensor) -> ComputeGraph:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    leaves = [n for n in order if n.requires_grad and not n._parents]
-    return ComputeGraph(nodes=order, leaves=leaves)
+    return order
 
 
-def backward(loss: Tensor, graph: ComputeGraph | None = None):
+def backward(loss: Tensor):
     """Accumulate dLoss/dLeaf into ``.grad`` of every reachable leaf.
 
     ``loss`` must be scalar (size 1). Gradients add onto any existing
@@ -150,13 +140,10 @@ def backward(loss: Tensor, graph: ComputeGraph | None = None):
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if graph is None:
-        graph = trace(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(graph.nodes):
+    for node in reversed(trace(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    return graph
 
 
 # ---------------------------------------------------------------------------

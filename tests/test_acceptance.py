@@ -14,7 +14,7 @@ import pytest
 
 from handrift.cli import main
 from handrift.config import annotator_config_from, load_config
-from handrift.datagen import perturb, smoothfilter_baseline
+from handrift.datagen import gaussian_smooth, perturb
 from handrift.denoiser import Denoiser, DenoiserConfig
 from handrift.diffusion import forward_sample, make_schedule, refine, reverse_transition
 from handrift.hand import build_hand_model, so3_exp
@@ -255,10 +255,10 @@ def test_denoiser_reads_diffusion_sample(trained_variants, desk_corpus):
                                              channel_scale=norm.std))
                       for i, it in enumerate(items)])
         labels = np.stack([t.labels for t in desk_corpus["test_tracks"]])
-        mse = {}
+        mse, frozen = {}, bundle.denoiser.frozen()
         for n in (1, sched.steps):
             x_n = forward_sample(x, y, n, sched, RandomStream(cfg["seed"], f"x-n-probe-{n}"))
-            x_hat, _ = bundle.denoiser.frozen().forward_teacher(x_n, y, n, x, labels)
+            x_hat, _ = frozen.decode_teacher(frozen.encode(x_n, y, n), x, labels)
             mse[n] = ((x_hat - x) ** 2).mean(axis=(1, 2))
         d = mse[1] - mse[sched.steps]
         ok = ok and d.mean() < -2 * d.std(ddof=1) / np.sqrt(d.size)
@@ -322,7 +322,7 @@ def test_criterion_7_baseline_sanity(trained_variants, desk_corpus, variant_metr
     for i, item in enumerate(desk_corpus["test"][:50]):
         stream = RandomStream(cfg["seed"], f"train-eval-perturb-{i}")
         y = perturb(item.motion, tcfg.perturb, stream, channel_scale=norm.std)
-        smoothed = smoothfilter_baseline(y, sigma_frames=1.0)
+        smoothed = gaussian_smooth(y, sigma_frames=1.0)
         gj = motion_to_joints(item.motion, model)
         sm_mje.append(mje(motion_to_joints(smoothed, model), gj))
         sm_accl.append(accl_error(motion_to_joints(smoothed, model), gj))

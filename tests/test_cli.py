@@ -80,7 +80,16 @@ def test_generate_missing_spec_exits_one(tmp_path):
     ("[1, 2]", "must be a JSON object"),
     ('{"frames": "x"}', "spec 'frames' must be an integer, got 'x'"),
     ('{"frames": 16, "overrides": {"nope": 1}}', "unknown spec override 'nope'"),
-], ids=["invalid-json", "not-an-object", "frames-string", "unknown-override"])
+    ('{"frames": 16, "overrides": {"beta": [1]}}',
+     "spec override 'beta' must be a list of shape [10] of finite numbers, got [1]"),
+    ('{"frames": 16, "overrides": {"free_frames": "x"}}',
+     "spec override 'free_frames' must be an integer, got 'x'"),
+    ('{"frames": 16, "overrides": {"retreat_len": null}}',
+     "spec override 'retreat_len' must be a finite number, got None"),
+    ('{"frames": 16, "overrides": {"seed": 1.5}}', "spec override 'seed' must be an integer, got 1.5"),
+    ('{"frames": 2}', "spec 'frames' must be at least 14, got 2"),
+], ids=["invalid-json", "not-an-object", "frames-string", "unknown-override", "beta-shape",
+        "free-frames-string", "retreat-len-null", "seed-float", "frames-below-floor"])
 def test_generate_bad_spec_exits_one(tmp_path, capsys, text, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(text)
@@ -128,6 +137,7 @@ def test_train_holdout_must_leave_training_data(tmp_path, workspace, capsys):
 @pytest.mark.parametrize("edit, message", [
     (lambda c: {**c, "hand": {"seed": 5}}, "unknown config key 'hand'"),
     (lambda c: {**c, "smoothfilter_sigma": 1.0}, "unknown config key 'smoothfilter_sigma'"),
+    (lambda c: {**c, "sequence_constant_beta": False}, "unknown config key 'sequence_constant_beta'"),
     (lambda c: {**c, "denoiser": {**c["denoiser"], "state_classes": 5}},
      "unknown config key 'denoiser.state_classes'"),
     (lambda c: {**c, "denoiser": {**c["denoiser"], "max_frames": 256}},
@@ -146,9 +156,9 @@ def test_train_holdout_must_leave_training_data(tmp_path, workspace, capsys):
      "config 'train.batch_size' must be a positive integer, got 0"),
     (lambda c: {**c, "schedule": {**c["schedule"], "steps": 2.5}},
      "config 'schedule.steps' must be an integer, got 2.5"),
-], ids=["hand", "smoothfilter-sigma", "state-classes", "max-frames", "epochs-string",
-        "noise-std-list", "frames-zero", "frames-float", "epochs-float", "width-float",
-        "batch-size-zero", "steps-float"])
+], ids=["hand", "smoothfilter-sigma", "sequence-constant-beta", "state-classes", "max-frames",
+        "epochs-string", "noise-std-list", "frames-zero", "frames-float", "epochs-float",
+        "width-float", "batch-size-zero", "steps-float"])
 def test_train_bad_config_exits_one(tmp_path, workspace, capsys, edit, message):
     """Removed keys are unknown keys, every value must be of its default's kind, and an
     integer setting must hold an integer it can run with."""
@@ -166,7 +176,7 @@ def test_train_checkpoint_reloads(workspace):
 
     bundle = load_bundle(workspace["ckpt"])
     assert bundle.frames == 14
-    assert bundle.denoiser.parameter_count() > 0
+    assert sum(p.size for p in bundle.denoiser.params.values()) > 0
 
 
 def test_train_ablation_flag_recorded(tmp_path, workspace):
@@ -488,6 +498,24 @@ def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, me
                  "--report", str(tmp_path / "r.json")]) == 3
     assert capsys.readouterr().err.count(message) == 2
     assert not out.exists()
+
+
+def test_stored_sequence_constant_beta_is_ignored_off_and_refused_on(tmp_path, workspace, capsys):
+    """The removed key: a stored false refines as if absent; a stored true, whose per-sequence
+    shape averaging is gone, exits 3 naming the key."""
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    ref, off, on = tmp_path / "ref.hmf", tmp_path / "off.hmf", tmp_path / "on.hmf"
+    for value in (False, True):
+        _with_manifest(workspace["ckpt"], tmp_path / f"{value}.ckpt",
+                       _stored_config(lambda c: {**c, "sequence_constant_beta": value}))
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(src), "--out", str(ref)]) == 0
+    assert main(["refine", "--ckpt", str(tmp_path / "False.ckpt"), "--in", str(src), "--out", str(off)]) == 0
+    assert off.read_bytes() == ref.read_bytes()
+    capsys.readouterr()
+    assert main(["refine", "--ckpt", str(tmp_path / "True.ckpt"), "--in", str(src), "--out", str(on)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: checkpoint stored config sets the removed key 'sequence_constant_beta' to true"]
+    assert not on.exists()
 
 
 @pytest.mark.parametrize("channel, message", [

@@ -3,8 +3,7 @@ import pytest
 
 from handrift.config import load_config, annotator_config_from
 from handrift.datagen import (PerturbSpec, ScriptSpec, constant_accel_penalty, gaussian_smooth,
-                              generate_sequence, min_jerk_profile, perturb, sample_script,
-                              smoothfilter_baseline)
+                              generate_sequence, min_jerk_profile, perturb, sample_script)
 from handrift.errors import ContractError
 from handrift.hand import build_hand_model
 from handrift.metrics import accl_error, kin_metric, sta_metric
@@ -196,6 +195,6 @@ def test_smoothfilter_reduces_accl_of_white_noise(model):
     script = sample_script(RandomStream(17, "s"), 16)
     x, _, _ = generate_sequence(script, model)
     y = x + rng.normal(size=x.shape) * np.concatenate([np.full(48, 0.03), np.full(10, 0.05), np.full(3, 2.0)])
-    smoothed = smoothfilter_baseline(y, sigma_frames=1.0)
+    smoothed = gaussian_smooth(y, sigma_frames=1.0)
     xj = motion_to_joints(x, model)
     assert accl_error(motion_to_joints(smoothed, model), xj) < accl_error(motion_to_joints(y, model), xj)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from handrift import hand
 from handrift import tensor as tz
-from handrift.errors import InputError, ShapeError
+from handrift.errors import InputError
 from handrift.tensor import Tensor, backward
 
 
@@ -13,32 +14,28 @@ def model():
 
 
 def random_pose(rng, scale=0.4):
-    return hand.HandPose(
-        root_orient=rng.normal(scale=scale, size=3),
-        theta=rng.normal(scale=scale, size=(15, 3)),
-        beta=rng.normal(scale=0.5, size=10),
-        root_translation=rng.normal(scale=40.0, size=3),
-    )
+    """(root_orient, theta, beta, root_translation) of one random frame."""
+    return (rng.normal(scale=scale, size=3), rng.normal(scale=scale, size=(15, 3)),
+            rng.normal(scale=0.5, size=10), rng.normal(scale=40.0, size=3))
+
+
+ZERO_POSE = (np.zeros(3), np.zeros((15, 3)), np.zeros(10), np.zeros(3))
 
 
 def test_template_defaults(model):
     assert model.vertex_count == 98
     assert model.parents.shape == (21,)
     assert len(hand.ARTICULATED) == 15
-    np.testing.assert_allclose(model.regressor.sum(axis=1), np.ones(21), atol=1e-12)
-    assert model.regressor.min() >= 0.0
 
 
 def test_zero_pose_gives_rest_skeleton(model):
-    pose = hand.HandPose(np.zeros(3), np.zeros((15, 3)), np.zeros(10))
-    joints = hand.forward_kinematics(pose, model)
+    joints = hand.fk_transforms(*ZERO_POSE, model)[0]
     np.testing.assert_allclose(joints, hand.REST_POSITIONS, atol=1e-12)
 
 
 def test_root_rotation_rotates_rest_skeleton(model):
     aa = np.array([0.0, 0.0, np.pi / 2])
-    pose = hand.HandPose(aa, np.zeros((15, 3)), np.zeros(10))
-    joints = hand.forward_kinematics(pose, model)
+    joints = hand.fk_transforms(aa, *ZERO_POSE[1:], model)[0]
     R = hand.so3_exp(aa)
     np.testing.assert_allclose(joints, hand.REST_POSITIONS @ R.T, atol=1e-9)
 
@@ -47,8 +44,8 @@ def test_bone_lengths_scale_with_shape(model):
     rng = np.random.default_rng(0)
     for _ in range(20):
         pose = random_pose(rng)
-        joints = hand.forward_kinematics(pose, model)
-        scales = hand.bone_scales(pose.beta, model).data
+        joints = hand.fk_transforms(*pose, model)[0]
+        scales = hand.bone_scales(pose[2], model).data
         for j in range(1, 21):
             length = np.linalg.norm(joints[j] - joints[model.parents[j]])
             expect = np.linalg.norm(model.rest_offsets[j]) * scales[j - 1]
@@ -58,98 +55,60 @@ def test_bone_lengths_scale_with_shape(model):
 def test_fk_equivariance_under_global_rotation(model):
     rng = np.random.default_rng(1)
     for _ in range(10):
-        pose = random_pose(rng)
+        root_orient, theta, beta, trans = random_pose(rng)
         aa = rng.normal(scale=0.8, size=3)
         R = hand.so3_exp(aa)
-        rotated = hand.HandPose(
-            root_orient=hand.so3_log(hand.so3_exp(aa) @ hand.so3_exp(pose.root_orient)),
-            theta=pose.theta,
-            beta=pose.beta,
-            root_translation=R @ pose.root_translation,
-        )
-        j1 = hand.forward_kinematics(rotated, model)
-        j2 = hand.forward_kinematics(pose, model) @ R.T
+        rotated_root = (Rotation.from_rotvec(aa) * Rotation.from_rotvec(root_orient)).as_rotvec()
+        j1 = hand.fk_transforms(rotated_root, theta, beta, R @ trans, model)[0]
+        j2 = hand.fk_transforms(root_orient, theta, beta, trans, model)[0] @ R.T
         np.testing.assert_allclose(j1, j2, atol=1e-9)
 
 
 def test_zero_pose_mesh_is_translated_template(model):
     t = np.array([5.0, -7.0, 11.0])
-    pose = hand.HandPose(np.zeros(3), np.zeros((15, 3)), np.zeros(10), t)
-    verts = hand.skin_mesh(pose, model)
-    np.testing.assert_allclose(verts, hand.shaped_template(model, np.zeros(10)) + t, atol=1e-9)
+    verts = hand.skin_mesh_batch(*ZERO_POSE[:3], t, model)[0]
+    template = hand.skin_mesh_batch(*ZERO_POSE, model)[0]
+    np.testing.assert_allclose(verts, template + t, atol=1e-9)
 
 
 def test_rigid_root_rotation_rotates_template(model):
     aa = np.array([0.3, -0.2, 0.9])
-    pose = hand.HandPose(aa, np.zeros((15, 3)), np.zeros(10))
-    verts = hand.skin_mesh(pose, model)
+    verts = hand.skin_mesh_batch(aa, *ZERO_POSE[1:], model)[0]
     R = hand.so3_exp(aa)
-    np.testing.assert_allclose(verts, hand.shaped_template(model, np.zeros(10)) @ R.T, atol=1e-9)
+    template = hand.skin_mesh_batch(*ZERO_POSE, model)[0]
+    np.testing.assert_allclose(verts, template @ R.T, atol=1e-9)
 
 
-def test_regressor_reproduces_fk_joints_on_random_poses(model):
+def test_rings_centered_on_a_joint_at_rest_stay_centered_on_its_fk_joint(model):
+    """The vertex mean of the rings centered on a joint at rest (the bone-start rings
+    it owns, and a tip's cap ring) is that joint's FK position under any pose."""
+    start, cap = model.vert_frac == 0.0, model.vert_frac == 1.0
+    rings_at = [np.flatnonzero((start & (model.vert_parent == j)) | (cap & (model.vert_child == j)))
+                for j in range(21)]
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(100):
-        pose = random_pose(rng)
-        joints = hand.forward_kinematics(pose, model)
-        reg = hand.regress_joints(hand.skin_mesh(pose, model), model)
-        worst = max(worst, np.abs(reg - joints).max())
-    assert worst < 0.5  # mm
-
-
-def test_regressor_rest_residual(model):
-    rest = hand.shaped_template(model, np.zeros(10))
-    reg = hand.regress_joints(rest, model)
-    assert np.abs(reg - hand.REST_POSITIONS).max() < 0.5
-
-
-def test_regress_joints_linear_and_translation_equivariant(model):
-    rng = np.random.default_rng(3)
-    verts = rng.normal(size=(model.vertex_count, 3)) * 30
-    np.testing.assert_allclose(
-        hand.regress_joints(np.zeros((model.vertex_count, 3)), model), np.zeros((21, 3)), atol=1e-12
-    )
-    c = np.array([4.0, 5.0, -6.0])
-    np.testing.assert_allclose(
-        hand.regress_joints(verts + c, model), hand.regress_joints(verts, model) + c, atol=1e-9
-    )
-
-
-def test_regress_joints_shape_check(model):
-    with pytest.raises(ShapeError):
-        hand.regress_joints(np.zeros((7, 3)), model)
+        verts, joints = hand.skin_mesh_batch(*random_pose(rng), model)
+        centers = np.stack([verts[idx].mean(axis=0) for idx in rings_at])
+        worst = max(worst, np.abs(centers - joints).max())
+    assert worst < 1e-9  # mm
 
 
 def test_fk_rejects_nonfinite(model):
     with pytest.raises(InputError):
         hand.fk_transforms(np.array([np.nan, 0, 0]), np.zeros((15, 3)), np.zeros(10), np.zeros(3), model)
     with pytest.raises(InputError):
-        hand.HandPose(np.zeros(3), np.full((15, 3), np.inf), np.zeros(10))
-
-
-def test_pose_vector_roundtrip_and_canonicalization():
-    rng = np.random.default_rng(4)
-    v = rng.normal(size=61)
-    v[0:3] = np.array([2.5, 0, 0]) * 3.0  # |aa| = 7.5 > pi, must wrap
-    pose = hand.HandPose.from_vector(v)
-    assert np.linalg.norm(pose.root_orient) <= np.pi + 1e-12
-    R1 = hand.so3_exp(v[0:3])
-    R2 = hand.so3_exp(pose.root_orient)
-    np.testing.assert_allclose(R1, R2, atol=1e-9)
-    v2 = pose.to_vector()
-    assert v2.shape == (61,)
-    np.testing.assert_allclose(v2[48:58], v[48:58])
+        hand.fk_transforms(np.zeros(3), np.full((15, 3), np.inf), np.zeros(10), np.zeros(3), model)
 
 
 def test_fk_gradient_matches_finite_differences(model):
     rng = np.random.default_rng(5)
-    pose = random_pose(rng, scale=0.3)
-    th = Tensor(pose.theta.copy(), requires_grad=True)
-    ro = Tensor(pose.root_orient.copy(), requires_grad=True)
+    root_orient, theta, beta, trans = random_pose(rng, scale=0.3)
+    th = Tensor(theta.copy(), requires_grad=True)
+    ro = Tensor(root_orient.copy(), requires_grad=True)
 
     def build():
-        joints, _ = hand.fk_transforms(ro, th, pose.beta, pose.root_translation, model)
+        joints, _ = hand.fk_transforms(ro, th, beta, trans, model)
         return tz.tsum(joints * joints) * 1e-4  # keep magnitudes FD-friendly
 
     loss = build()
@@ -292,7 +251,7 @@ def test_default_hand_model_is_built_once_and_read_only(model):
     assert hand.build_hand_model() is model
     assert hand.build_hand_model(hand.HandModelConfig()) is model
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 10
+    assert len(arrays) == 9
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.reshape(-1)[0] = 1.0

@@ -31,7 +31,7 @@ def test_static_hand_far_from_object_is_all_free(model):
 def test_frozen_fingers_in_contact_all_stable(model):
     T = 8
     motion = np.zeros((T, FRAME_DIM))
-    joints = hand.forward_kinematics(hand.HandPose(np.zeros(3), np.zeros((15, 3)), np.zeros(10)), model)
+    joints = hand.fk_transforms(np.zeros(3), np.zeros((15, 3)), np.zeros(10), np.zeros(3), model)[0]
     tip = joints[hand.TIP_JOINTS[1]]  # park the object on a fingertip
     obj = ObjectTrack(center=np.tile(tip + [1.0, 0.0, 0.0], (T, 1)))
     track = annotate_states(motion, obj, model)
@@ -264,7 +264,7 @@ def test_statetrack_annotator_contact_consistency(model):
 def test_annotator_palm_center_mode(model):
     T = 8
     motion = np.zeros((T, FRAME_DIM))
-    joints = hand.forward_kinematics(hand.HandPose(np.zeros(3), np.zeros((15, 3)), np.zeros(10)), model)
+    joints = hand.fk_transforms(np.zeros(3), np.zeros((15, 3)), np.zeros(10), np.zeros(3), model)[0]
     palm = joints.mean(axis=0)
     obj = ObjectTrack(center=np.tile(palm + [2.0, 0.0, 0.0], (T, 1)))
     cfg = AnnotatorConfig(use_palm_center=True)

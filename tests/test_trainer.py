@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import handrift
 from handrift import pipeline
 from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
@@ -72,6 +73,7 @@ def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_pat
                "lambda_stability": 1.0, "lambda_const_accel": 1.0, "mode": "model_agnostic"}
     removed_denoiser = {"state_classes": 5, "max_frames": 256}
     old = {**tiny_cfg, "hand": HAND_RECIPE, "smoothfilter_sigma": 1.0,
+           "sequence_constant_beta": False,
            "denoiser": {**tiny_cfg["denoiser"], **removed_denoiser},
            "train": {**tiny_cfg["train"], **removed}}
     normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
@@ -81,6 +83,7 @@ def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_pat
     assert {k: loaded.config["train"][k] for k in removed} == removed
     assert {k: loaded.config["denoiser"][k] for k in removed_denoiser} == removed_denoiser
     assert loaded.config["hand"] == HAND_RECIPE and loaded.config["smoothfilter_sigma"] == 1.0
+    assert loaded.config["sequence_constant_beta"] is False
     assert train_config_from(loaded.config) == train_config_from(tiny_cfg)
     assert denoiser_config_from(loaded.config) == denoiser_config_from(tiny_cfg)
     assert loaded.hand_model.config == HandModelConfig()
@@ -101,8 +104,7 @@ def test_config_surface_is_pinned():
         "denoiser.mesh_scale", "denoiser.mesh_widths", "denoiser.step_features", "denoiser.width",
         "frames", "preset",
         "schedule.eta1", "schedule.kappa", "schedule.power", "schedule.steps",
-        "seed", "sequence_constant_beta",
-        "train.batch_size", "train.constant_accel_baseline", "train.divergence_threshold",
+        "seed", "train.batch_size", "train.constant_accel_baseline", "train.divergence_threshold",
         "train.epochs", "train.eval_subset", "train.lambda_geo", "train.lr",
         "train.lr_decay_epochs", "train.lr_decay_factor",
         "train.perturb.burst_mean", "train.perturb.mask_noise_std", "train.perturb.mask_prob",
@@ -110,6 +112,22 @@ def test_config_surface_is_pinned():
         "train.self_condition_start_epoch", "train.use_kin", "train.use_sta", "train.use_state",
         "train.weight_decay",
     ]
+
+
+def test_public_api_is_pinned():
+    """Every name ``handrift`` exports; adding or removing one is a deliberate change here."""
+    assert sorted(handrift.__all__) == [
+        "AnnotatorConfig", "CorpusItem", "Denoiser", "DenoiserConfig", "DiffusionSchedule",
+        "EvalReport", "HandModel", "HandModelConfig", "MotionState", "Normalizer", "ObjectTrack",
+        "PerturbSpec", "RandomStream", "RefineBundle", "ScriptSpec", "StateTrack", "TrainConfig",
+        "accl_error", "annotate_states", "build_hand_model", "default_config", "f_score",
+        "forward_sample", "generate_sequence", "kin_metric", "kinetics_loss", "load_bundle",
+        "load_config", "make_schedule", "mje", "p_mje", "perturb", "procrustes_align", "refine",
+        "refine_sequence", "reverse_transition", "sample_script", "save_bundle", "sta_metric",
+        "stability_loss", "state_loss", "total_loss", "train",
+    ]
+    for name in handrift.__all__:
+        assert getattr(handrift, name) is not None, name
 
 
 def test_total_loss_oracle_denoiser_is_zero(tiny_cfg, tiny_corpus):
@@ -213,7 +231,7 @@ def test_train_divergence_aborts_with_checkpoint(tiny_cfg, tiny_corpus, tmp_path
         train(_fresh_items(tiny_corpus), cfg, out_ckpt=ckpt)
     assert ckpt.exists()
     bundle = load_bundle(ckpt)  # still loadable
-    assert bundle.denoiser.parameter_count() > 0
+    assert sum(p.size for p in bundle.denoiser.params.values()) > 0
 
 
 def test_checkpoint_stores_normalization_and_config_hash(tiny_cfg, tiny_corpus, tmp_path):
@@ -246,15 +264,6 @@ def test_ema_definition():
     rows = [{"loss": {"total": v}} for v in [5.0, 4.0, 3.0, 2.5]]
     ema = training_loss_ema(rows)
     assert all(b <= a for a, b in zip(ema, ema[1:]))
-
-
-def test_sequence_constant_beta_flag(tiny_cfg, tiny_corpus):
-    cfg = json.loads(json.dumps(tiny_cfg))
-    cfg["sequence_constant_beta"] = True
-    bundle, _ = train(_fresh_items(tiny_corpus), cfg)
-    refined, _ = refine_sequence(bundle, tiny_corpus[0].motion)
-    spread = np.abs(refined[:, 48:58] - refined[0, 48:58]).max()
-    assert spread == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +384,7 @@ def _refine_encoding_y_per_window(bundle, clip, deterministic, rng):
         return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
 
     out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng, deterministic=deterministic)
-    return pipeline._blend(bundle, plan, bundle.normalizer.denormalize(out), np.argmax(logits, axis=-1))
+    return pipeline._blend(plan, bundle.normalizer.denormalize(out), np.argmax(logits, axis=-1))
 
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
