@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import HAND_RECIPE, annotator_config_from, load_config
 from .datagen import MIN_SCRIPT_FRAMES, ScriptSpec, generate_sequence, sample_script
-from .errors import CheckpointError, ConfigError, HandriftError, InputError, TrainingDivergedError
+from .errors import (CheckpointError, ConfigError, ContractError, HandriftError, InputError,
+                     TrainingDivergedError)
 from .hand import build_hand_model
 from .metrics import EvalReport
 from .motionfile import MotionData, read_motion, write_motion
@@ -142,16 +143,25 @@ def cmd_generate(args) -> int:
         print(f"error: spec not found: {args.spec}", file=sys.stderr)
         return EXIT_USAGE
     spec, frames, overrides = _read_spec(spec_path)
+    scripts = []
+    for i in range(max(args.count, 1)):  # with --count 0, script-0's draw is still checked
+        script = sample_script(RandomStream(args.seed, f"script-{i}"), frames)
+        for k, v in overrides.items():
+            setattr(script, k, np.asarray(v) if isinstance(getattr(script, k), np.ndarray) else v)
+        try:
+            script.validate()
+        except ContractError as e:
+            raise InputError(f"spec overrides make script-{i} invalid: {e}") from None
+        if script.total_frames != frames:
+            raise InputError(f"spec overrides make script-{i} {script.total_frames} frames long, "
+                             f"but 'frames' is {frames}")
+        scripts.append(script)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     model = build_hand_model()
     entries = []
-    for i in range(args.count):
-        stream = RandomStream(args.seed, f"script-{i}")
-        script = sample_script(stream, frames)
-        for k, v in overrides.items():
-            setattr(script, k, np.asarray(v) if isinstance(getattr(script, k), np.ndarray) else v)
+    for i, script in enumerate(scripts[: args.count]):
         motion, obj, track = generate_sequence(script, model)
         name = f"seq_{i:04d}.hmf"
         write_motion(out / name, MotionData(

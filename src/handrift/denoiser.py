@@ -34,9 +34,8 @@ The encoder and the teacher body are written once over an op namespace,
 differentiates, or, on the copy ``frozen()`` returns, ``tensor.plain``, the
 same arithmetic on bare arrays for every pass no gradient flows through. Both
 give bitwise-equal values. The row step runs on plain arrays only: a
-Tensor-ops denoiser's ``forward_free`` runs on its ``frozen()`` view. The
-plain copy runs the mesh encoder over blocks of ``MESH_BLOCK`` meshes; the
-Tensor path keeps one block.
+Tensor-ops denoiser's ``forward_free`` runs on its ``frozen()`` view. Both
+run the mesh encoder over blocks of ``MESH_BLOCK`` meshes.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ from .rng import RandomStream
 from .tensor import Tensor
 
 
-# Meshes per graph-convolution pass on the gradient-free path. A block's
-# per-layer (32, 98, 16) arrays take about 400 kB and are reused from the heap,
-# where a 240-mesh pass allocates about 10 MB a call and page-faults it in anew.
+# Meshes per graph-convolution pass. A block's per-layer (32, 98, 16) arrays
+# take about 400 kB and are reused from the heap, where a 256-mesh pass
+# allocates about 3 MB a layer and page-faults it in anew.
 MESH_BLOCK = 32
 
 
@@ -227,18 +226,18 @@ class Denoiser:
     def encode_meshes(self, meshes: np.ndarray):
         """Graph convolutions over template adjacency, mean-pooled: (M,V,3) -> (M,C).
 
-        Without a gradient the meshes go through in blocks of ``MESH_BLOCK``. A
-        mesh's code does not depend on its batch, so the result is bitwise
-        that of one pass.
+        The meshes go through in blocks of ``MESH_BLOCK``. A mesh's code does
+        not depend on its batch, so the codes are bitwise those of one pass;
+        on the Tensor path the weight gradients are summed per block.
         """
         if meshes.shape[-2] != self.hand_model.vertex_count:
             raise ShapeError(
                 f"mesh has {meshes.shape[-2]} vertices, template has {self.hand_model.vertex_count}"
             )
         h = np.asarray(meshes, dtype=np.float64) * self.cfg.mesh_scale
-        if self.ops is tz.plain and len(h) > MESH_BLOCK:
-            return np.concatenate([self._pool_meshes(h[i : i + MESH_BLOCK])
-                                   for i in range(0, len(h), MESH_BLOCK)])
+        if len(h) > MESH_BLOCK:
+            return self.ops.concatenate([self._pool_meshes(h[i : i + MESH_BLOCK])
+                                         for i in range(0, len(h), MESH_BLOCK)])
         return self._pool_meshes(h)
 
     def _pool_meshes(self, h):
@@ -384,11 +383,8 @@ class Denoiser:
             hn = self._ln(f"dec.{i}.ln1", h)
             h = h + self._attend(f"dec.{i}.self", hn, hn, mask, f"decoder layer {i} self")
             q = self._heads(f"dec.{i}.cross.q", self._ln(f"dec.{i}.ln2", h))
-            # These full-length slices are getitem nodes whose backward hands on a C-ordered
-            # gradient. The weight gradients' batch sums round by memory layout, so without
-            # them the trained weights would change in their last digits.
-            k = self._heads(f"dec.{i}.cross.k", memory)[:, :, :T]
-            v = self._heads(f"dec.{i}.cross.v", memory)[:, :, :T]
+            k = self._heads(f"dec.{i}.cross.k", memory)
+            v = self._heads(f"dec.{i}.cross.v", memory)
             h = h + self._mix(f"dec.{i}.cross", q, k, v, mask, f"decoder layer {i} cross")
             h = h + self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", h))
             self._check(h, f"decoder layer {i}")

@@ -416,11 +416,6 @@ def _fk_tensor(root_orient, theta, beta, trans, model: HandModel):
     return tz.reshape(joints, lead + (JOINT_COUNT, 3)), tz.reshape(rots, lead + (JOINT_COUNT, 3, 3))
 
 
-def rest_joints(model: HandModel, beta) -> np.ndarray:
-    """Shaped rest skeleton (beta-scaled bone offsets, identity rotations)."""
-    return _rest_skeleton(model, _bone_scales_np(np.asarray(beta, dtype=float), model))
-
-
 def _rest_skeleton(model: HandModel, scales: np.ndarray) -> np.ndarray:
     """Rest joints (..., 21, 3) from bone scales (..., 20), one tree level at a time."""
     offsets = model.rest_offsets[1:] * scales[..., None]

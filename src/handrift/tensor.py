@@ -3,9 +3,11 @@
 The graph is built implicitly: every operation whose inputs require gradients
 records a backward closure and parent links on its output. ``trace`` walks
 those links into a post-order list of nodes, and ``backward`` runs the chain
-rule over it in reverse. Everything is single-threaded per graph; tensors are
-treated as immutable once created (only an optimizer mutates parameter
-``data`` in place between steps).
+rule over it in reverse, consuming it: each interior node drops its gradient,
+closure and parent links once its closure has run, so a step's graph is freed
+as its backward goes and only leaves keep gradients. Everything is
+single-threaded per graph; tensors are treated as immutable once created (only
+an optimizer mutates parameter ``data`` in place between steps).
 """
 
 from __future__ import annotations
@@ -132,18 +134,32 @@ def trace(root: Tensor) -> list[Tensor]:
     return order
 
 
+_SPENT = object()  # the ``_backward`` of a node an earlier ``backward`` consumed
+
+
 def backward(loss: Tensor):
-    """Accumulate dLoss/dLeaf into ``.grad`` of every reachable leaf.
+    """Accumulate dLoss/dLeaf into ``.grad`` of every reachable leaf, consuming the graph.
 
     ``loss`` must be scalar (size 1). Gradients add onto any existing
-    ``.grad``, so callers zero parameter grads between steps.
+    ``.grad``, so callers zero parameter grads between steps. Once an interior
+    node's closure has run, the node drops its gradient, closure and parent
+    links and is marked spent, so the graph is freed as the walk goes and
+    only leaves keep gradients; every node keeps its ``data``. A graph that
+    reaches a spent node raises ContractError before any gradient flows.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    order = trace(loss)
+    if any(node._backward is _SPENT for node in order):
+        raise ContractError("backward reached a node whose graph an earlier backward consumed")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(trace(loss)):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:  # a leaf or a constant
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _SPENT, ()
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +188,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
         return g
+    g = np.ascontiguousarray(g)  # sums round by memory layout
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -364,6 +381,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: batch dims of {a.data.shape} @ {b.data.shape} do not broadcast") from None
 
     def bw(g):
+        g = np.ascontiguousarray(g)  # the weight gradient's batch sum rounds by memory layout
         if a.requires_grad:
             _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:

@@ -241,14 +241,14 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                         f"loss {comps['total']:.3e} at epoch {epoch} step {step}; "
                         f"kept checkpoint from epoch {epoch - 1}"
                     )
-                opt.zero_grad()
-                backward(loss)
+                backward(loss)  # frees the graph: only the parameters keep gradients
                 grad_norms.append(_global_norm(p.grad for p in den.params.values() if p.grad is not None))
                 try:
                     opt.step()
                 except OptimizerError:
                     save_now(last_good)
                     raise
+                opt.zero_grad()  # this step's gradients go before the next forward pass
                 for k, v in comps.items():
                     comp_sums[k] = comp_sums.get(k, 0.0) + v
 

@@ -9,9 +9,9 @@ the variant on the next run; one retrain takes about 2 min on 2 CPU cores.
 Delete tests/.cache to force retraining.
 """
 
+import ast
 import hashlib
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +81,16 @@ def desk_corpus(desk_model):
     }
 
 
+def sibling_imports(text: str) -> list[str]:
+    """The package modules a module's relative imports name: ``x`` for ``from .x import ...``,
+    ``y`` for ``from . import y``, however the import is wrapped."""
+    names = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names += [node.module] if node.module else [a.name for a in node.names]
+    return names
+
+
 def training_sources_digest() -> str:
     """sha256 over the handrift modules ``trainer`` imports, directly or not."""
     src = Path(handrift.__file__).parent
@@ -89,8 +99,7 @@ def training_sources_digest() -> str:
         name = todo.pop()
         if name not in seen:
             seen.add(name)
-            text = (src / f"{name}.py").read_text()
-            todo += [a or b for a, b in re.findall(r"^from \.(\w*) import (\w+)", text, re.M)]
+            todo += sibling_imports((src / f"{name}.py").read_text())
     digest = hashlib.sha256()
     for name in sorted(seen):
         digest.update(f"{name}.py\n".encode() + (src / f"{name}.py").read_bytes())

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 5-7 share the cached training runs provided by conftest (a run
-with no matching cache trains them, 3-4 min each on 2 CPU cores; afterwards
+with no matching cache trains them, about 2 min each on 2 CPU cores; afterwards
 they load from tests/.cache).
 """
 
@@ -27,7 +27,7 @@ from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
 from handrift.trainer import total_loss, train_config_from, training_loss_ema
 
-from conftest import CACHE, VARIANTS, cache_tag, desk_config
+from conftest import CACHE, VARIANTS, cache_tag, desk_config, sibling_imports
 
 
 def test_model_cache_holds_only_current_models():
@@ -36,6 +36,17 @@ def test_model_cache_holds_only_current_models():
     current = {cache_tag(variant) for variant in VARIANTS}
     stale = sorted(p.name for p in CACHE.glob("*") if p.suffix in (".ckpt", ".log") and p.stem not in current)
     assert not stale, f"{CACHE} holds files of code or configs that are gone: {stale}"
+
+
+def test_cache_key_follows_wrapped_relative_imports():
+    """The cache key's module walk reads relative imports however they are wrapped."""
+    text = ("import numpy as np\n"
+            "from . import tensor as tz, rng\n"
+            "from .hand import (\n    HandModel,\n    skin_mesh_batch,\n)\n"
+            "from .errors import ConfigError\n"
+            "from numpy.linalg import norm\n\n\n"
+            "def late():\n    from .physics import (kinetics_loss,\n                          state_loss)\n")
+    assert sibling_imports(text) == ["tensor", "rng", "hand", "errors", "physics"]
 
 
 def report(criterion, ok: bool, detail: str):

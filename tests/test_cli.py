@@ -88,8 +88,13 @@ def test_generate_missing_spec_exits_one(tmp_path):
      "spec override 'retreat_len' must be a finite number, got None"),
     ('{"frames": 16, "overrides": {"seed": 1.5}}', "spec override 'seed' must be an integer, got 1.5"),
     ('{"frames": 2}', "spec 'frames' must be at least 14, got 2"),
+    ('{"frames": 16, "overrides": {"free_frames": 5}}',
+     "spec overrides make script-0 19 frames long, but 'frames' is 16"),
+    ('{"overrides": {"release_frames": 1}}',
+     "spec overrides make script-0 invalid: release needs >= 2 frames to depart"),
 ], ids=["invalid-json", "not-an-object", "frames-string", "unknown-override", "beta-shape",
-        "free-frames-string", "retreat-len-null", "seed-float", "frames-below-floor"])
+        "free-frames-string", "retreat-len-null", "seed-float", "frames-below-floor",
+        "phases-off-frames", "release-one-frame"])
 def test_generate_bad_spec_exits_one(tmp_path, capsys, text, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(text)
@@ -98,6 +103,27 @@ def test_generate_bad_spec_exits_one(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert message in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_generate_zero_count_still_checks_the_spec_overrides(tmp_path, capsys):
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text('{"frames": 16, "overrides": {"free_frames": 5}}')
+    assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "0",
+                 "--seed", "0"]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_generate_phase_overrides_summing_to_frames(tmp_path):
+    phases = {"free_frames": 1, "reach_frames": 6, "grasp_frames": 4, "manipulate_frames": 3,
+              "release_frames": 4}
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps({"frames": 18, "overrides": phases}))
+    assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "2",
+                 "--seed", "3"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["frames"] == 18
+    for f in sorted(out.glob("*.hmf")):
+        assert read_motion(f).frames.shape[0] == 18
 
 
 def test_train_missing_config_exits_one(tmp_path, workspace, capsys):

@@ -83,14 +83,68 @@ def test_mesh_code_does_not_depend_on_its_batch(toy, hand_model):
 
 @pytest.mark.parametrize("count", [1, 31, 32, 33, 240])
 def test_blocked_mesh_encoder_equals_one_pass(toy, hand_model, monkeypatch, count):
-    """The gradient-free copy encodes meshes in blocks of MESH_BLOCK: bitwise the codes
-    of one pass over all of them, and of the Tensor path, which keeps one block."""
+    """Both paths encode meshes in blocks of MESH_BLOCK: bitwise the codes of one pass
+    over all of them, on the gradient-free copy and the Tensor path alike."""
     meshes = np.random.default_rng(count).normal(size=(count, hand_model.vertex_count, 3)) * 20
     frozen = toy.frozen()
     blocked = frozen.encode_meshes(meshes)
+    np.testing.assert_array_equal(blocked, toy.encode_meshes(meshes).data)
     monkeypatch.setattr(denoiser, "MESH_BLOCK", count)
     np.testing.assert_array_equal(blocked, frozen.encode_meshes(meshes))
     np.testing.assert_array_equal(blocked, toy.encode_meshes(meshes).data)
+
+
+def test_blocked_mesh_encoder_weight_gradients_equal_one_pass(toy, hand_model, monkeypatch):
+    """Blocks sum the mesh weights' gradients block by block: within 1e-12, relative to
+    the largest entry, of the gradients of one pass over all the meshes."""
+    rng = np.random.default_rng(43)
+    meshes = rng.normal(size=(100, hand_model.vertex_count, 3)) * 20
+    weights = Tensor(rng.normal(size=(100, TOY.mesh_widths[-1])))
+    mesh_params = {k: p for k, p in toy.params.items() if k.startswith("mesh.")}
+
+    def gradients():
+        for p in mesh_params.values():
+            p.zero_grad()
+        backward(tz.tsum(toy.encode_meshes(meshes) * weights))
+        return {k: p.grad for k, p in mesh_params.items()}
+
+    blocked = gradients()
+    monkeypatch.setattr(denoiser, "MESH_BLOCK", len(meshes))
+    for name, ref in gradients().items():
+        assert np.abs(blocked[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_weight_gradients_do_not_depend_on_gradient_layout(hand_model, normalizer, monkeypatch):
+    """A full-length slice of the cross-attention keys and values hands their
+    projections a C-ordered gradient where the head split hands a strided one; every
+    teacher-forced parameter gradient is bitwise the same either way."""
+    den = Denoiser(denoiser_config_from(default_config("desk")), hand_model, normalizer,
+                   seed=5, total_steps=4)
+    rng = np.random.default_rng(47)
+    x, y = random_batch(rng, B=4, T=16)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    labels = rng.integers(0, STATE_COUNT, size=(4, 16))
+
+    def gradients():
+        for p in den.params.values():
+            p.zero_grad()
+        x_hat, logits = den.decode_teacher(den.encode(x_n, y, 3), x, labels)
+        diff = x_hat - Tensor(x)
+        backward(tz.tmean(diff * diff) + tz.tmean(logits * logits))
+        return {k: p.grad for k, p in den.params.items()}
+
+    reference = gradients()
+    heads = Denoiser._heads
+
+    def sliced_heads(self, proj, x):
+        out = heads(self, proj, x)
+        return out[:, :, : x.shape[1]] if proj.endswith((".cross.k", ".cross.v")) else out
+
+    monkeypatch.setattr(Denoiser, "_heads", sliced_heads)
+    got = gradients()
+    assert len(reference) == 112 and all(g is not None for g in reference.values())
+    for name, ref in reference.items():
+        np.testing.assert_array_equal(got[name], ref, err_msg=name)
 
 
 def test_encode_meshes_zero_weights_zero_embedding(toy, hand_model):

@@ -198,7 +198,7 @@ def test_rest_joints_match_per_joint_loop(model):
     ref = np.zeros((4, 21, 3))
     for j in range(1, 21):
         ref[:, j] = ref[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
-    np.testing.assert_array_equal(hand.rest_joints(model, beta), ref)
+    np.testing.assert_array_equal(hand._rest_skeleton(model, hand._bone_scales_np(beta, model)), ref)
 
 
 def test_skin_mesh_batch_hands_back_its_fk_joints(model):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,49 @@ def test_backward_constant_wrt_leaf():
     loss = tz.tsum(c * c) + 0.0 * tz.tsum(x)
     backward(loss)
     np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+
+
+def _two_layer_loss(x, w, interior):
+    """sum(tanh(x @ w)^2), appending weakrefs to its interior arrays to ``interior``."""
+    h = tz.tanh(tz.matmul(x, w))
+    interior += [weakref.ref(h.data), weakref.ref(h._parents[0].data)]
+    return tz.tsum(h * h)
+
+
+def test_backward_consumes_the_graph_and_keeps_leaf_gradients():
+    """Interior nodes end with no gradient, closure or parent links and are freed;
+    leaves get the analytic gradients; the loss keeps its value."""
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    interior = []
+    loss = _two_layer_loss(x, w, interior)
+    nodes = [n for n in trace(loss) if n._parents]
+    assert len(nodes) == 4 and all(ref() is not None for ref in interior)
+    value = loss.item()
+    backward(loss)
+    for node in nodes:
+        assert node.grad is None and node._parents == () and node._backward is tz._SPENT
+    del nodes
+    assert all(ref() is None for ref in interior)
+    assert loss.item() == value
+    h = np.tanh(x.data @ w.data)
+    gz = 2.0 * h * (1.0 - h * h)
+    np.testing.assert_allclose(x.grad, gz @ w.data.T, rtol=1e-14)
+    np.testing.assert_allclose(w.grad, x.data.T @ gz, rtol=1e-14)
+
+
+def test_backward_through_a_spent_node_raises_before_any_gradient_flows():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = tz.tanh(x)
+    loss = tz.tsum(h)
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ContractError, match="consumed"):
+        backward(loss)
+    with pytest.raises(ContractError, match="consumed"):
+        backward(tz.tsum(h * 2.0) + tz.tsum(x))
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_trace_topological_and_leaves():

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import handrift
-from handrift import pipeline
+from handrift import pipeline, trainer
+from handrift import tensor as tz
 from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.denoiser import Denoiser
@@ -232,6 +234,38 @@ def test_train_divergence_aborts_with_checkpoint(tiny_cfg, tiny_corpus, tmp_path
     assert ckpt.exists()
     bundle = load_bundle(ckpt)  # still loadable
     assert sum(p.size for p in bundle.denoiser.params.values()) > 0
+
+
+def test_a_training_step_holds_one_graph(monkeypatch):
+    """Two consecutive desk steps of ``train`` under tracemalloc: the second step's
+    peak is at most 1.2 times the first's, so the first step's graph and gradients are
+    gone before the second step builds its own."""
+    model = build_hand_model()
+    items = []
+    for i in range(16):
+        motion, obj, _ = generate_sequence(sample_script(RandomStream(31, f"peak-{i}"), 16), model)
+        items.append(CorpusItem(motion=motion, object_center=obj.center,
+                                contact_threshold=obj.contact_threshold))
+    cfg = load_config(None, {"train": {"epochs": 1, "eval_subset": 0}})
+    peaks = []
+
+    def loss_from_a_fresh_peak(*args, **kwargs):
+        tracemalloc.reset_peak()
+        return total_loss(*args, **kwargs)
+
+    def measured_backward(loss):
+        tz.backward(loss)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(trainer, "total_loss", loss_from_a_fresh_peak)
+    monkeypatch.setattr(trainer, "backward", measured_backward)
+    tracemalloc.start()
+    try:
+        train(items, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    assert peaks[1] <= 1.2 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
 def test_checkpoint_stores_normalization_and_config_hash(tiny_cfg, tiny_corpus, tmp_path):
