@@ -137,7 +137,19 @@ def _read_spec(path: Path) -> tuple[dict, int, dict]:
     return spec, frames, overrides
 
 
+def _check_outputs(*paths):
+    """InputError naming the first output path (None skipped) whose directory does not
+    exist or that is a directory, so a command fails before its work, not when it writes."""
+    for path in (Path(p) for p in paths if p is not None):
+        if not path.parent.is_dir():
+            raise InputError(f"directory not found for output {path}")
+        if path.is_dir():
+            raise InputError(f"output {path} is a directory")
+
+
 def cmd_generate(args) -> int:
+    if args.count < 0:
+        raise InputError(f"--count must be at least 0, got {args.count}")
     spec_path = Path(args.spec)
     if not spec_path.exists():
         print(f"error: spec not found: {args.spec}", file=sys.stderr)
@@ -198,6 +210,7 @@ def load_corpus(directory) -> list:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args.out, args.log)
     if not Path(args.config).exists():
         print(f"error: config not found: {args.config}", file=sys.stderr)
         return EXIT_USAGE
@@ -237,6 +250,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    _check_outputs(args.out)
     for path, what in ((args.ckpt, "checkpoint"), (args.inp, "input motion")):
         if not Path(path).exists():
             print(f"error: {what} not found: {path}", file=sys.stderr)
@@ -275,6 +289,7 @@ def _pair_paths(pred, gt):
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(args.report, args.csv)
     pairs, unmatched = _pair_paths(args.pred, args.gt)
     if unmatched or not pairs:
         print("error: unmatched sequences:", file=sys.stderr)

@@ -2,15 +2,17 @@
 
 Per frame, the meshes of the noisy sample and the conditioning estimate are
 encoded by a shared graph-convolution stack over the fixed template
-adjacency and mean-pooled. Each layer is one ``graph_conv`` op,
-tanh((adjacency @ h) @ W + b), with its own backward pass; it convolves each
-(V,C) mesh on its own, so a mesh's code does not depend on the batch it rides
-in. Together with a sinusoidal step embedding (computed once per ``encode``
-and shared by the encoder tokens and the decoder rows) and temporal
-positional encoding, the codes feed a causal transformer encoder. A
-causal decoder predicts each frame's pose and state logits autoregressively,
-conditioned on the previous frame's pose and a (Gumbel-)sampled state
-embedding: teacher-forced in training, fed back on itself at inference.
+adjacency and mean-pooled. The layers, tanh((adjacency @ h) @ W + b) each, and
+the pool are one ``graph_conv_stack`` op per block of ``MESH_BLOCK`` meshes; in
+training it keeps only the block's meshes and re-runs the layers in its
+backward. It convolves each (V,C) mesh on its own, so a mesh's code does not
+depend on the batch it rides in. Together with a sinusoidal step embedding
+(computed once per ``encode`` and shared by the encoder tokens and the decoder
+rows) and temporal positional encoding, the codes feed a causal transformer
+encoder. A causal decoder predicts each frame's pose and state logits
+autoregressively, conditioned on the previous frame's pose and a
+(Gumbel-)sampled state embedding: teacher-forced in training, fed back on
+itself at inference.
 
 Everything, encoder self-attention included, is causally masked, so decoded
 frame t never depends on inputs after t. That makes free-running decoding
@@ -56,7 +58,8 @@ from .tensor import Tensor
 
 # Meshes per graph-convolution pass. A block's per-layer (32, 98, 16) arrays
 # take about 400 kB and are reused from the heap, where a 256-mesh pass
-# allocates about 3 MB a layer and page-faults it in anew.
+# allocates about 3 MB a layer and page-faults it in anew. A training step's
+# backward re-runs one block's layers at a time.
 MESH_BLOCK = 32
 
 
@@ -242,11 +245,11 @@ class Denoiser:
 
     def _pool_meshes(self, h):
         """The graph-convolution stack and mean-pool over scaled (M,V,3) meshes."""
-        for i in range(len(self.cfg.mesh_widths)):
-            w, b = self.params[f"mesh.{i}.w"], self.params[f"mesh.{i}.b"]
-            h = self.ops.graph_conv(h, self.adjacency, w, b)
-            self._check(h, f"mesh encoder layer {i}")
-        return h.mean(axis=-2)
+        layers = range(len(self.cfg.mesh_widths))
+        return self.ops.graph_conv_stack(h, self.adjacency,
+                                         [self.params[f"mesh.{i}.w"] for i in layers],
+                                         [self.params[f"mesh.{i}.b"] for i in layers],
+                                         lambda out, i: self._check(out, f"mesh encoder layer {i}"))
 
     def embed_step(self, n, total_steps: int):
         """Sinusoidal features of n/N through a 2-layer perceptron; n may be (B,)."""
@@ -421,7 +424,9 @@ class Denoiser:
         The queries carry the 1/sqrt(d) score scale. Each layer writes frame t's
         self-attention keys/values into preallocated (B,H,T,d) buffers; the frame
         attends to their first t+1 rows and to the first t+1 of the memory's
-        cross-attention keys/values, projected once.
+        cross-attention keys/values, projected once. A frame's output is checked
+        for finite values once; a frame that fails is re-run with a check after
+        every layer, so the error names the first layer that went non-finite.
         """
         cfg, p = self.cfg, self.params
         B, T, W = memory.shape
@@ -457,22 +462,29 @@ class Denoiser:
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             return np.matmul(e / e.sum(axis=-1, keepdims=True), v[:, :, : t + 1]).reshape(B, W)
 
-        for t in range(T):
+        def row(t, check):  # frame t through every layer and the heads; check(x, layer) -> x
             h = rows_in[:, t] + (p["start"] if t == 0 else fed @ in_w + p["dec_in.b"])
             for i, (qkv, o, cq, co, f0, f1, cross_k, cross_v, keys, values) in enumerate(layers):
                 x = (norm(h) @ qkv[0] + qkv[1]).reshape(B, 3, H, 1, d)  # q | k | v
                 keys[:, :, t], values[:, :, t] = x[:, 1, :, 0], x[:, 2, :, 0]
                 a = attend(x[:, 0], keys, values, t) @ o[0] + o[1]
-                h = h + self._check(a, f"decoder layer {i} self")
+                h = h + check(a, f"decoder layer {i} self")
                 q = (norm(h) @ cq[0] + cq[1]).reshape(B, H, 1, d)
                 a = attend(q, cross_k, cross_v, t) @ co[0] + co[1]
-                h = h + self._check(a, f"decoder layer {i} cross")
-                h = h + (np.tanh(norm(h) @ f0[0] + f0[1]) @ f1[0] + f1[1])
-                self._check(h, f"decoder layer {i}")
+                h = h + check(a, f"decoder layer {i} cross")
+                h = check(h + (np.tanh(norm(h) @ f0[0] + f0[1]) @ f1[0] + f1[1]), f"decoder layer {i}")
             out = norm(h) @ head_w + head_b
-            x_hat[:, t] = self._check(out[:, :D], "pose head")
-            logits[:, t] = self._check(out[:, D:], "state head")
-            fed[:, :D] = out[:, :D]
-            if self.state_feedback:
-                fed[:, D:] = sample_state(out[:, D:], cfg.gumbel_tau, rng)
+            check(out[:, :D], "pose head")
+            check(out[:, D:], "state head")
+            return out
+
+        with np.errstate(all="ignore"):  # a frame that goes non-finite is named by its checked re-run
+            for t in range(T):
+                out = row(t, lambda x, layer: x)
+                if not np.isfinite(out).all():  # re-run the frame checking every layer, to name the first
+                    row(t, self._check)
+                x_hat[:, t], logits[:, t] = out[:, :D], out[:, D:]
+                fed[:, :D] = out[:, :D]
+                if self.state_feedback:
+                    fed[:, D:] = sample_state(out[:, D:], cfg.gumbel_tau, rng)
         return x_hat, logits

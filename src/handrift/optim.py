@@ -52,16 +52,20 @@ class AdamW:
 
     def step(self):
         """One update, in place and op for op as
-        ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)``."""
+        ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)``.
+
+        Every gradient is checked before any parameter moves: a non-finite one
+        raises OptimizerError naming its parameter and leaves the parameters,
+        moments and step count as they were."""
+        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
+        for name, p in live:
+            if not np.isfinite(p.grad).all():
+                raise OptimizerError(f"non-finite gradient for parameter '{name}'")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
+        for name, p in live:
             g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise OptimizerError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]
             v = self.v[name]
             a, b = self._scratch[name]

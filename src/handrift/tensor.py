@@ -5,9 +5,12 @@ records a backward closure and parent links on its output. ``trace`` walks
 those links into a post-order list of nodes, and ``backward`` runs the chain
 rule over it in reverse, consuming it: each interior node drops its gradient,
 closure and parent links once its closure has run, so a step's graph is freed
-as its backward goes and only leaves keep gradients. Everything is
-single-threaded per graph; tensors are treated as immutable once created (only
-an optimizer mutates parameter ``data`` in place between steps).
+as its backward goes and only leaves keep gradients. The mesh encoder's
+graph-convolution stack is one node (``graph_conv_stack``) that keeps only its
+input meshes and re-runs its layers in its own backward, so their activations
+live only while that node is walked back. Everything is single-threaded per
+graph; tensors are treated as immutable once created (only an optimizer
+mutates parameter ``data`` in place between steps).
 """
 
 from __future__ import annotations
@@ -393,37 +396,66 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def _graph_conv_forward(h: np.ndarray, adjacency: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """(tanh((adjacency @ h) @ w + b), adjacency @ h) for (M,V,C) meshes."""
-    ah = np.matmul(adjacency, h)
-    z = np.matmul(ah, w)
-    z += b
-    return np.tanh(z, out=z), ah
+def _graph_conv_layers(h: np.ndarray, adjacency: np.ndarray, weights, biases):
+    """Yield (adjacency @ h, tanh((adjacency @ h) @ w + b)) of each layer in turn, for (M,V,C) meshes."""
+    for w, b in zip(weights, biases):
+        ah = np.matmul(adjacency, h)
+        z = np.matmul(ah, w)
+        z += b
+        h = np.tanh(z, out=z)
+        yield ah, h
 
 
-def graph_conv(h, adjacency, w, b) -> Tensor:
-    """One graph-convolution layer, ``tanh((adjacency @ h) @ w + b)``, as one node.
+def _graph_conv_stack_forward(h: np.ndarray, adjacency: np.ndarray, weights, biases, check=None):
+    """The layers' last output averaged over the vertices: (M,V,C) -> (M,C'). ``check(out, i)``,
+    if given, sees each layer's output as it is made."""
+    for i, (_, h) in enumerate(_graph_conv_layers(h, adjacency, weights, biases)):
+        if check is not None:
+            check(h, i)
+    return h.mean(axis=-2)
 
-    ``h`` is (M,V,C): each mesh is convolved on its own, so its output does
-    not depend on the batch it rides in. The adjacency is a constant.
+
+def graph_conv_stack(h, adjacency, weights, biases, check=None) -> Tensor:
+    """A graph-convolution stack and its vertex mean as one node: layer i is
+    ``tanh((adjacency @ h) @ weights[i] + biases[i])``, and the (M,V,C) meshes
+    ``h`` pool to (M,C') codes. Each mesh is convolved on its own, so its code
+    does not depend on the batch it rides in.
+
+    The meshes and the adjacency are constants: a Tensor ``h`` that requires a
+    gradient raises ContractError. The node keeps only ``h``; its backward
+    re-runs the layers from it (reading the weights' values at that time) and
+    holds their ``adjacency @ h`` and outputs only while it walks them back,
+    with the arithmetic of the composed layers' backward, op for op. ``check``
+    is as in the forward helper and sees the forward's layers only.
     """
-    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
-    adjacency = value(adjacency)
-    out_data, ah = _graph_conv_forward(h.data, adjacency, w.data, b.data)
+    h = as_tensor(h)
+    if h.requires_grad:
+        raise ContractError("graph_conv_stack: the input meshes are a constant; no gradient flows to them")
+    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    x, adjacency = h.data, value(adjacency)
+    wd, bd = [w.data for w in weights], [b.data for b in biases]
+    out_data = _graph_conv_stack_forward(x, adjacency, wd, bd, check)
+    lowest = next((i for i, (w, b) in enumerate(zip(weights, biases))  # the lowest layer to differentiate
+                   if w.requires_grad or b.requires_grad), None)
 
     def bw(g):
-        gz = out_data * out_data
-        np.subtract(1.0, gz, out=gz)
-        gz *= g
-        gz2 = gz.reshape(-1, gz.shape[-1])
-        if w.requires_grad:
-            _accum(w, ah.reshape(-1, ah.shape[-1]).T @ gz2)
-        if b.requires_grad:  # a GEMV: several times faster than sum(axis=0) down long columns
-            _accum(b, np.ones(len(gz2)) @ gz2)
-        if h.requires_grad:
-            _accum(h, np.matmul(adjacency.T, gz @ w.data.T))
+        layers = list(_graph_conv_layers(x, adjacency, wd, bd))
+        g = np.expand_dims(g, -2) / x.shape[-2]  # the vertex mean's gradient, broadcast below
+        for i in range(len(layers) - 1, lowest - 1, -1):
+            ah, out = layers.pop()
+            gz = out * out
+            np.subtract(1.0, gz, out=gz)
+            gz *= g
+            gz2 = gz.reshape(-1, gz.shape[-1])
+            w, b = weights[i], biases[i]
+            if w.requires_grad:
+                _accum(w, ah.reshape(-1, ah.shape[-1]).T @ gz2)
+            if b.requires_grad:  # a GEMV: several times faster than sum(axis=0) down long columns
+                _accum(b, np.ones(len(gz2)) @ gz2)
+            if i > lowest:
+                g = np.matmul(adjacency.T, gz @ wd[i].T)
 
-    return _make(out_data, (h, w, b), bw)
+    return _make(out_data, (*weights, *biases), bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -592,13 +624,13 @@ def layer_norm(a, eps: float = 1e-8) -> Tensor:
 # the same ops over plain arrays
 
 # Where no gradient flows, a body written over an op namespace (``matmul``,
-# ``graph_conv``, ``tanh``, ``concatenate``, ``softmax``, ``layer_norm``,
+# ``graph_conv_stack``, ``tanh``, ``concatenate``, ``softmax``, ``layer_norm``,
 # ``value``, plus the operators and the ``reshape``/``transpose``/``mean``
 # methods that Tensor and ndarray share) runs on ``plain`` instead of this
 # module: the same forward arithmetic, bitwise, with no Tensor, closure or graph.
 plain = SimpleNamespace(
     matmul=np.matmul,
-    graph_conv=lambda h, adjacency, w, b: _graph_conv_forward(h, adjacency, w, b)[0],
+    graph_conv_stack=_graph_conv_stack_forward,
     tanh=np.tanh,
     concatenate=np.concatenate,
     softmax=_softmax_forward,

@@ -169,8 +169,9 @@ def _ema(values, window=10):
 def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: list | None = None):
     """Run the full loop; returns (bundle, log rows). Writes checkpoint + log.
 
-    On divergence the last end-of-epoch parameters are saved before
-    TrainingDivergedError propagates.
+    On divergence, a loss that is not finite or passes the threshold or a
+    gradient that is not finite, the last end-of-epoch parameters are saved
+    before TrainingDivergedError propagates.
     """
     tcfg = train_config_from(cfg)
     hand_model = build_hand_model()
@@ -245,9 +246,11 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                 grad_norms.append(_global_norm(p.grad for p in den.params.values() if p.grad is not None))
                 try:
                     opt.step()
-                except OptimizerError:
+                except OptimizerError as e:
                     save_now(last_good)
-                    raise
+                    raise TrainingDivergedError(
+                        f"{e} at epoch {epoch} step {step}; kept checkpoint from epoch {epoch - 1}"
+                    ) from None
                 opt.zero_grad()  # this step's gradients go before the next forward pass
                 for k, v in comps.items():
                     comp_sums[k] = comp_sums.get(k, 0.0) + v

@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handrift import svgplot
+from handrift import svgplot, trainer
 from handrift.cli import main
 from handrift.config import HAND_RECIPE, config_hash, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.hand import build_hand_model
 from handrift.motion import Normalizer
 from handrift.motionfile import MotionData, read_motion, write_motion
+from handrift.optim import AdamW
 from handrift.physics import ObjectTrack, hand_object_distance
 from handrift.pipeline import make_bundle, save_bundle
 from handrift.rng import RandomStream
@@ -105,6 +106,15 @@ def test_generate_bad_spec_exits_one(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+def test_generate_negative_count_exits_one(tmp_path, workspace, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "--spec", str(workspace["spec"]), "--out", str(out), "--count", "-1",
+                 "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "--count must be at least 0, got -1" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_generate_zero_count_still_checks_the_spec_overrides(tmp_path, capsys):
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text('{"frames": 16, "overrides": {"free_frames": 5}}')
@@ -195,6 +205,50 @@ def test_train_bad_config_exits_one(tmp_path, workspace, capsys, edit, message):
                  "--out", str(ckpt)]) == 1
     assert message in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_train_non_finite_gradient_exits_two(tmp_path, workspace, capsys, monkeypatch):
+    """A NaN in a parameter's gradient is a divergence: exit 2, naming the parameter
+    and the kept epoch, with the last good checkpoint written."""
+    class PoisonedAdamW(AdamW):
+        def step(self):
+            self.params["mesh.0.w"].grad = self.params["mesh.0.w"].grad * np.nan
+            super().step()
+
+    monkeypatch.setattr(trainer, "AdamW", PoisonedAdamW)
+    ckpt = tmp_path / "x.ckpt"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(workspace["cfg"]),
+                 "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert ("non-finite gradient for parameter 'mesh.0.w' at epoch 0 step 0; "
+            "kept checkpoint from epoch -1") in err
+    assert ckpt.exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("train", "--out"), ("train", "--log"), ("refine", "--out"), ("evaluate", "--report"),
+    ("evaluate", "--csv")])
+def test_output_path_is_checked_before_any_work(tmp_path, workspace, capsys, command, bad):
+    """An output path whose directory does not exist, or that is a directory, is refused
+    up front: exit 1, one line naming the path, and no file written."""
+    out = tmp_path / "written"
+    out.mkdir()
+    src = str(sorted(workspace["corpus"].glob("*.hmf"))[0])
+    argv = {
+        "train": ["train", "--corpus", str(workspace["corpus"]), "--config", str(workspace["cfg"]),
+                  "--out", str(out / "m.ckpt"), "--log", str(out / "train.log")],
+        "refine": ["refine", "--ckpt", str(workspace["ckpt"]), "--in", src, "--out", str(out / "r.hmf")],
+        "evaluate": ["evaluate", "--pred", src, "--gt", src, "--report", str(out / "r.json"),
+                     "--csv", str(out / "rows.csv")],
+    }[command]
+    missing = str(tmp_path / "missing" / "file")
+    for path, message in ((missing, f"directory not found for output {missing}"),
+                          (str(tmp_path), f"output {tmp_path} is a directory")):
+        argv[argv.index(bad) + 1] = path
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert list(out.iterdir()) == [] and not (tmp_path / "missing").exists()
 
 
 def test_train_checkpoint_reloads(workspace):

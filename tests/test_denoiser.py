@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from handrift.motion import FRAME_DIM, Normalizer
 from handrift.optim import AdamW
 from handrift.physics import STATE_COUNT
 from handrift.rng import RandomStream
-from handrift.tensor import Tensor, backward
+from handrift.tensor import Tensor, backward, trace
 
 TOY = DenoiserConfig(layers=1, heads=2, width=16, mesh_widths=(4, 6), step_features=8,
                      ffn_multiplier=2)
@@ -112,6 +113,30 @@ def test_blocked_mesh_encoder_weight_gradients_equal_one_pass(toy, hand_model, m
     monkeypatch.setattr(denoiser, "MESH_BLOCK", len(meshes))
     for name, ref in gradients().items():
         assert np.abs(blocked[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_tensor_mesh_encoder_keeps_only_one_node_per_block(toy, hand_model, monkeypatch):
+    """A Tensor ``encode_meshes`` of 100 meshes builds one node per MESH_BLOCK block,
+    each linked to the mesh weights and biases alone, and none of the (M,V,C) layer
+    arrays its forward or its backward makes stays reachable once that pass returns."""
+    made = []
+    layers = tz._graph_conv_layers
+
+    def recorded(*args):
+        for ah, out in layers(*args):
+            made.extend((weakref.ref(ah), weakref.ref(out)))
+            yield ah, out
+
+    monkeypatch.setattr(tz, "_graph_conv_layers", recorded)
+    meshes = np.random.default_rng(53).normal(size=(100, hand_model.vertex_count, 3)) * 20
+    codes = toy.encode_meshes(meshes)
+    blocks = [node for node in trace(codes) if node._parents and node is not codes]
+    mesh_params = {id(p) for k, p in toy.params.items() if k.startswith("mesh.")}
+    assert len(blocks) == 4 and all({id(p) for p in node._parents} == mesh_params for node in blocks)
+    assert len(made) == 2 * 4 * len(TOY.mesh_widths) and all(ref() is None for ref in made)
+    del blocks
+    backward(tz.tsum(codes))
+    assert len(made) == 4 * 4 * len(TOY.mesh_widths) and all(ref() is None for ref in made)
 
 
 def test_weight_gradients_do_not_depend_on_gradient_layout(hand_model, normalizer, monkeypatch):

@@ -209,46 +209,63 @@ def test_weight_gradient_matches_batched_and_summed_product():
     assert np.abs(w.grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def graph_conv_operands(rng, meshes=3, vertices=5, c_in=2, c_out=4):
-    """(h, adjacency, w, b) with a non-symmetric adjacency, so a transpose slip shows."""
-    return (rng.normal(size=(meshes, vertices, c_in)), rng.uniform(size=(vertices, vertices)) / vertices,
-            rng.normal(size=(c_in, c_out)), rng.normal(size=c_out))
+def graph_conv_operands(rng, meshes=3, vertices=5, widths=(2, 4, 3)):
+    """(h, adjacency, weights, biases) of a stack with a non-symmetric adjacency, so a
+    transpose slip shows."""
+    return (rng.normal(size=(meshes, vertices, widths[0])),
+            rng.uniform(size=(vertices, vertices)) / vertices,
+            [rng.normal(size=io) for io in zip(widths, widths[1:])],
+            [rng.normal(size=c) for c in widths[1:]])
 
 
-def test_graph_conv_gradients_match_finite_differences():
+def test_graph_conv_stack_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
-    h, adjacency, w, b = graph_conv_operands(rng)
-    h, w, b = (Tensor(x, requires_grad=True) for x in (h, w, b))
-    weights = Tensor(rng.normal(size=(3, 5, 4)))
+    h, adjacency, weights, biases = graph_conv_operands(rng)
+    weights = [Tensor(w, requires_grad=True) for w in weights]
+    biases = [Tensor(b, requires_grad=True) for b in biases]
+    pooled_weights = Tensor(rng.normal(size=(3, 3)))
 
     def build():
-        return tz.tsum(tz.graph_conv(h, adjacency, w, b) * weights)
+        return tz.tsum(tz.graph_conv_stack(h, adjacency, weights, biases) * pooled_weights)
 
-    for leaf in (w, b, h):
+    for leaf in weights + biases:
         check_grad(build, leaf)
 
 
-def test_graph_conv_is_the_composed_layer():
-    """Forward bitwise equal to tanh((adjacency @ h) @ w + b) composed from ops, on
-    both namespaces; gradients within 1e-12 of the composed graph's."""
+def test_graph_conv_stack_is_the_composed_stack():
+    """Forward bitwise equal to the tanh((adjacency @ h) @ w + b) layers and the vertex
+    mean composed from ops, on both namespaces; gradients within 1e-12 of the composed
+    graph's."""
     rng = np.random.default_rng(23)
-    h, adjacency, w, b = graph_conv_operands(rng, meshes=4, vertices=7, c_in=3, c_out=5)
-    weights = Tensor(rng.normal(size=(4, 7, 5)))
+    h, adjacency, weights, biases = graph_conv_operands(rng, meshes=4, vertices=7, widths=(3, 5, 6, 4))
+    pooled_weights = Tensor(rng.normal(size=(4, 4)))
 
-    def run(layer):
-        leaves = [Tensor(x, requires_grad=True) for x in (h, w, b)]
-        out = layer(*leaves)
-        backward(tz.tsum(out * weights))
-        return out.data, [leaf.grad for leaf in leaves]
+    def composed(h_, ws, bs):
+        for w, b in zip(ws, bs):
+            h_ = tz.tanh(tz.matmul(tz.matmul(adjacency, h_), w) + b)
+        return tz.tmean(h_, axis=-2)
 
-    fused, fused_grads = run(lambda h_, w_, b_: tz.graph_conv(h_, adjacency, w_, b_))
-    composed, composed_grads = run(lambda h_, w_, b_: tz.tanh(tz.matmul(tz.matmul(adjacency, h_), w_) + b_))
-    np.testing.assert_array_equal(fused, composed)
-    plain = tz.plain.graph_conv(h, adjacency, w, b)
-    np.testing.assert_array_equal(plain, np.tanh(np.matmul(np.matmul(adjacency, h), w) + b))
-    np.testing.assert_array_equal(plain, fused)
-    for got, ref in zip(fused_grads, composed_grads):
+    def run(stack):
+        ws = [Tensor(w, requires_grad=True) for w in weights]
+        bs = [Tensor(b, requires_grad=True) for b in biases]
+        out = stack(h, ws, bs)
+        backward(tz.tsum(out * pooled_weights))
+        return out.data, [leaf.grad for leaf in ws + bs]
+
+    fused, fused_grads = run(lambda h_, ws, bs: tz.graph_conv_stack(h_, adjacency, ws, bs))
+    reference, reference_grads = run(composed)
+    np.testing.assert_array_equal(fused, reference)
+    np.testing.assert_array_equal(tz.plain.graph_conv_stack(h, adjacency, weights, biases), fused)
+    for got, ref in zip(fused_grads, reference_grads):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_graph_conv_stack_refuses_meshes_that_require_a_gradient():
+    rng = np.random.default_rng(29)
+    h, adjacency, weights, biases = graph_conv_operands(rng)
+    with pytest.raises(ContractError, match="input meshes are a constant"):
+        tz.graph_conv_stack(Tensor(h, requires_grad=True), adjacency,
+                            [Tensor(w, requires_grad=True) for w in weights], biases)
 
 
 def test_shared_first_gradient_survives_a_later_backward():
@@ -343,9 +360,11 @@ def test_where_selects_gradient_branch():
 
 _MASK = np.array([[True, False, True]])
 _ADJACENCY = np.random.default_rng(3).uniform(size=(4, 4))
+_MESHES = np.random.default_rng(4).normal(size=(2, 4, 3))
 BINARY_OPS = {  # name -> (op, first operand's shape, second operand's shape)
     "matmul": (tz.matmul, (2, 4, 3), (3, 5)),
-    "graph_conv": (lambda h, w: tz.graph_conv(h, _ADJACENCY, w, np.zeros(5)), (2, 4, 3), (3, 5)),
+    "graph_conv_stack": (lambda w0, w1: tz.graph_conv_stack(_MESHES, _ADJACENCY, [w0, w1],
+                                                            [np.zeros(5), np.zeros(2)]), (3, 5), (5, 2)),
     "add": (tz.add, (2, 3), (1, 3)),
     "sub": (tz.sub, (2, 3), (3,)),
     "mul": (tz.mul, (2, 3), (1, 3)),
@@ -482,11 +501,21 @@ def test_adamw_lr_decay_schedule():
 
 
 def test_adamw_rejects_nonfinite_gradient():
-    p = Tensor(np.zeros(2), requires_grad=True, name="w.bad")
-    opt = AdamW({"w.bad": p}, lr=0.1)
-    p.grad = np.array([1.0, np.nan])
+    """A refused step names the parameter and leaves every parameter, moment and the
+    step count as they were, also those of a parameter checked before it."""
+    good = Tensor(np.ones(2), requires_grad=True, name="w.good")
+    bad = Tensor(np.zeros(2), requires_grad=True, name="w.bad")
+    opt = AdamW({"w.good": good, "w.bad": bad}, lr=0.1)
+    good.grad, bad.grad = np.array([0.5, -1.0]), np.array([1.0, 2.0])
+    opt.step()
+    before = [a.copy() for a in (good.data, bad.data, *opt.m.values(), *opt.v.values())]
+    good.grad, bad.grad = np.array([0.5, -1.0]), np.array([1.0, np.nan])
     with pytest.raises(OptimizerError, match="w.bad"):
         opt.step()
+    after = (good.data, bad.data, *opt.m.values(), *opt.v.values())
+    for got, ref in zip(after, before):
+        np.testing.assert_array_equal(got, ref)
+    assert opt.step_count == 1
 
 
 # ---------------------------------------------------------------------------
