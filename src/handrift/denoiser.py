@@ -211,10 +211,6 @@ class Denoiser:
 
     # -- building blocks ---------------------------------------------------
 
-    # Constants enter the body as bare arrays, always on an operator's right
-    # or inside an ops call, so each op sees a Tensor operand first in
-    # training and plain arrays at inference.
-
     def _lin(self, name, x):
         return self.ops.matmul(x, self.params[f"{name}.w"]) + self.params[f"{name}.b"]
 

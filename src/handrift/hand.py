@@ -6,10 +6,11 @@ scale bone lengths through a fixed seeded basis. The mesh is a deterministic
 set of capsule rings strung along the bones, rigged by linear blend skinning
 with one joint per ring, so whole rings move rigidly: each joint stays the
 center of the rings that start at it (a tip, of its cap ring). Forward
-kinematics runs in plain numpy, one tree level (five joints) at a time; when
-an input needs a gradient (the training loss's joint term) the same four
-levels run in autodiff tensor ops, so joint positions are differentiable
-w.r.t. pose and shape.
+kinematics, the Rodrigues formula and the bone scales are written once over
+an op namespace, one tree level (five joints) at a time: when an input needs
+a gradient (the training loss's joint term) they run on the autodiff
+``tensor`` module, so joint positions are differentiable w.r.t. pose and
+shape; otherwise on ``tensor.plain``, the same arithmetic on bare arrays.
 
 A run can use only the default recipe, so ``build_hand_model`` builds that
 model once per process and hands every caller the same instance; its arrays
@@ -246,39 +247,31 @@ def _build_adjacency(ring_slices, rings) -> np.ndarray:
 _SMALL_ANGLE = 1e-7
 
 
-def rodrigues(w: Tensor) -> Tensor:
-    """Axis-angle (..., 3) -> rotation matrices (..., 3, 3), differentiable.
+def _rodrigues(ops, w):
+    """Axis-angle (..., 3) -> rotation matrices (..., 3, 3) in the op namespace ``ops``.
 
     Below |w| = 1e-7 the sin/cos coefficients switch to their series
     expansions so the 0/0 at the identity never appears in forward or
     backward passes.
     """
-    w = tz.as_tensor(w)
     lead = w.shape[:-1]
-    m = int(np.prod(lead, dtype=np.int64)) if lead else 1
-    w2 = tz.reshape(w, (m, 3))
-
-    s2 = tz.tsum(tz.mul(w2, w2), axis=-1, keepdims=True)          # (m,1)
-    small = s2.data < _SMALL_ANGLE**2
-    s2_safe = tz.where(small, Tensor(np.ones_like(s2.data)), s2)
-    theta = tz.sqrt(s2_safe)
-    sin_c = tz.where(small, 1.0 - s2 * (1.0 / 6.0), tz.div(tz.sin(theta), theta))
-    cos_c = tz.where(small, 0.5 - s2 * (1.0 / 24.0), tz.div(1.0 - tz.cos(theta), s2_safe))
-
-    wx = w2[:, 0:1]
-    wy = w2[:, 1:2]
-    wz = w2[:, 2:3]
-    zero = Tensor(np.zeros((m, 1)))
-    k_flat = tz.concatenate([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=1)
-    K = tz.reshape(k_flat, (m, 3, 3))
-    K2 = tz.matmul(K, K)
-    eye = Tensor(np.broadcast_to(np.eye(3), (m, 3, 3)).copy())
-    R = eye + tz.reshape(sin_c, (m, 1, 1)) * K + tz.reshape(cos_c, (m, 1, 1)) * K2
-    return tz.reshape(R, lead + (3, 3))
+    w2 = w.reshape(-1, 3)
+    m = w2.shape[0]
+    s2 = (w2 * w2).sum(axis=-1, keepdims=True)  # (m,1)
+    small = ops.value(s2) < _SMALL_ANGLE**2
+    s2_safe = ops.where(small, 1.0, s2)
+    theta = ops.sqrt(s2_safe)
+    sin_c = ops.where(small, 1.0 - s2 * (1.0 / 6.0), ops.sin(theta) / theta)
+    cos_c = ops.where(small, 0.5 - s2 * (1.0 / 24.0), (1.0 - ops.cos(theta)) / s2_safe)
+    wx, wy, wz = w2[:, 0:1], w2[:, 1:2], w2[:, 2:3]
+    zero = np.zeros((m, 1))
+    K = ops.concatenate([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=1).reshape(m, 3, 3)
+    R = np.eye(3) + sin_c.reshape(m, 1, 1) * K + cos_c.reshape(m, 1, 1) * ops.matmul(K, K)
+    return R.reshape(lead + (3, 3))
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    """``rodrigues`` in plain numpy, op for op, for callers that need no gradient.
+    """Rotation matrices of axis-angle vectors (..., 3) in plain numpy.
 
     A single 3-vector takes a scalar path (Python floats, K^2 in closed form):
     within a few ulp of the batch path, several times faster per call.
@@ -288,20 +281,7 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
         R = _so3_exp_one(*w.tolist())
         if R is not None:
             return R
-    lead = w.shape[:-1]
-    w2 = w.reshape(-1, 3)
-    m = w2.shape[0]
-    s2 = np.sum(w2 * w2, axis=-1, keepdims=True)
-    small = s2 < _SMALL_ANGLE**2
-    s2_safe = np.where(small, 1.0, s2)
-    theta = np.sqrt(s2_safe)
-    sin_c = np.where(small, 1.0 - s2 * (1.0 / 6.0), np.sin(theta) / theta)
-    cos_c = np.where(small, 0.5 - s2 * (1.0 / 24.0), (1.0 - np.cos(theta)) / s2_safe)
-    wx, wy, wz = w2[:, 0:1], w2[:, 1:2], w2[:, 2:3]
-    zero = np.zeros((m, 1))
-    K = np.concatenate([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=1).reshape(m, 3, 3)
-    R = np.eye(3) + sin_c.reshape(m, 1, 1) * K + cos_c.reshape(m, 1, 1) * (K @ K)
-    return R.reshape(lead + (3, 3))
+    return _rodrigues(tz.plain, w)
 
 
 def _so3_exp_one(x: float, y: float, z: float) -> np.ndarray | None:
@@ -331,23 +311,11 @@ def _so3_exp_one(x: float, y: float, z: float) -> np.ndarray | None:
 _LEVELS = tuple(np.arange(depth, JOINT_COUNT, 4) for depth in range(1, 5))
 
 
-def bone_scales(beta, model: HandModel):
-    """Per-bone length scales from shape coefficients: floor + hinge keeps >0."""
-    beta_t = tz.as_tensor(beta)
-    basis_t = Tensor(model.shape_basis.T)  # (10,20)
-    lead = beta_t.shape[:-1]
-    flat = tz.reshape(beta_t, (int(np.prod(lead, dtype=np.int64)) if lead else 1, 10))
-    dev = tz.matmul(flat, basis_t)  # (m,20)
+def _bone_scales(ops, beta, model: HandModel):
+    """Per-bone length scales (..., 20) from shape coefficients (..., 10): floor + hinge keeps >0."""
+    dev = ops.matmul(beta.reshape(-1, 10), model.shape_basis.T)
     floor = model.config.shape_scale_floor
-    scale = floor + tz.hinge(1.0 + dev - floor)
-    return tz.reshape(scale, lead + (BONE_COUNT,))
-
-
-def _bone_scales_np(beta: np.ndarray, model: HandModel) -> np.ndarray:
-    """``bone_scales`` in plain numpy, op for op: (..., 10) -> (..., 20)."""
-    dev = beta.reshape(-1, 10) @ model.shape_basis.T
-    floor = model.config.shape_scale_floor
-    return (floor + np.maximum(1.0 + dev - floor, 0.0)).reshape(beta.shape[:-1] + (BONE_COUNT,))
+    return (floor + ops.hinge(1.0 + dev - floor)).reshape(beta.shape[:-1] + (BONE_COUNT,))
 
 
 def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=None):
@@ -355,8 +323,13 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
 
     Returns (positions (..., 21, 3), global rotations (..., 21, 3, 3)): tensors,
     with gradient through all four inputs, if an input is a Tensor that requires
-    a gradient; otherwise arrays from a plain numpy FK, bitwise equal. ``scales``
-    (``bone_scales(beta)``) spares recomputing them.
+    a gradient; otherwise C-contiguous arrays, bitwise equal. ``scales``
+    (``_bone_scales`` of ``beta``) spares recomputing them.
+
+    The body runs the tree four levels deep, five joints (one per finger) at a
+    time, and stacks the levels finger-major: joint 1 + 4f + d is finger f's
+    joint at depth d, so that restores index order in C layout, which the
+    metrics' last bits depend on.
     """
     inputs = (root_orient, theta, beta, trans)
     arrays = [np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64) for x in inputs]
@@ -364,56 +337,30 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
         if not np.all(np.isfinite(a)):
             raise InputError(f"non-finite values in {what}")
     if any(isinstance(x, Tensor) and x.requires_grad for x in inputs):
-        return _fk_tensor(*inputs, model)
-
-    ro, th, be, tr = arrays
+        ops, (ro, th, be, tr) = tz, [tz.as_tensor(x) for x in inputs]
+    else:
+        ops, (ro, th, be, tr) = tz.plain, arrays
     lead = ro.shape[:-1]
     m = int(np.prod(lead, dtype=np.int64))
     if scales is None:
-        scales = _bone_scales_np(be, model)
-    rot16 = so3_exp(np.concatenate([ro.reshape(m, 1, 3), th.reshape(m, 15, 3)], axis=1))
-    offsets = model.rest_offsets[1:] * np.reshape(scales, (m, BONE_COUNT, 1))
-    pos = np.empty((m, JOINT_COUNT, 3))
-    rot = np.empty((m, JOINT_COUNT, 3, 3))
-    pos[:, 0] = tr.reshape(m, 3)
-    rot[:, 0] = rot16[:, 0]
-    for depth, level in enumerate(_LEVELS):  # take(): a faster gather than fancy indexing
-        parent = PARENTS[level]
-        rot_p = rot.take(parent, axis=1)
-        pos[:, level] = pos.take(parent, axis=1) + (rot_p @ offsets.take(level - 1, axis=1)[..., None])[..., 0]
-        # rot16 is the root's, then three per finger: depth d's are 1+d, 4+d, ...; tips have none
-        rot[:, level] = rot_p @ rot16[:, 1 + depth :: 3] if depth < 3 else rot_p
-    bad = ~np.isfinite(pos).all(axis=(1, 2))  # finite inputs can overflow: so3_exp squares angles
-    if bad.any():
-        raise InputError(f"forward kinematics overflows in frame {np.flatnonzero(bad)[0]}")
-    return pos.reshape(lead + (JOINT_COUNT, 3)), rot.reshape(lead + (JOINT_COUNT, 3, 3))
+        scales = _bone_scales(ops, be, model)
+    rot16 = _rodrigues(ops, ops.concatenate([ro.reshape(m, 1, 3), th.reshape(m, 15, 3)], axis=1))
+    offsets = model.rest_offsets[1:] * scales.reshape(m, BONE_COUNT, 1)
 
-
-def _fk_tensor(root_orient, theta, beta, trans, model: HandModel):
-    """``fk_transforms`` in autodiff tensor ops for the training loss.
-
-    The same four batched tree levels as the numpy FK, op for op, so the
-    values are bitwise equal. Joint 1 + 4f + d is finger f's joint at depth d,
-    so stacking the levels finger-major restores index order in C layout,
-    which the metrics' last bits depend on, as the numpy FK's does.
-    """
-    ro, th, be, tr = (tz.as_tensor(x) for x in (root_orient, theta, beta, trans))
-    lead = ro.shape[:-1]
-    m = int(np.prod(lead, dtype=np.int64)) if lead else 1
-    aa = tz.concatenate([tz.reshape(ro, (m, 1, 3)), tz.reshape(th, (m, 15, 3))], axis=1)
-    rot16 = tz.reshape(rodrigues(aa), (m, 16, 3, 3))  # root + articulated
-    scales = bone_scales(tz.reshape(be, (m, 10)), model)
-    offsets = Tensor(model.rest_offsets[1:]) * tz.reshape(scales, (m, BONE_COUNT, 1))  # (m,20,3)
-
-    pos = [tz.reshape(tr, (m, 1, 3))]
+    pos = [tr.reshape(m, 1, 3)]
     rot = [rot16[:, 0:1]]
     for depth in range(len(_LEVELS)):  # parents: the level before, or the wrist; bones depth::4
-        off = tz.reshape(offsets[:, depth::4], (m, 5, 3, 1))
-        pos.append(pos[-1] + tz.reshape(tz.matmul(rot[-1], off), (m, 5, 3)))
-        rot.append(tz.matmul(rot[-1], rot16[:, 1 + depth :: 3]) if depth < 3 else rot[-1])
-    joints = tz.concatenate([pos[0], tz.reshape(tz.stack(pos[1:], axis=2), (m, BONE_COUNT, 3))], axis=1)
-    rots = tz.concatenate([rot[0], tz.reshape(tz.stack(rot[1:], axis=2), (m, BONE_COUNT, 3, 3))], axis=1)
-    return tz.reshape(joints, lead + (JOINT_COUNT, 3)), tz.reshape(rots, lead + (JOINT_COUNT, 3, 3))
+        off = offsets[:, depth::4].reshape(m, 5, 3, 1)
+        pos.append(pos[-1] + ops.matmul(rot[-1], off).reshape(m, 5, 3))
+        # rot16 is the root's, then three per finger: depth d's are 1+d, 4+d, ...; tips have none
+        rot.append(ops.matmul(rot[-1], rot16[:, 1 + depth :: 3]) if depth < 3 else rot[-1])
+    joints = ops.concatenate([pos[0], ops.stack(pos[1:], axis=2).reshape(m, BONE_COUNT, 3)], axis=1)
+    rots = ops.concatenate([rot[0], ops.stack(rot[1:], axis=2).reshape(m, BONE_COUNT, 3, 3)], axis=1)
+    if ops is tz.plain:  # finite inputs can overflow: the rotation squares angles
+        bad = ~np.isfinite(joints).all(axis=(1, 2))
+        if bad.any():
+            raise InputError(f"forward kinematics overflows in frame {np.flatnonzero(bad)[0]}")
+    return joints.reshape(lead + (JOINT_COUNT, 3)), rots.reshape(lead + (JOINT_COUNT, 3, 3))
 
 
 def _rest_skeleton(model: HandModel, scales: np.ndarray) -> np.ndarray:
@@ -441,7 +388,7 @@ def skin_mesh_batch(root_orient, theta, beta, trans, model: HandModel):
     root_orient = np.asarray(root_orient, dtype=float)
     lead = root_orient.shape[:-1]
     beta = np.broadcast_to(np.asarray(beta, dtype=float), lead + (10,))
-    scales = _bone_scales_np(beta, model)
+    scales = _bone_scales(tz.plain, beta, model)
     joints, rots = fk_transforms(root_orient, theta, beta, trans, model, scales=scales)
     flat_joints = joints.reshape((-1, JOINT_COUNT, 3))
     rots = rots.reshape((-1, JOINT_COUNT, 3, 3))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .physics import MotionState, _reach_release_windows
+from .physics import MotionState, _reach_release_windows, direction_reversal
 
 WRIST = 0
 
@@ -111,11 +111,6 @@ def accl_error(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
     return float(_finite_frames(np.linalg.norm(ap - ag, axis=-1), "accl", span=3).mean())
 
 
-def _reversal_values(theta: np.ndarray) -> np.ndarray:
-    d1 = theta[1:] - theta[:-1]
-    return -np.sign(d1[:-1]) * d1[1:]
-
-
 def kin_metric(theta_seq: np.ndarray, labels) -> float:
     """Mean hinged direction reversal over reaching/releasing windows, degrees."""
     theta = np.asarray(theta_seq, dtype=np.float64)
@@ -125,7 +120,7 @@ def kin_metric(theta_seq: np.ndarray, labels) -> float:
     win = _reach_release_windows(lab)
     if not win.any():
         return 0.0
-    phi = _reversal_values(theta)[win]
+    phi = direction_reversal(theta)[win]
     return float(np.degrees(np.maximum(phi, 0.0).mean()))
 
 

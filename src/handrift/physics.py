@@ -161,18 +161,15 @@ def _reach_release_windows(labels: np.ndarray) -> np.ndarray:
     return reach | release
 
 
-def direction_reversal(theta_seq) -> tz.Tensor:
+def direction_reversal(theta_seq):
     """Per-window, per-dimension reversal score: -sign(step_t) * step_{t+1}.
 
     Positive values mean the trajectory turned back on itself between
-    consecutive steps; the sign factor is treated as a constant so gradient
-    flows only through the second step.
+    consecutive steps. Takes an array or a Tensor; on a Tensor the sign factor
+    is a constant, so gradient flows only through the second step.
     """
-    th = tz.as_tensor(theta_seq)
-    d1 = th[..., 1:, :] - th[..., :-1, :]
-    lead = d1[..., :-1, :]
-    nxt = d1[..., 1:, :]
-    return -tz.sign(lead.detach()) * nxt
+    d1 = theta_seq[..., 1:, :] - theta_seq[..., :-1, :]
+    return -np.sign(tz.value(d1)[..., :-1, :]) * d1[..., 1:, :]
 
 
 def kinetics_loss(theta_seq, track_or_labels) -> tz.Tensor:

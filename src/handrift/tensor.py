@@ -23,6 +23,9 @@ from .errors import ContractError, ShapeError
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    # numpy defers ``ndarray (op) Tensor`` to the Tensor's reflected operator, so
+    # a constant can stand on either side of an operator with a Tensor
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -46,10 +49,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Same values, cut from the graph (zero gradient flows through)."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -88,6 +87,9 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -330,16 +332,6 @@ def cos(a) -> Tensor:
         _accum(a, -g * np.sin(a.data))
 
     return _make(np.cos(a.data), (a,), bw)
-
-
-def sign(a) -> Tensor:
-    """Elementwise sign; piecewise constant, so the gradient is zero."""
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, np.zeros_like(a.data))
-
-    return _make(np.sign(a.data), (a,), bw)
 
 
 def hinge(a) -> Tensor:
@@ -623,16 +615,21 @@ def layer_norm(a, eps: float = 1e-8) -> Tensor:
 # ---------------------------------------------------------------------------
 # the same ops over plain arrays
 
-# Where no gradient flows, a body written over an op namespace (``matmul``,
-# ``graph_conv_stack``, ``tanh``, ``concatenate``, ``softmax``, ``layer_norm``,
-# ``value``, plus the operators and the ``reshape``/``transpose``/``mean``
+# Where no gradient flows, a body written over an op namespace (the functions
+# below, plus the operators and the ``reshape``/``transpose``/``sum``/``mean``
 # methods that Tensor and ndarray share) runs on ``plain`` instead of this
 # module: the same forward arithmetic, bitwise, with no Tensor, closure or graph.
 plain = SimpleNamespace(
     matmul=np.matmul,
     graph_conv_stack=_graph_conv_stack_forward,
     tanh=np.tanh,
+    sqrt=np.sqrt,
+    sin=np.sin,
+    cos=np.cos,
+    hinge=lambda a: np.maximum(a, 0.0),
+    where=np.where,
     concatenate=np.concatenate,
+    stack=np.stack,
     softmax=_softmax_forward,
     layer_norm=lambda a, eps=1e-8: _layer_norm_forward(a, eps)[0],
     value=np.asarray,

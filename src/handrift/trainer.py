@@ -156,16 +156,6 @@ class CorpusItem:
     labels: np.ndarray | None = None        # annotator labels, filled by train()
 
 
-def _ema(values, window=10):
-    alpha = 2.0 / (window + 1.0)
-    out = []
-    acc = None
-    for v in values:
-        acc = v if acc is None else alpha * v + (1 - alpha) * acc
-        out.append(acc)
-    return out
-
-
 def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: list | None = None):
     """Run the full loop; returns (bundle, log rows). Writes checkpoint + log.
 
@@ -213,6 +203,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
     try:
         for epoch in range(tcfg.epochs):
             opt.set_epoch(epoch)
+            kept = f"kept checkpoint from epoch {epoch - 1}" if epoch else "kept the initial weights"
             perm = root.split(f"shuffle-{epoch}").permutation(n_seq)
             comp_sums: dict = {}
             grad_norms = []
@@ -238,19 +229,14 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                                          noise_rng, gt_joints=gt_j, self_condition=self_cond)
                 if not np.isfinite(comps["total"]) or comps["total"] > tcfg.divergence_threshold:
                     save_now(last_good)
-                    raise TrainingDivergedError(
-                        f"loss {comps['total']:.3e} at epoch {epoch} step {step}; "
-                        f"kept checkpoint from epoch {epoch - 1}"
-                    )
+                    raise TrainingDivergedError(f"loss {comps['total']:.3e} at epoch {epoch} step {step}; {kept}")
                 backward(loss)  # frees the graph: only the parameters keep gradients
                 grad_norms.append(_global_norm(p.grad for p in den.params.values() if p.grad is not None))
                 try:
                     opt.step()
                 except OptimizerError as e:
                     save_now(last_good)
-                    raise TrainingDivergedError(
-                        f"{e} at epoch {epoch} step {step}; kept checkpoint from epoch {epoch - 1}"
-                    ) from None
+                    raise TrainingDivergedError(f"{e} at epoch {epoch} step {step}; {kept}") from None
                 opt.zero_grad()  # this step's gradients go before the next forward pass
                 for k, v in comps.items():
                     comp_sums[k] = comp_sums.get(k, 0.0) + v
@@ -296,9 +282,3 @@ def _quick_eval(bundle: RefineBundle, eval_items, eval_noisy) -> dict:
         rows["input_mje"].append(mje(in_j, gt_j))
         rows["input_accl"].append(accl_error(in_j, gt_j))
     return {k: float(np.mean(v)) for k, v in rows.items()}
-
-
-def training_loss_ema(log_rows, window: int = 10):
-    """Smoothed per-epoch total loss; the smoke test checks it never rises."""
-    totals = [row["loss"]["total"] for row in log_rows]
-    return _ema(totals, window)

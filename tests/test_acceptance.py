@@ -25,7 +25,7 @@ from handrift.physics import annotate_states, kinetics_loss, stability_loss
 from handrift.pipeline import make_bundle, motion_to_joints, refine_sequence
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
-from handrift.trainer import total_loss, train_config_from, training_loss_ema
+from handrift.trainer import total_loss, train_config_from
 
 from conftest import CACHE, VARIANTS, cache_tag, desk_config, sibling_imports
 
@@ -240,8 +240,12 @@ def test_training_loss_ema_smoke(trained_full):
     # non-increasing at the smoothing window's own scale: any 10-epochs-apart
     # comparison of the EMA must not rise (catches regressions, not step noise)
     _bundle, rows = trained_full
-    ema = training_loss_ema(rows, window=10)
     window = 10
+    alpha = 2.0 / (window + 1.0)
+    ema = []
+    for row in rows:
+        v = row["loss"]["total"]
+        ema.append(v if not ema else alpha * v + (1 - alpha) * ema[-1])
     rises = [(t, ema[t - window], ema[t]) for t in range(window, len(ema))
              if ema[t] > ema[t - window]]
     report("5-smoke", not rises, f"EMA(10) non-increasing at window scale over {len(ema)} epochs"

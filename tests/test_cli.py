@@ -209,7 +209,7 @@ def test_train_bad_config_exits_one(tmp_path, workspace, capsys, edit, message):
 
 def test_train_non_finite_gradient_exits_two(tmp_path, workspace, capsys, monkeypatch):
     """A NaN in a parameter's gradient is a divergence: exit 2, naming the parameter
-    and the kept epoch, with the last good checkpoint written."""
+    and what was kept, with the last good checkpoint written."""
     class PoisonedAdamW(AdamW):
         def step(self):
             self.params["mesh.0.w"].grad = self.params["mesh.0.w"].grad * np.nan
@@ -221,7 +221,7 @@ def test_train_non_finite_gradient_exits_two(tmp_path, workspace, capsys, monkey
                  "--out", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert ("non-finite gradient for parameter 'mesh.0.w' at epoch 0 step 0; "
-            "kept checkpoint from epoch -1") in err
+            "kept the initial weights") in err
     assert ckpt.exists()
 
 

@@ -45,7 +45,7 @@ def test_bone_lengths_scale_with_shape(model):
     for _ in range(20):
         pose = random_pose(rng)
         joints = hand.fk_transforms(*pose, model)[0]
-        scales = hand.bone_scales(pose[2], model).data
+        scales = hand._bone_scales(tz.plain, pose[2], model)
         for j in range(1, 21):
             length = np.linalg.norm(joints[j] - joints[model.parents[j]])
             expect = np.linalg.norm(model.rest_offsets[j]) * scales[j - 1]
@@ -140,13 +140,14 @@ def fk_inputs(rng, lead):
 @pytest.mark.parametrize("lead", [(), (16,), (3, 8)], ids=["single", "T", "WxT"])
 def test_numpy_fk_bitwise_equals_autodiff_fk(model, lead):
     inputs = fk_inputs(np.random.default_rng(11), lead)
-    scales = hand.bone_scales(inputs[2], model).data
+    scales = hand._bone_scales(tz.plain, inputs[2], model)
     floor = model.config.shape_scale_floor
     assert (scales == floor).any() and (scales > floor).any()  # both sides of the hinge
     joints_t, rots_t = hand.fk_transforms(*(Tensor(x, requires_grad=True) for x in inputs), model)
     assert isinstance(joints_t, Tensor) and joints_t.requires_grad
     joints, rots = hand.fk_transforms(*inputs, model)
     assert isinstance(joints, np.ndarray) and joints.shape == lead + (21, 3)
+    assert joints.flags.c_contiguous and rots.flags.c_contiguous  # the metrics round by layout
     np.testing.assert_array_equal(joints, joints_t.data)
     np.testing.assert_array_equal(rots, rots_t.data)
     # tensors that need no gradient take the numpy FK too
@@ -159,9 +160,9 @@ def per_joint_fk(root_orient, theta, beta, trans, model):
     """Autodiff FK one joint at a time down the tree: the reference for the level-wise one."""
     m = int(np.prod(root_orient.shape[:-1]))
     aa = tz.concatenate([tz.reshape(root_orient, (m, 1, 3)), tz.reshape(theta, (m, 15, 3))], axis=1)
-    rot16 = tz.reshape(hand.rodrigues(aa), (m, 16, 3, 3))
+    rot16 = tz.reshape(hand._rodrigues(tz, aa), (m, 16, 3, 3))
     slot = {0: 0, **{j: i + 1 for i, j in enumerate(hand.ARTICULATED)}}
-    scales = hand.bone_scales(tz.reshape(beta, (m, 10)), model)
+    scales = hand._bone_scales(tz, tz.reshape(beta, (m, 10)), model)
     offsets = Tensor(model.rest_offsets[1:]) * tz.reshape(scales, (m, 20, 1))
     rot, pos = [rot16[:, 0]], [tz.reshape(trans, (m, 3))]
     for j in range(1, 21):
@@ -184,7 +185,7 @@ def test_level_wise_fk_gradients_match_per_joint_reference(model):
         backward(tz.tsum(joints * weights[0]) + tz.tsum(rots * weights[1]))
         return joints.data, rots.data, [leaf.grad for leaf in leaves]
 
-    joints, rots, grads = run(hand._fk_tensor)
+    joints, rots, grads = run(hand.fk_transforms)
     ref_joints, ref_rots, ref_grads = run(per_joint_fk)
     np.testing.assert_array_equal(joints, ref_joints)
     np.testing.assert_array_equal(rots, ref_rots)
@@ -194,11 +195,11 @@ def test_level_wise_fk_gradients_match_per_joint_reference(model):
 
 def test_rest_joints_match_per_joint_loop(model):
     beta = np.random.default_rng(12).normal(scale=40.0, size=(4, 10))
-    scales = hand.bone_scales(beta, model).data
+    scales = hand._bone_scales(tz.plain, beta, model)
     ref = np.zeros((4, 21, 3))
     for j in range(1, 21):
         ref[:, j] = ref[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
-    np.testing.assert_array_equal(hand._rest_skeleton(model, hand._bone_scales_np(beta, model)), ref)
+    np.testing.assert_array_equal(hand._rest_skeleton(model, scales), ref)
 
 
 def test_skin_mesh_batch_hands_back_its_fk_joints(model):
@@ -213,7 +214,7 @@ def test_skin_mesh_batch_hands_back_its_fk_joints(model):
 
 def test_rodrigues_small_angle_series(model):
     w = Tensor(np.array([[1e-9, -2e-9, 1e-9], [0.0, 0.0, 0.0]]), requires_grad=True)
-    R = hand.rodrigues(w)
+    R = hand._rodrigues(tz, w)
     np.testing.assert_allclose(R.data[1], np.eye(3), atol=1e-15)
     loss = tz.tsum(R * R)
     backward(loss)
@@ -227,7 +228,7 @@ def test_so3_exp_matches_rodrigues():
     # angles on both sides of the 1e-7 small-angle switch, up to 3 rad
     angles = np.concatenate([np.geomspace(1e-10, 9.9e-8, 100), np.geomspace(1.01e-7, 3.0, 300)])
     w = (axes * angles[:, None]).reshape(20, 20, 3)
-    ref = hand.rodrigues(Tensor(w)).data
+    ref = hand._rodrigues(tz, Tensor(w)).data
     R = hand.so3_exp(w)
     assert R.shape == (20, 20, 3, 3)
     np.testing.assert_allclose(R, ref, rtol=0, atol=1e-15)

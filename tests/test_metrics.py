@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from handrift import hand
+from handrift import tensor as tz
 from handrift.datagen import generate_sequence, sample_script
 from handrift.errors import InputError, ShapeError
 from handrift.metrics import (EvalReport, accl_error, f_score, kin_metric, mje, p_mje,
@@ -287,7 +288,7 @@ def graph_fk_geometry(motion, model):
     parts = (motion[:, 0:3], motion[:, 3:48].reshape(-1, 15, 3), motion[:, 48:58], motion[:, 58:61])
     joints, rots = (t.data for t in hand.fk_transforms(*(Tensor(p, requires_grad=True) for p in parts),
                                                          model))
-    scales = hand.bone_scales(parts[2], model).data
+    scales = hand._bone_scales(tz.plain, parts[2], model)
     rest = np.zeros(joints.shape)
     for j in range(1, 21):
         rest[:, j] = rest[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]

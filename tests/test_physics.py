@@ -6,7 +6,8 @@ from handrift import tensor as tz
 from handrift.errors import ContractError, InputError
 from handrift.motion import FRAME_DIM
 from handrift.physics import (AnnotatorConfig, MotionState, ObjectTrack, StateTrack,
-                              annotate_states, kinetics_loss, stability_loss, state_loss)
+                              annotate_states, direction_reversal, kinetics_loss, stability_loss,
+                              state_loss)
 from handrift.tensor import Tensor, backward
 
 R, G, M, L, F = (MotionState.REACHING, MotionState.STABLE_GRASPING, MotionState.MANIPULATION,
@@ -165,6 +166,25 @@ def test_kinetics_gradient_flows_only_through_second_difference():
         down = kinetics_loss(theta.data, labels).item()
         flat[i] = old
         assert g.reshape(-1)[i] == pytest.approx((up - down) / 2e-6, rel=1e-4, abs=1e-9)
+
+
+def test_direction_reversal_array_equals_tensor():
+    """One body serves arrays (the KIN metric) and Tensors (the loss): bitwise-equal
+    values, zero steps included; the Tensor's gradient skips the sign factor."""
+    theta = np.random.default_rng(9).normal(size=(2, 9, 4))
+    theta[:, 3:6, 1] = 0.5  # zero steps: sign 0
+    phi = direction_reversal(theta)
+    assert isinstance(phi, np.ndarray) and phi.shape == (2, 7, 4)
+    t = Tensor(theta, requires_grad=True)
+    phi_t = direction_reversal(t)
+    assert isinstance(phi_t, Tensor)
+    np.testing.assert_array_equal(phi, phi_t.data)
+    backward(tz.tsum(phi_t))
+    d1 = np.diff(theta, axis=-2)
+    g = np.zeros_like(theta)
+    g[:, 2:] -= np.sign(d1[:, :-1])
+    g[:, 1:-1] += np.sign(d1[:, :-1])
+    np.testing.assert_array_equal(t.grad, g)
 
 
 def test_kinetics_batched_matches_sequence_mean():

@@ -1,3 +1,4 @@
+import operator
 import weakref
 
 import numpy as np
@@ -64,11 +65,25 @@ def test_layer_norm_zero_mean():
     assert np.abs(out.data.mean(axis=-1)).max() < 1e-10
 
 
-def test_sign_zero_gradient():
-    x = Tensor([1.5, -0.3, 0.0], requires_grad=True)
-    loss = tz.tsum(tz.sign(x) * Tensor([2.0, 3.0, 4.0]))
-    backward(loss)
-    np.testing.assert_array_equal(x.grad, np.zeros(3))
+@pytest.mark.parametrize("op, fn", [(operator.add, tz.add), (operator.sub, tz.sub), (operator.mul, tz.mul),
+                                    (operator.truediv, tz.div), (operator.matmul, tz.matmul)],
+                         ids=["add", "sub", "mul", "div", "matmul"])
+def test_ndarray_left_of_a_tensor_is_the_tensor_op(op, fn):
+    """``ndarray (op) Tensor`` runs the Tensor's reflected operator with the operands in
+    written order: a Tensor bitwise equal to ``fn(array, tensor)``, whose gradient reaches
+    the tensor. So does a numpy scalar on the left."""
+    rng = np.random.default_rng(8)
+    arr, x, w = rng.normal(size=(3, 4, 4)) + 2.0
+    cases = [(arr, fn)] + ([(np.float64(1.7), fn)] if op is operator.mul else [])
+    for left, ref_fn in cases:
+        t, t_ref = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out, ref = op(left, t), ref_fn(left, t_ref)
+        assert isinstance(out, Tensor) and out.requires_grad
+        np.testing.assert_array_equal(out.data, ref.data)
+        backward(tz.tsum(out * w))
+        backward(tz.tsum(ref * w))
+        assert np.abs(t.grad).max() > 0
+        np.testing.assert_array_equal(t.grad, t_ref.grad)
 
 
 def test_shape_error_names_op_and_shapes():

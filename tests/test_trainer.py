@@ -14,12 +14,11 @@ from handrift.diffusion import make_schedule, refine
 from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
 from handrift.hand import HandModelConfig, build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
-from handrift.physics import STATE_COUNT
-from handrift.pipeline import load_bundle, make_bundle, refine_sequence, save_bundle
+from handrift.physics import STATE_COUNT, ObjectTrack, annotate_states
+from handrift.pipeline import evaluate_pair, load_bundle, make_bundle, refine_sequence, save_bundle
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor
-from handrift.trainer import (CorpusItem, TrainConfig, _ema, total_loss, train,
-                              train_config_from, training_loss_ema)
+from handrift.trainer import CorpusItem, TrainConfig, total_loss, train, train_config_from
 
 
 @pytest.fixture(scope="module")
@@ -229,11 +228,14 @@ def test_train_divergence_aborts_with_checkpoint(tiny_cfg, tiny_corpus, tmp_path
     cfg = load_config(None, {**{k: tiny_cfg[k] for k in ("frames", "schedule", "denoiser")},
                              "train": {**tiny_cfg["train"], "divergence_threshold": 1e-9}})
     ckpt = tmp_path / "diverged.ckpt"
-    with pytest.raises(TrainingDivergedError):
+    with pytest.raises(TrainingDivergedError, match=r"^loss .* at epoch 0 step 0; kept the initial weights$"):
         train(_fresh_items(tiny_corpus), cfg, out_ckpt=ckpt)
     assert ckpt.exists()
-    bundle = load_bundle(ckpt)  # still loadable
-    assert sum(p.size for p in bundle.denoiser.params.values()) > 0
+    bundle = load_bundle(ckpt)  # still loadable, and holds the weights training started from
+    init = bundle.denoiser.init_params(cfg["seed"])
+    assert bundle.denoiser.params.keys() == init.keys()
+    for name, p in bundle.denoiser.params.items():
+        np.testing.assert_array_equal(p.data, init[name].data)
 
 
 def test_a_training_step_holds_one_graph(monkeypatch):
@@ -291,20 +293,36 @@ def test_deterministic_baseline_reuses_pipeline(tiny_cfg, tiny_corpus):
     assert track.labels.shape == (tiny_corpus[0].motion.shape[0],)
 
 
-def test_ema_definition():
-    vals = [10.0, 10.0, 10.0]
-    out = _ema(vals, window=10)
-    assert out == [10.0, 10.0, 10.0]
-    rows = [{"loss": {"total": v}} for v in [5.0, 4.0, 3.0, 2.5]]
-    ema = training_loss_ema(rows)
-    assert all(b <= a for a, b in zip(ema, ema[1:]))
-
-
 @pytest.fixture(scope="module")
 def tiny_ckpt(tiny_cfg, tiny_corpus, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("tiny") / "model.ckpt"
     train(_fresh_items(tiny_corpus), tiny_cfg, out_ckpt=ckpt)
     return ckpt
+
+
+def test_inference_on_a_loaded_bundle_builds_no_tensor(tiny_ckpt, tiny_corpus, monkeypatch):
+    """Autodiff is for training only: refining (deterministic and stochastic), evaluating
+    and annotating with a loaded model construct no Tensor, so FK, skinning and the
+    denoiser all take their plain-array paths."""
+    bundle = load_bundle(tiny_ckpt)
+    item = tiny_corpus[0]
+    y_raw = np.concatenate([item.motion, item.motion[::-1]])  # 28 frames: three windows
+    made = []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    refined, track = refine_sequence(bundle, y_raw)
+    refine_sequence(bundle, y_raw, deterministic=False, rng=RandomStream(3, "no-tensor"))
+    labels = annotate_states(item.motion, ObjectTrack(item.object_center, item.contact_threshold),
+                             bundle.hand_model).labels
+    evaluate_pair(refined[:14], item.motion, labels, bundle.hand_model)
+    assert made == []
+    Tensor(np.zeros(1))  # the counter itself works
+    assert made == [1]
 
 
 def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
