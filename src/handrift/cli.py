@@ -152,8 +152,7 @@ def cmd_generate(args) -> int:
         raise InputError(f"--count must be at least 0, got {args.count}")
     spec_path = Path(args.spec)
     if not spec_path.exists():
-        print(f"error: spec not found: {args.spec}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"spec not found: {args.spec}")
     spec, frames, overrides = _read_spec(spec_path)
     scripts = []
     for i in range(max(args.count, 1)):  # with --count 0, script-0's draw is still checked
@@ -211,34 +210,24 @@ def load_corpus(directory) -> list:
 
 def cmd_train(args) -> int:
     _check_outputs(args.out, args.log)
-    if not Path(args.config).exists():
-        print(f"error: config not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
-    if not Path(args.corpus).is_dir():
-        print(f"error: corpus directory not found: {args.corpus}", file=sys.stderr)
-        return EXIT_USAGE
     overrides: dict = {}
     if args.ablation:
         overrides["train"] = dict(ABLATIONS[args.ablation])
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = load_config(args.config, overrides)
+    if not Path(args.corpus).is_dir():
+        raise InputError(f"corpus directory not found: {args.corpus}")
     corpus = load_corpus(args.corpus)
     if not corpus:
-        print(f"error: no motion files in {args.corpus}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"no motion files in {args.corpus}")
     if not 0 <= args.holdout < len(corpus):
-        print(f"error: --holdout must be at least 0 and below the corpus size {len(corpus)}, "
-              f"got {args.holdout}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"--holdout must be at least 0 and below the corpus size {len(corpus)}, "
+                         f"got {args.holdout}")
     eval_corpus = None
     if args.holdout > 0:
         corpus, eval_corpus = corpus[: -args.holdout], corpus[-args.holdout :]
-    try:
-        _, rows = train(corpus, cfg, out_ckpt=args.out, log_path=args.log, eval_corpus=eval_corpus)
-    except TrainingDivergedError as e:
-        print(f"error: training diverged: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
+    _, rows = train(corpus, cfg, out_ckpt=args.out, log_path=args.log, eval_corpus=eval_corpus)
     for row in rows:
         loss = row["loss"]
         msg = f"epoch {row['epoch']:3d}  lr {row['lr']:.2e}  total {loss['total']:10.5f}  data {loss['data']:9.5f}"
@@ -253,8 +242,7 @@ def cmd_refine(args) -> int:
     _check_outputs(args.out)
     for path, what in ((args.ckpt, "checkpoint"), (args.inp, "input motion")):
         if not Path(path).exists():
-            print(f"error: {what} not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InputError(f"{what} not found: {path}")
     data = read_motion(args.inp)
     if data.normalization_id != "raw":
         print(
@@ -306,7 +294,7 @@ def cmd_evaluate(args) -> int:
     ann_cfg = annotator_config_from(cfg)
 
     def object_track(gt: MotionData) -> ObjectTrack:
-        return ObjectTrack(gt.object_center, gt.contact_threshold or ann_cfg.contact_threshold_mm)
+        return ObjectTrack(gt.object_center, gt.contact_threshold)
 
     def one(pair):
         pred_f, gt_f = pair
@@ -382,7 +370,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args)
     except TrainingDivergedError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)

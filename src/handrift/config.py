@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .datagen import PerturbSpec
-from .denoiser import DenoiserConfig
+from .denoiser import MESH_SCALE, DenoiserConfig
 from .errors import ConfigError
 from .hand import HandModelConfig
-from .physics import AnnotatorConfig
+from .physics import CONTACT_THRESHOLD_MM, DISTANCE_RATE_MM, STABLE_SPEED_DEG, AnnotatorConfig
 
 
 @dataclass
@@ -31,11 +31,8 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     lr: float = 1e-4
-    weight_decay: float = 1e-2
-    lr_decay_factor: float = 0.8
-    lr_decay_epochs: int = 5
-    self_condition: bool = True     # second decode pass fed by own predictions
-    self_condition_start_epoch: int = 8
+    lr_decay_epochs: int = 5        # AdamW's defaults: lr x0.8 per this many epochs, weight decay 1e-2
+    self_condition_start_epoch: int = 8  # second decode pass fed by own predictions; off if >= epochs
     probabilistic: bool = True
     use_state: bool = True
     use_kin: bool = True
@@ -69,6 +66,18 @@ DEFAULTS: dict = {
     "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
 }
 HAND_RECIPE = json.loads(json.dumps(asdict(HandModelConfig())))  # as checkpoints stored it under "hand"
+
+# Removed keys a stored config may still hold, each with the value the program is
+# now fixed at: that value loads as if the key were absent, and any other is refused,
+# as what it set is gone. Removed keys that only shaped training are ignored on load.
+REMOVED_KEYS = {
+    "sequence_constant_beta": False,
+    "denoiser.gumbel_tau": 1.0,
+    "denoiser.mesh_scale": MESH_SCALE,
+    "annotator.distance_rate_mm": DISTANCE_RATE_MM,
+    "annotator.stable_speed_deg": STABLE_SPEED_DEG,
+    "annotator.contact_threshold_mm": CONTACT_THRESHOLD_MM,
+}
 
 # The least value of each integer setting the program can run with; an integer
 # setting not listed takes any integer (``schedule.steps`` is checked by
@@ -123,7 +132,7 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
 
     Keys the defaults lack are allowed, so checkpoints written before a key
     was removed still load; a stored ``hand`` section must be the fixed recipe,
-    and a removed switch must be off, as what it switched on is gone.
+    and a key of ``REMOVED_KEYS`` must hold its fixed value.
     """
     for k, default in defaults.items():
         if k not in cfg:
@@ -144,8 +153,11 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
     if defaults is DEFAULTS:  # the whole config, not a section of it
         if cfg.get("hand", HAND_RECIPE) != HAND_RECIPE:
             raise ConfigError(f"{what} 'hand' differs from the fixed hand recipe")
-        if cfg.get("sequence_constant_beta", False):
-            raise ConfigError(f"{what} sets the removed key 'sequence_constant_beta' to true")
+        for key, fixed in REMOVED_KEYS.items():
+            section, _, name = key.rpartition(".")  # a section the loop above checked
+            value = (cfg[section] if section else cfg).get(name, fixed)
+            if _json_kind(value) != _json_kind(fixed) or value != fixed:
+                raise ConfigError(f"{what} sets the removed key '{key}' to {json.dumps(value)}")
 
 
 def default_config(preset: str = "desk") -> dict:

@@ -21,7 +21,7 @@ from . import tensor as tz
 from .errors import ContractError
 from .hand import HandModel, fk_transforms
 from .motion import FRAME_DIM
-from .physics import MotionState, ObjectTrack, StateTrack, hand_object_distance
+from .physics import CONTACT_THRESHOLD_MM, MotionState, ObjectTrack, StateTrack, hand_object_distance
 from .rng import RandomStream
 
 INDEX_TIP = 8
@@ -45,7 +45,7 @@ class ScriptSpec:
     manipulate_frames: int = 3
     release_frames: int = 3
     object_center: np.ndarray = field(default_factory=lambda: np.array([60.0, 160.0, 40.0]))
-    contact_threshold: float = 10.0
+    contact_threshold: float = CONTACT_THRESHOLD_MM
     grasp_distance: float = 3.0
     retreat_dir: np.ndarray = field(default_factory=lambda: np.array([-0.3, -0.8, 0.5]))
     retreat_len: float = 90.0

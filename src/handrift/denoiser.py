@@ -62,6 +62,9 @@ from .tensor import Tensor
 # backward re-runs one block's layers at a time.
 MESH_BLOCK = 32
 
+MESH_SCALE = 0.01  # mm -> network input units
+_STATE_ONEHOT = np.eye(STATE_COUNT)
+
 
 @dataclass(frozen=True)
 class DenoiserConfig:
@@ -69,10 +72,8 @@ class DenoiserConfig:
     heads: int = 4
     width: int = 64
     mesh_widths: tuple = (8, 16, 16, 16)
-    gumbel_tau: float = 1.0
     ffn_multiplier: int = 4
     step_features: int = 16
-    mesh_scale: float = 0.01       # mm -> network input units
 
     def validate(self):
         if self.width % self.heads != 0:
@@ -89,19 +90,16 @@ def positional_encoding(frames: int, width: int) -> np.ndarray:
     return pe
 
 
-def sample_state(logits: np.ndarray, tau: float, rng: RandomStream | None) -> np.ndarray:
-    """Hard Gumbel-softmax over the last axis: the straight-through one-hot.
+def sample_state(logits: np.ndarray, rng: RandomStream | None) -> np.ndarray:
+    """Hard Gumbel-softmax (temperature 1) over the state axis: the straight-through one-hot.
 
     The value is soft + (onehot - soft), the one-hot up to rounding. With
     rng=None no noise is injected (argmax limit), keeping deterministic
     inference a pure function of its inputs.
     """
-    if tau <= 0:
-        raise ConfigError(f"gumbel temperature must be > 0, got {tau}")
     z = logits if rng is None else logits + rng.gumbel(np.shape(logits))
-    soft = tz.plain.softmax(z, temperature=tau, axis=-1)
-    onehot = np.eye(soft.shape[-1])[np.argmax(soft, axis=-1)]
-    return soft + (onehot - soft)
+    soft = tz.plain.softmax(z, axis=-1)
+    return soft + (_STATE_ONEHOT[np.argmax(soft, axis=-1)] - soft)
 
 
 def _param_spec(cfg: DenoiserConfig) -> list:
@@ -233,7 +231,7 @@ class Denoiser:
             raise ShapeError(
                 f"mesh has {meshes.shape[-2]} vertices, template has {self.hand_model.vertex_count}"
             )
-        h = np.asarray(meshes, dtype=np.float64) * self.cfg.mesh_scale
+        h = np.asarray(meshes, dtype=np.float64) * MESH_SCALE
         if len(h) > MESH_BLOCK:
             return self.ops.concatenate([self._pool_meshes(h[i : i + MESH_BLOCK])
                                          for i in range(0, len(h), MESH_BLOCK)])
@@ -371,7 +369,7 @@ class Denoiser:
             prev_pose = np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1]
             if teacher_labels is not None and self.state_feedback:
                 labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
-                prev_state = np.eye(STATE_COUNT)[labels]
+                prev_state = _STATE_ONEHOT[labels]
             else:
                 prev_state = np.zeros(prev_pose.shape[:2] + (STATE_COUNT,))
             fed = self._lin("dec_in", prev_pose) + self.ops.matmul(prev_state, self.params["state_emb"])
@@ -482,5 +480,5 @@ class Denoiser:
                 x_hat[:, t], logits[:, t] = out[:, :D], out[:, D:]
                 fed[:, :D] = out[:, :D]
                 if self.state_feedback:
-                    fed[:, D:] = sample_state(out[:, D:], cfg.gumbel_tau, rng)
+                    fed[:, D:] = sample_state(out[:, D:], rng)
         return x_hat, logits

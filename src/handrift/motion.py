@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import Tensor
+
 FRAME_DIM = 61
 ROOT_ORIENT = slice(0, 3)
 FINGER_POSE = slice(3, 48)
@@ -19,9 +21,10 @@ TRANSLATION = slice(58, 61)
 MIN_FRAMES = 4
 
 
-def pose_parts(frames: np.ndarray):
+def pose_parts(frames):
     """(T,61) frames -> FK inputs: root orientation, theta (T,15,3), shape, translation."""
-    frames = np.asarray(frames, dtype=np.float64)
+    if not isinstance(frames, Tensor):  # a Tensor's parts carry its gradient
+        frames = np.asarray(frames, dtype=np.float64)
     return (frames[:, ROOT_ORIENT], frames[:, FINGER_POSE].reshape(-1, 15, 3), frames[:, SHAPE],
             frames[:, TRANSLATION])
 

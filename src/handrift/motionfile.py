@@ -10,22 +10,23 @@ Byte layout (version 1):
     then, if present     contact  (T uint8)
     then, if present     states   (T uint8)
 
-Header keys: format_version, frames, dim, fps, units, normalization_id,
-has_object, contact_threshold_mm (when object present), has_contact,
-has_state. Canonical JSON makes load->save byte-identical.
+Header keys: format_version, frames, dim, fps, units, normalization_id, has_object,
+contact_threshold_mm (with an object; a finite number > 0), has_contact, has_state.
+Canonical JSON makes load->save byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .motion import FRAME_DIM
-from .physics import STATE_COUNT
+from .physics import CONTACT_THRESHOLD_MM, STATE_COUNT
 
 MAGIC = b"HDMF0001"
 FORMAT_VERSION = 1
@@ -65,7 +66,7 @@ def write_motion(path, data: MotionData):
     }
     if data.object_center is not None:
         header["contact_threshold_mm"] = float(
-            data.contact_threshold if data.contact_threshold is not None else 10.0
+            data.contact_threshold if data.contact_threshold is not None else CONTACT_THRESHOLD_MM
         )
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
@@ -119,11 +120,13 @@ def read_motion(path) -> MotionData:
         return np.frombuffer(chunk, dtype=dtype)
 
     frames = take(T * FRAME_DIM, "<f8", 8).astype(np.float64).reshape(T, FRAME_DIM)
-    obj = contact = states = None
-    threshold = None
+    obj = contact = states = threshold = None
     if header["has_object"]:
         obj = take(T * 3, "<f8", 8).astype(np.float64).reshape(T, 3)
-        threshold = header.get("contact_threshold_mm")
+        threshold = header.get("contact_threshold_mm", CONTACT_THRESHOLD_MM)
+        if not (type(threshold) in (int, float) and 0 < threshold <= sys.float_info.max):
+            raise InputError(f"motion header in {path}: contact_threshold_mm must be a finite "
+                             f"number > 0, got {threshold!r}")
     if header["has_contact"]:
         contact = take(T, np.uint8, 1).astype(bool)
     if header["has_state"]:

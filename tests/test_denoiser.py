@@ -232,7 +232,7 @@ def prefix_recompute_free(den, x_n_norm, y_norm, n, rng=None):
         cond = (memory[:, :t], step_emb, obs_tokens[:, :t], pe[:t])
         pose, logits = den.decode_teacher(cond, poses, labels)
         logit_t = logits.data[:, t - 1 : t]
-        state = sample_state(logit_t, den.cfg.gumbel_tau, rng)
+        state = sample_state(logit_t, rng)
         poses = np.concatenate([poses, pose.data[:, t - 1 : t]], axis=1)
         labels = np.concatenate([labels, np.argmax(state, axis=-1)], axis=1)
         logits_seq.append(logit_t)
@@ -278,7 +278,7 @@ def row_loop_free(den, x_n_norm, y_norm, n, rng=None):
         poses.append(pose)
         logits_seq.append(logit)
         if den.state_feedback:
-            state = sample_state(logit, cfg.gumbel_tau, rng)
+            state = sample_state(logit, rng)
     return np.concatenate(poses, axis=1), np.concatenate(logits_seq, axis=1)
 
 
@@ -527,16 +527,16 @@ def test_denoiser_gradient_matches_finite_differences(toy):
     assert checked >= 100
 
 
-def test_sample_state_zero_temperature_limit():
-    logits = np.array([0.2, 1.7, -0.4, 0.0, 0.9])
-    out = sample_state(logits, tau=1e-6, rng=None)
-    np.testing.assert_allclose(out, np.eye(5)[1], atol=1e-12)
+def test_sample_state_without_noise_is_the_argmax():
+    logits = np.array([[0.2, 1.7, -0.4, 0.0, 0.9], [3.0, -1.0, 0.0, 0.5, 2.9]])
+    out = sample_state(logits, rng=None)
+    np.testing.assert_allclose(out, np.eye(5)[[1, 0]], atol=1e-15)
 
 
 def test_sample_state_sums_to_one_and_hard_is_onehot():
     rng = RandomStream(0, "gumbel")
     logits = np.array([[0.5, -0.2, 0.0, 1.0, 0.3]] * 7)
-    hard = sample_state(logits, tau=1.0, rng=rng)
+    hard = sample_state(logits, rng=rng)
     np.testing.assert_allclose(hard.sum(axis=-1), np.ones(7), atol=1e-12)
     assert np.all(np.isin(np.round(hard, 12), [0.0, 1.0]))
 
@@ -545,7 +545,7 @@ def test_sample_state_uniform_logits_frequencies():
     rng = RandomStream(1, "gumbel-mc")
     draws = 100_000
     logits = np.zeros((draws, 5))
-    hard = sample_state(logits, tau=1.0, rng=rng)
+    hard = sample_state(logits, rng=rng)
     freq = hard.mean(axis=0)
     se = np.sqrt(0.2 * 0.8 / draws)
     np.testing.assert_allclose(freq, np.full(5, 0.2), atol=3 * se)

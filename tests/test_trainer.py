@@ -7,7 +7,8 @@ import pytest
 import handrift
 from handrift import pipeline, trainer
 from handrift import tensor as tz
-from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
+from handrift.config import (DEFAULTS, HAND_RECIPE, annotator_config_from, config_hash,
+                             denoiser_config_from, load_config)
 from handrift.datagen import generate_sequence, sample_script
 from handrift.denoiser import Denoiser
 from handrift.diffusion import make_schedule, refine
@@ -71,11 +72,14 @@ def test_load_config_rejects_unknown_keys(tmp_path, train_section):
 def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_path):
     """Stored configs bypass load_config: keys removed since still load."""
     removed = {"teacher_noise_std": 0.0, "lambda_state": 1.0, "lambda_kinetics": 1.0,
-               "lambda_stability": 1.0, "lambda_const_accel": 1.0, "mode": "model_agnostic"}
-    removed_denoiser = {"state_classes": 5, "max_frames": 256}
+               "lambda_stability": 1.0, "lambda_const_accel": 1.0, "mode": "model_agnostic",
+               "weight_decay": 1e-2, "lr_decay_factor": 0.8, "self_condition": True}
+    removed_denoiser = {"state_classes": 5, "max_frames": 256, "gumbel_tau": 1.0, "mesh_scale": 0.01}
+    removed_annotator = {"distance_rate_mm": 1.0, "stable_speed_deg": 0.5, "contact_threshold_mm": 10.0}
     old = {**tiny_cfg, "hand": HAND_RECIPE, "smoothfilter_sigma": 1.0,
            "sequence_constant_beta": False,
            "denoiser": {**tiny_cfg["denoiser"], **removed_denoiser},
+           "annotator": {**tiny_cfg["annotator"], **removed_annotator},
            "train": {**tiny_cfg["train"], **removed}}
     normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
     path = tmp_path / "old.ckpt"
@@ -83,10 +87,12 @@ def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_pat
     loaded = load_bundle(path)
     assert {k: loaded.config["train"][k] for k in removed} == removed
     assert {k: loaded.config["denoiser"][k] for k in removed_denoiser} == removed_denoiser
+    assert {k: loaded.config["annotator"][k] for k in removed_annotator} == removed_annotator
     assert loaded.config["hand"] == HAND_RECIPE and loaded.config["smoothfilter_sigma"] == 1.0
     assert loaded.config["sequence_constant_beta"] is False
     assert train_config_from(loaded.config) == train_config_from(tiny_cfg)
     assert denoiser_config_from(loaded.config) == denoiser_config_from(tiny_cfg)
+    assert annotator_config_from(loaded.config) == annotator_config_from(tiny_cfg)
     assert loaded.hand_model.config == HandModelConfig()
 
 
@@ -99,19 +105,16 @@ def _leaves(node, prefix=""):
 def test_config_surface_is_pinned():
     """Every settable config key; adding or removing a knob is a deliberate change here."""
     assert sorted(_leaves(DEFAULTS)) == [
-        "annotator.contact_threshold_mm", "annotator.distance_rate_mm",
-        "annotator.stable_speed_deg", "annotator.use_palm_center",
-        "denoiser.ffn_multiplier", "denoiser.gumbel_tau", "denoiser.heads", "denoiser.layers",
-        "denoiser.mesh_scale", "denoiser.mesh_widths", "denoiser.step_features", "denoiser.width",
+        "annotator.use_palm_center",
+        "denoiser.ffn_multiplier", "denoiser.heads", "denoiser.layers", "denoiser.mesh_widths",
+        "denoiser.step_features", "denoiser.width",
         "frames", "preset",
         "schedule.eta1", "schedule.kappa", "schedule.power", "schedule.steps",
         "seed", "train.batch_size", "train.constant_accel_baseline", "train.divergence_threshold",
-        "train.epochs", "train.eval_subset", "train.lambda_geo", "train.lr",
-        "train.lr_decay_epochs", "train.lr_decay_factor",
+        "train.epochs", "train.eval_subset", "train.lambda_geo", "train.lr", "train.lr_decay_epochs",
         "train.perturb.burst_mean", "train.perturb.mask_noise_std", "train.perturb.mask_prob",
-        "train.perturb.noise_std", "train.probabilistic", "train.self_condition",
-        "train.self_condition_start_epoch", "train.use_kin", "train.use_sta", "train.use_state",
-        "train.weight_decay",
+        "train.perturb.noise_std", "train.probabilistic", "train.self_condition_start_epoch",
+        "train.use_kin", "train.use_sta", "train.use_state",
     ]
 
 
