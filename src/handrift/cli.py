@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HAND_RECIPE, annotator_config_from, load_config
+from .config import HAND_RECIPE, load_config
 from .datagen import MIN_SCRIPT_FRAMES, ScriptSpec, generate_sequence, sample_script
 from .errors import (CheckpointError, ConfigError, ContractError, HandriftError, InputError,
                      TrainingDivergedError)
@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score predictions against ground truth")
     e.add_argument("--pred", required=True, help="motion file or directory")
     e.add_argument("--gt", required=True, help="motion file or directory")
-    e.add_argument("--ckpt", default=None, help="optional checkpoint (hand model source)")
     e.add_argument("--report", required=True, help="report JSON path")
     e.add_argument("--plots", default=None, help="optional directory for SVG plots")
     e.add_argument("--csv", default=None, help="optional per-sequence CSV path")
@@ -161,7 +160,7 @@ def cmd_generate(args) -> int:
             setattr(script, k, np.asarray(v) if isinstance(getattr(script, k), np.ndarray) else v)
         try:
             script.validate()
-        except ContractError as e:
+        except (ContractError, InputError) as e:
             raise InputError(f"spec overrides make script-{i} invalid: {e}") from None
         if script.total_frames != frames:
             raise InputError(f"spec overrides make script-{i} {script.total_frames} frames long, "
@@ -284,14 +283,7 @@ def cmd_evaluate(args) -> int:
         for u in unmatched:
             print(f"  {u}", file=sys.stderr)
         return EXIT_USAGE
-    if args.ckpt:
-        bundle = load_bundle(args.ckpt)
-        model = bundle.hand_model
-        cfg = bundle.config
-    else:
-        cfg = load_config(None)
-        model = build_hand_model()
-    ann_cfg = annotator_config_from(cfg)
+    model = build_hand_model()
 
     def object_track(gt: MotionData) -> ObjectTrack:
         return ObjectTrack(gt.object_center, gt.contact_threshold)
@@ -304,7 +296,7 @@ def cmd_evaluate(args) -> int:
             if gt.states is not None:
                 labels = gt.states
             elif gt.object_center is not None:
-                labels = annotate_states(gt.frames, object_track(gt), model, ann_cfg).labels
+                labels = annotate_states(gt.frames, object_track(gt), model).labels
             else:
                 raise ConfigError(f"{gt_f.name}: ground truth carries neither states nor an object track")
             row = evaluate_pair(pred.frames, gt.frames, labels, model)
@@ -348,7 +340,7 @@ def cmd_evaluate(args) -> int:
                                        f"{stem}: acceleration error", y_label="mm/frame^2"))
             (plot_dir / f"{stem}_states.svg").write_text(svgplot.state_timeline(labels, f"{stem}: states"))
             if gt.object_center is not None:
-                d = hand_object_distance(gt.frames, object_track(gt), model, ann_cfg.use_palm_center)
+                d = hand_object_distance(gt.frames, object_track(gt), model)
                 (plot_dir / f"{stem}_distance.svg").write_text(
                     svgplot.line_chart([("d(t)", d)], f"{stem}: hand-object distance", y_label="mm"))
     return EXIT_OK

@@ -1,13 +1,14 @@
 """Configuration: nested dict with presets, deep-merge of user files, hashing.
 
-The full key set is documented in the README. The ``denoiser``, ``annotator``
-and ``train`` sections are the fields of ``DenoiserConfig``, ``AnnotatorConfig``
-and ``TrainConfig``, and take their defaults from those dataclasses; the hand
-is the fixed recipe ``HandModelConfig()``. ``desk`` is the small CPU preset every
-default test runs on; ``paper`` mirrors the published model scale (4 layers,
-8 heads, 512-wide, mesh widths [32,64,64,64]). A key that is not in the
-defaults, a value not of its default's JSON kind, or an integer setting that
-holds a non-integer or a value below its ``INT_LEAST``, is rejected.
+The full key set is documented in the README. The ``denoiser`` and ``train``
+sections are the fields of ``DenoiserConfig`` and ``TrainConfig``, and take
+their defaults from those dataclasses; the hand is the fixed recipe
+``HandModelConfig()``, and the state annotator has no settings. ``desk`` is
+the small CPU preset every default test runs on; ``paper`` mirrors the
+published model scale (4 layers, 8 heads, 512-wide, mesh widths
+[32,64,64,64]). A key that is not in the defaults, a value not of its
+default's JSON kind, or an integer setting that holds a non-integer or a value
+below its ``INT_LEAST``, is rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .datagen import PerturbSpec
 from .denoiser import MESH_SCALE, DenoiserConfig
 from .errors import ConfigError
 from .hand import HandModelConfig
-from .physics import CONTACT_THRESHOLD_MM, DISTANCE_RATE_MM, STABLE_SPEED_DEG, AnnotatorConfig
+from .physics import CONTACT_THRESHOLD_MM, DISTANCE_RATE_MM, STABLE_SPEED_DEG
 
 
 @dataclass
@@ -53,7 +54,6 @@ class TrainConfig:
 
 SECTIONS = {
     "denoiser": DenoiserConfig,
-    "annotator": AnnotatorConfig,
     "train": TrainConfig,
 }
 
@@ -77,6 +77,7 @@ REMOVED_KEYS = {
     "annotator.distance_rate_mm": DISTANCE_RATE_MM,
     "annotator.stable_speed_deg": STABLE_SPEED_DEG,
     "annotator.contact_threshold_mm": CONTACT_THRESHOLD_MM,
+    "annotator.use_palm_center": False,
 }
 
 # The least value of each integer setting the program can run with; an integer
@@ -154,8 +155,9 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
         if cfg.get("hand", HAND_RECIPE) != HAND_RECIPE:
             raise ConfigError(f"{what} 'hand' differs from the fixed hand recipe")
         for key, fixed in REMOVED_KEYS.items():
-            section, _, name = key.rpartition(".")  # a section the loop above checked
-            value = (cfg[section] if section else cfg).get(name, fixed)
+            section, _, name = key.rpartition(".")
+            stored = cfg.get(section, {}) if section else cfg  # a removed section may be absent
+            value = stored.get(name, fixed) if isinstance(stored, dict) else fixed
             if _json_kind(value) != _json_kind(fixed) or value != fixed:
                 raise ConfigError(f"{what} sets the removed key '{key}' to {json.dumps(value)}")
 
@@ -220,10 +222,6 @@ def hand_config_from(cfg: dict) -> HandModelConfig:
 
 def denoiser_config_from(cfg: dict) -> DenoiserConfig:
     return _section(DenoiserConfig, cfg["denoiser"])
-
-
-def annotator_config_from(cfg: dict) -> AnnotatorConfig:
-    return _section(AnnotatorConfig, cfg["annotator"])
 
 
 def train_config_from(cfg: dict) -> TrainConfig:

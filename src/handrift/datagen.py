@@ -19,9 +19,10 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ContractError
-from .hand import HandModel, fk_transforms
+from .hand import BONE_COUNT, HandModel, _bone_scales, fk_transforms
 from .motion import FRAME_DIM
-from .physics import CONTACT_THRESHOLD_MM, MotionState, ObjectTrack, StateTrack, hand_object_distance
+from .physics import (CONTACT_THRESHOLD_MM, MotionState, ObjectTrack, StateTrack,
+                      check_contact_threshold, hand_object_distance)
 from .rng import RandomStream
 
 INDEX_TIP = 8
@@ -76,6 +77,7 @@ class ScriptSpec:
             raise ContractError("interaction phases need reach_frames >= 2 to arrive at the object")
         if self.release_frames == 1:
             raise ContractError("release needs >= 2 frames to depart (or 0 to stay grasping)")
+        check_contact_threshold(self.contact_threshold)
 
 
 MIN_SCRIPT_FRAMES = 14  # the shortest length every phase of a randomized script fits in
@@ -134,10 +136,18 @@ def sample_script(stream: RandomStream, total_frames: int = 16) -> ScriptSpec:
     )
 
 
-def _fingertip_offset(root_orient, theta, beta, model: HandModel) -> np.ndarray:
-    """Index fingertip position relative to the wrist for a posed hand."""
-    joints, _ = fk_transforms(root_orient, theta.reshape(15, 3), beta, np.zeros(3), model)
-    return joints[INDEX_TIP]
+def _fingertip_offsets(spec: ScriptSpec, theta: np.ndarray, model: HandModel) -> np.ndarray:
+    """Index fingertip positions (n, 3) relative to the wrist for n finger poses (n, 45).
+
+    One FK call for all n, with the bone scales of the script's shape computed
+    once: the same bits as n single-frame calls.
+    """
+    n = theta.shape[0]
+    scales = np.broadcast_to(_bone_scales(tz.plain, spec.beta, model), (n, BONE_COUNT))
+    joints, _ = fk_transforms(np.broadcast_to(spec.root_orient, (n, 3)), theta.reshape(n, 15, 3),
+                              np.broadcast_to(spec.beta, (n, 10)), np.zeros((n, 3)), model,
+                              scales=scales)
+    return joints[:, INDEX_TIP]
 
 
 def generate_sequence(spec: ScriptSpec, model: HandModel):
@@ -155,7 +165,7 @@ def generate_sequence(spec: ScriptSpec, model: HandModel):
 
     grasp_flat = spec.grasp_theta.reshape(45)
     start_flat = (spec.grasp_theta - spec.open_delta).reshape(45)
-    tip_rel = _fingertip_offset(spec.root_orient, spec.grasp_theta, spec.beta, model)
+    tip_rel = _fingertip_offsets(spec, grasp_flat[None], model)[0]
     approach = spec.retreat_dir / np.linalg.norm(spec.retreat_dir)
     wrist_grasp = spec.object_center - tip_rel + approach * spec.grasp_distance
     wrist_start = wrist_grasp + approach * spec.retreat_len
@@ -200,10 +210,9 @@ def generate_sequence(spec: ScriptSpec, model: HandModel):
         trans[cursor : cursor + nm] = wrist_grasp + lift[:, None] * np.array([0.0, 0.0, 1.0])
         # the grasped object rides with the contacting fingertip
         ref_tip = wrist_grasp + tip_rel
-        for j in range(nm):
-            tip = trans[cursor + j] + _fingertip_offset(
-                spec.root_orient, theta[cursor + j].reshape(15, 3), spec.beta, model)
-            obj[cursor + j] = spec.object_center + (tip - ref_tip)
+        span = slice(cursor, cursor + nm)
+        tips = trans[span] + _fingertip_offsets(spec, theta[span], model)
+        obj[span] = spec.object_center + (tips - ref_tip)
         obj[cursor + nm :] = obj[cursor + nm - 1]
         manip_end_theta = theta[cursor + nm - 1].copy()
         phase[cursor : cursor + nm] = 3

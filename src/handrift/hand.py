@@ -20,7 +20,6 @@ are read-only, so no caller can change it under another.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -268,38 +267,6 @@ def _rodrigues(ops, w):
     K = ops.concatenate([zero, -wz, wy, wz, zero, -wx, -wy, wx, zero], axis=1).reshape(m, 3, 3)
     R = np.eye(3) + sin_c.reshape(m, 1, 1) * K + cos_c.reshape(m, 1, 1) * ops.matmul(K, K)
     return R.reshape(lead + (3, 3))
-
-
-def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rotation matrices of axis-angle vectors (..., 3) in plain numpy.
-
-    A single 3-vector takes a scalar path (Python floats, K^2 in closed form):
-    within a few ulp of the batch path, several times faster per call.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape == (3,):
-        R = _so3_exp_one(*w.tolist())
-        if R is not None:
-            return R
-    return _rodrigues(tz.plain, w)
-
-
-def _so3_exp_one(x: float, y: float, z: float) -> np.ndarray | None:
-    """``so3_exp`` of one finite rotation vector; None where the angle overflows."""
-    xx, yy, zz = x * x, y * y, z * z
-    s2 = xx + yy + zz
-    if not math.isfinite(s2):  # the batch path's nan/inf, warnings included
-        return None
-    if s2 < _SMALL_ANGLE**2:
-        sin_c, cos_c = 1.0 - s2 * (1.0 / 6.0), 0.5 - s2 * (1.0 / 24.0)
-    else:
-        theta = math.sqrt(s2)
-        sin_c, cos_c = math.sin(theta) / theta, (1.0 - math.cos(theta)) / s2
-    sx, sy, sz = sin_c * x, sin_c * y, sin_c * z
-    cxy, cxz, cyz = cos_c * x * y, cos_c * x * z, cos_c * y * z
-    return np.array([[1.0 - cos_c * (yy + zz), cxy - sz, cxz + sy],
-                     [cxy + sz, 1.0 - cos_c * (xx + zz), cyz - sx],
-                     [cxz - sy, cyz + sx, 1.0 - cos_c * (xx + yy)]])
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .motion import FRAME_DIM
-from .physics import CONTACT_THRESHOLD_MM, STATE_COUNT
+from .physics import CONTACT_THRESHOLD_MM, STATE_COUNT, check_contact_threshold
 
 MAGIC = b"HDMF0001"
 FORMAT_VERSION = 1
@@ -64,10 +63,10 @@ def write_motion(path, data: MotionData):
         "has_contact": data.contact is not None,
         "has_state": data.states is not None,
     }
-    if data.object_center is not None:
-        header["contact_threshold_mm"] = float(
-            data.contact_threshold if data.contact_threshold is not None else CONTACT_THRESHOLD_MM
-        )
+    if data.object_center is not None:  # a threshold that read_motion would refuse is not written
+        threshold = CONTACT_THRESHOLD_MM if data.contact_threshold is None else data.contact_threshold
+        check_contact_threshold(threshold)
+        header["contact_threshold_mm"] = float(threshold)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -124,9 +123,10 @@ def read_motion(path) -> MotionData:
     if header["has_object"]:
         obj = take(T * 3, "<f8", 8).astype(np.float64).reshape(T, 3)
         threshold = header.get("contact_threshold_mm", CONTACT_THRESHOLD_MM)
-        if not (type(threshold) in (int, float) and 0 < threshold <= sys.float_info.max):
-            raise InputError(f"motion header in {path}: contact_threshold_mm must be a finite "
-                             f"number > 0, got {threshold!r}")
+        try:
+            check_contact_threshold(threshold)
+        except InputError as e:
+            raise InputError(f"motion header in {path}: {e}") from None
     if header["has_contact"]:
         contact = take(T, np.uint8, 1).astype(bool)
     if header["has_state"]:

@@ -11,6 +11,7 @@ stable grasps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -38,6 +39,13 @@ DISTANCE_RATE_MM = 1.0       # delta_d, mm/frame: a d(t) trend beyond it is reac
 STABLE_SPEED_DEG = 0.5       # eps_s, degrees/frame: slower fingers in contact hold a stable grasp
 
 
+def check_contact_threshold(value) -> None:
+    """InputError unless ``value`` is a finite number > 0, as a contact threshold in mm must be."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):
+        raise InputError(f"contact_threshold_mm must be a finite number > 0, got {value!r}")
+
+
 @dataclass
 class ObjectTrack:
     center: np.ndarray                                      # (T,3) mm
@@ -46,6 +54,7 @@ class ObjectTrack:
     def __post_init__(self):
         if self.contact_threshold is None:
             self.contact_threshold = CONTACT_THRESHOLD_MM
+        check_contact_threshold(self.contact_threshold)
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.center.ndim != 2 or self.center.shape[1] != 3:
             raise InputError(f"object track must be (T,3), got {self.center.shape}")
@@ -71,11 +80,6 @@ class StateTrack:
         return self.labels.shape[0]
 
 
-@dataclass
-class AnnotatorConfig:
-    use_palm_center: bool = False       # distance from palm instead of fingertips
-
-
 def _centered_rate(x: np.ndarray) -> np.ndarray:
     """Centered difference over a 3-frame window; one-sided at the edges."""
     out = np.empty_like(x, dtype=np.float64)
@@ -85,20 +89,14 @@ def _centered_rate(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hand_object_distance(motion: np.ndarray, obj: ObjectTrack, model: HandModel,
-                         use_palm_center: bool = False) -> np.ndarray:
-    """d(t): distance from the hand to the object center, (T,) in mm."""
+def hand_object_distance(motion: np.ndarray, obj: ObjectTrack, model: HandModel) -> np.ndarray:
+    """d(t): distance from the nearest fingertip to the object center, (T,) in mm."""
     joints, _ = fk_transforms(*pose_parts(motion), model)
-    if use_palm_center:
-        ref = joints.mean(axis=1, keepdims=True)  # (T,1,3)
-    else:
-        ref = joints[:, list(TIP_JOINTS)]          # (T,5,3)
-    dist = np.linalg.norm(ref - obj.center[:, None, :], axis=-1)
-    return dist.min(axis=1)
+    tips = joints[:, list(TIP_JOINTS)]  # (T,5,3)
+    return np.linalg.norm(tips - obj.center[:, None, :], axis=-1).min(axis=1)
 
 
-def annotate_states(motion: np.ndarray, obj: ObjectTrack, model: HandModel,
-                    cfg: AnnotatorConfig | None = None) -> StateTrack:
+def annotate_states(motion: np.ndarray, obj: ObjectTrack, model: HandModel) -> StateTrack:
     """Label every frame with one of the five motion states.
 
     Rules (applied to the 3-frame centered rate of d and finger speed):
@@ -106,7 +104,6 @@ def annotate_states(motion: np.ndarray, obj: ObjectTrack, model: HandModel,
     flat -> Free. In contact, mean finger speed below eps_s -> Stable
     Grasping, otherwise Manipulation.
     """
-    cfg = cfg or AnnotatorConfig()
     motion = np.asarray(motion, dtype=np.float64)
     T = motion.shape[0]
     if T < 3:
@@ -114,7 +111,7 @@ def annotate_states(motion: np.ndarray, obj: ObjectTrack, model: HandModel,
     if obj.center.shape[0] != T:
         raise InputError(f"object track has {obj.center.shape[0]} frames, motion has {T}")
 
-    d = hand_object_distance(motion, obj, model, cfg.use_palm_center)
+    d = hand_object_distance(motion, obj, model)
     contact = d < obj.contact_threshold
     rate = _centered_rate(d)
 

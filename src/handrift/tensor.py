@@ -559,24 +559,22 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def _softmax_forward(x: np.ndarray, temperature: float = 1.0, axis: int = -1) -> np.ndarray:
-    z = x / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
+def _softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(a, temperature: float = 1.0, axis: int = -1) -> Tensor:
-    """Numerically stable softmax(x / temperature) along ``axis``.
+def softmax(a, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``.
 
     Entries of exactly -inf are legal (attention masks) and get weight 0.
     """
     a = as_tensor(a)
-    out_data = _softmax_forward(a.data, temperature, axis)
+    out_data = _softmax_forward(a.data, axis)
 
     def bw(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - dot) / temperature)
+        _accum(a, out_data * (g - dot))
 
     return _make(out_data, (a,), bw)
 

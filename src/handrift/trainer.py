@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .config import TrainConfig, annotator_config_from, train_config_from
+from .config import TrainConfig, train_config_from
 from .datagen import constant_accel_penalty, perturb
 from .diffusion import forward_sample
 from .errors import ConfigError, OptimizerError, TrainingDivergedError
@@ -161,13 +161,12 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
     den = bundle.denoiser
     schedule = bundle.schedule
 
-    ann_cfg = annotator_config_from(cfg)
     for item in corpus:
         if item.labels is None:
             if item.object_center is None:
                 raise ConfigError("corpus item lacks both labels and an object track")
             obj = ObjectTrack(item.object_center, item.contact_threshold)
-            item.labels = annotate_states(item.motion, obj, hand_model, ann_cfg).labels
+            item.labels = annotate_states(item.motion, obj, hand_model).labels
 
     root = RandomStream(cfg["seed"], "train")
     opt = AdamW(den.params, lr=tcfg.lr, lr_decay_epochs=tcfg.lr_decay_epochs)

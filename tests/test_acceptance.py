@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from handrift.cli import main
-from handrift.config import annotator_config_from, load_config
+from handrift.config import load_config
 from handrift.datagen import gaussian_smooth, perturb
 from handrift.denoiser import Denoiser, DenoiserConfig
 from handrift.diffusion import forward_sample, make_schedule, refine, reverse_transition
-from handrift.hand import build_hand_model, so3_exp
+from handrift.hand import build_hand_model
 from handrift.metrics import accl_error, f_score, kin_metric, mje, p_mje, procrustes_align, sta_metric
 from handrift.motion import FRAME_DIM, Normalizer
 from handrift.motionfile import MotionData, read_motion, write_motion
@@ -202,13 +203,12 @@ def test_criterion_3_physics_zero_cases(desk_corpus):
 
 
 def test_criterion_4_annotator_fidelity(desk_model, desk_corpus):
-    ann = annotator_config_from(load_config(None))
     from handrift.physics import ObjectTrack
 
     hits = total = 0
     for item, track in zip(desk_corpus["train"][:100], desk_corpus["train_tracks"][:100]):
         obj = ObjectTrack(item.object_center, item.contact_threshold)
-        pred = annotate_states(item.motion, obj, desk_model, ann)
+        pred = annotate_states(item.motion, obj, desk_model)
         hits += int((pred.labels == track.labels).sum())
         total += track.labels.size
     frac = hits / total
@@ -381,7 +381,7 @@ def test_criterion_8_metric_identities():
     for _ in range(1000):
         gt = rng.normal(size=(1, 21, 3)) * 30
         noisy = gt + rng.normal(size=(1, 21, 3)) * rng.uniform(0.2, 8)
-        Rm = so3_exp(rng.normal(size=3) * rng.uniform(0.05, 1.5))
+        Rm = Rotation.from_rotvec(rng.normal(size=3) * rng.uniform(0.05, 1.5)).as_matrix()
         pred = rng.uniform(0.8, 1.25) * noisy @ Rm.T + rng.normal(size=3) * 40
         if p_mje(pred, gt) > mje(pred, gt, root_relative=False) + 1e-9:
             ok_pmje = False
@@ -390,7 +390,7 @@ def test_criterion_8_metric_identities():
     gt = rng.normal(size=(4, 21, 3)) * 40
     pred = gt + rng.normal(size=(4, 21, 3)) * 5
     base = p_mje(pred, gt)
-    Rm = so3_exp(rng.normal(size=3))
+    Rm = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
     inv_err = abs(p_mje(pred @ Rm.T + np.array([12.0, -9.0, 30.0]), gt) - base)
 
     ok_f = True
@@ -405,7 +405,7 @@ def test_criterion_8_metric_identities():
 
     def brute_residual(pred_pts, gt_pts):
         def cost(w):
-            R2 = so3_exp(w)
+            R2 = Rotation.from_rotvec(w).as_matrix()
             rotated = pred_pts @ R2.T
             X = rotated - rotated.mean(0)
             Y = gt_pts - gt_pts.mean(0)
@@ -422,8 +422,8 @@ def test_criterion_8_metric_identities():
     worst_proc = 0.0
     for _ in range(50):
         gt_pts = rng.normal(size=(21, 3)) * 30
-        pred_pts = gt_pts @ so3_exp(rng.normal(size=3)).T * rng.uniform(0.7, 1.5) \
-            + rng.normal(size=(21, 3)) * 2.5
+        Rm = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
+        pred_pts = gt_pts @ Rm.T * rng.uniform(0.7, 1.5) + rng.normal(size=(21, 3)) * 2.5
         aligned = procrustes_align(pred_pts, gt_pts, with_scale=True)
         closed = np.sqrt(((aligned - gt_pts) ** 2).sum() / 21)
         worst_proc = max(worst_proc, abs(closed - brute_residual(pred_pts, gt_pts)))

@@ -5,7 +5,8 @@
 removed. Entering it here makes such a rename fail this suite, not only the
 benchmark's own tests. A fast path that stops calling a probed name leaves
 its span silent, which fails a benchmark run; the evaluation and refine
-probes below catch that here too.
+probes below catch that here too. Loading ``workloads.py`` and ``harness.py``
+does the same for every handrift name they import.
 """
 
 import importlib.util
@@ -23,7 +24,8 @@ from handrift.motion import Normalizer
 from handrift.pipeline import evaluate_pair, make_bundle, motion_to_joints, refine_sequence
 from handrift.rng import RandomStream
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 
 @pytest.fixture
@@ -36,6 +38,17 @@ def spans():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+def test_benchmark_workloads_and_harness_load(monkeypatch):
+    """Both load as ``run.py`` loads them, ``harness`` importing ``spans`` and ``workloads``
+    by their plain names, so a handrift name they import that is gone fails here."""
+    for name in ("spans", "workloads", "harness"):
+        spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    assert sorted(sys.modules["harness"].WORKLOADS) == ["evaluate", "refine_long", "train"]
 
 
 def test_benchmark_tracer_installs_every_probe_and_restores(spans):

@@ -1,18 +1,20 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from handrift import svgplot, trainer
+from handrift import trainer
 from handrift.cli import main
-from handrift.config import HAND_RECIPE, REMOVED_KEYS, config_hash, load_config
-from handrift.datagen import generate_sequence, sample_script
+from handrift.config import DEFAULTS, HAND_RECIPE, REMOVED_KEYS, config_hash, load_config
+from handrift.datagen import ScriptSpec, generate_sequence, sample_script
+from handrift.errors import InputError
 from handrift.hand import build_hand_model
 from handrift.motion import Normalizer
 from handrift.motionfile import MotionData, read_motion, write_motion
 from handrift.optim import AdamW
-from handrift.physics import ObjectTrack, hand_object_distance
+from handrift.physics import ObjectTrack
 from handrift.pipeline import make_bundle, save_bundle
 from handrift.rng import RandomStream
 
@@ -121,6 +123,31 @@ def test_generate_zero_count_still_checks_the_spec_overrides(tmp_path, capsys):
     assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "0",
                  "--seed", "0"]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", [0, -1, -3, float("nan"), float("inf")],
+                         ids=["zero", "minus-one", "minus-three", "nan", "inf"])
+def test_contact_threshold_that_no_reader_accepts_is_refused_before_writing(tmp_path, capsys,
+                                                                           threshold):
+    """ObjectTrack, ScriptSpec, write_motion and generate refuse what read_motion refuses, with
+    its message, so every motion file written reads back; generate makes no directory."""
+    message = f"contact_threshold_mm must be a finite number > 0, got {threshold!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        ObjectTrack(np.zeros((4, 3)), threshold)
+    with pytest.raises(InputError, match=re.escape(message)):
+        ScriptSpec(contact_threshold=threshold).validate()
+    path = tmp_path / "x.hmf"
+    with pytest.raises(InputError, match=re.escape(message)):
+        write_motion(path, MotionData(frames=np.zeros((4, 61)), object_center=np.zeros((4, 3)),
+                                      contact_threshold=threshold))
+    assert not path.exists()
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps({"frames": 16, "overrides": {"contact_threshold": threshold}}))
+    assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "2"]) == 1
+    err = capsys.readouterr().err  # JSON's NaN and Infinity fail the spec's own number check first
+    shown = message if np.isfinite(threshold) else "spec override 'contact_threshold' must be a finite number"
+    assert shown in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -597,9 +624,7 @@ def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, me
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     out = tmp_path / "x.hmf"
     assert main(["refine", "--ckpt", str(bad), "--in", str(src), "--out", str(out)]) == 3
-    assert main(["evaluate", "--pred", str(src), "--gt", str(src), "--ckpt", str(bad),
-                 "--report", str(tmp_path / "r.json")]) == 3
-    assert capsys.readouterr().err.count(message) == 2
+    assert capsys.readouterr().err.count(message) == 1
     assert not out.exists()
 
 
@@ -616,6 +641,7 @@ REMOVED_CASES = [  # (key, a value other than the fixed one, how the error shows
     ("annotator.distance_rate_mm", 2.0, "2.0"),
     ("annotator.stable_speed_deg", 1.0, "1.0"),
     ("annotator.contact_threshold_mm", 20.0, "20.0"),
+    ("annotator.use_palm_center", True, "true"),
 ]
 
 
@@ -642,22 +668,26 @@ def test_stored_removed_key_is_ignored_at_its_fixed_value_and_refused_otherwise(
     assert not other_out.exists()
 
 
-OLD_DEFAULTS = {  # the eight keys made constants, at the defaults they had
+OLD_DEFAULTS = {  # the keys made constants or removed, at the defaults they had
     "denoiser.gumbel_tau": 1.0, "denoiser.mesh_scale": 0.01, "annotator.distance_rate_mm": 1.0,
     "annotator.stable_speed_deg": 0.5, "annotator.contact_threshold_mm": 10.0,
+    "annotator.use_palm_center": False,
     "train.weight_decay": 1e-2, "train.lr_decay_factor": 0.8, "train.self_condition": True,
 }
 
 
 @pytest.mark.parametrize("key, value", OLD_DEFAULTS.items(), ids=list(OLD_DEFAULTS))
 def test_user_config_naming_a_removed_key_exits_one(tmp_path, workspace, capsys, key, value):
-    """A removed key is an unknown key in a user config, even at its old default."""
+    """A removed key is an unknown key in a user config, even at its old default; the error
+    names its section where the whole section is gone (``annotator``)."""
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps(_set_key(TINY_CONFIG, key, value)))
     ckpt = tmp_path / "x.ckpt"
     assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(cfg),
                  "--out", str(ckpt)]) == 1
-    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    section = key.partition(".")[0]
+    unknown = key if section in DEFAULTS else section
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown config key '{unknown}'"]
     assert not ckpt.exists()
 
 
@@ -810,29 +840,6 @@ def test_evaluate_plots_written(tmp_path, workspace):
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
-def test_evaluate_distance_plot_uses_the_annotator_settings(tmp_path, workspace, monkeypatch):
-    """d(t) is drawn as the labels beside it were annotated: here from the palm center."""
-    model = build_hand_model()
-    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
-    gt = read_motion(src)
-    cfg = load_config(None, {**UNTRAINED, "annotator": {"use_palm_center": True}})
-    ckpt = tmp_path / "palm.ckpt"
-    save_bundle(ckpt, make_bundle(cfg, Normalizer.fit([gt.frames]), hand_model=model))
-    line_chart, charts = svgplot.line_chart, {}
-
-    def capture(series, title="", **kwargs):
-        charts[title] = series
-        return line_chart(series, title, **kwargs)
-
-    monkeypatch.setattr(svgplot, "line_chart", capture)
-    assert main(["evaluate", "--pred", str(src), "--gt", str(src), "--ckpt", str(ckpt),
-                 "--report", str(tmp_path / "r.json"), "--plots", str(tmp_path / "plots")]) == 0
-    [(_, d)] = charts[f"{src.stem}: hand-object distance"]
-    obj = ObjectTrack(gt.object_center, gt.contact_threshold)
-    np.testing.assert_array_equal(d, hand_object_distance(gt.frames, obj, model, use_palm_center=True))
-    assert not np.allclose(d, hand_object_distance(gt.frames, obj, model))
-
-
 def test_evaluate_single_pair_mode(tmp_path, workspace):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     report = tmp_path / "single.json"
@@ -842,6 +849,7 @@ def test_evaluate_single_pair_mode(tmp_path, workspace):
 
 def test_usage_error_exit_code():
     assert main(["refine", "--ckpt"]) == 1
+    assert main(["evaluate", "--pred", "p", "--gt", "g", "--report", "r", "--ckpt", "x"]) == 1
     assert main([]) == 1
 
 

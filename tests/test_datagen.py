@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from handrift.config import load_config, annotator_config_from
-from handrift.datagen import (PerturbSpec, ScriptSpec, constant_accel_penalty, gaussian_smooth,
-                              generate_sequence, min_jerk_profile, perturb, sample_script)
+from handrift.config import load_config
+from handrift.datagen import (INDEX_TIP, PerturbSpec, ScriptSpec, _fingertip_offsets,
+                              constant_accel_penalty, gaussian_smooth, generate_sequence,
+                              min_jerk_profile, perturb, sample_script)
 from handrift.errors import ContractError
-from handrift.hand import build_hand_model
+from handrift.hand import build_hand_model, fk_transforms
 from handrift.metrics import accl_error, kin_metric, sta_metric
 from handrift.motion import FRAME_DIM
 from handrift.physics import MotionState, annotate_states, kinetics_loss, stability_loss
@@ -69,15 +70,24 @@ def test_generation_deterministic_per_seed(model):
     np.testing.assert_array_equal(t1.labels, t2.labels)
 
 
+def test_fingertip_offsets_are_bitwise_the_per_frame_fk(model):
+    """One FK call over a script's stacked finger poses equals one call per pose."""
+    for i in range(4):
+        spec = sample_script(RandomStream(7, f"script-{i}"), 16)
+        theta = spec.grasp_theta.reshape(1, 45) + RandomStream(i, "wiggle").normal((3, 45)) * 0.05
+        loop = [fk_transforms(spec.root_orient, t.reshape(15, 3), spec.beta, np.zeros(3), model)[0]
+                for t in theta]
+        np.testing.assert_array_equal(_fingertip_offsets(spec, theta, model),
+                                      np.stack(loop)[:, INDEX_TIP])
+
+
 def test_annotator_recovers_script_labels(model):
     """Acceptance-grade check at reduced seed count (full run in acceptance)."""
-    cfg = load_config(None)
-    ann = annotator_config_from(cfg)
     total, hits = 0, 0
     for i in range(30):
         spec = sample_script(RandomStream(7, f"script-{i}"), 16)
         motion, obj, track = generate_sequence(spec, model)
-        pred = annotate_states(motion, obj, model, ann)
+        pred = annotate_states(motion, obj, model)
         hits += int((pred.labels == track.labels).sum())
         total += track.labels.size
     assert hits / total >= 0.95

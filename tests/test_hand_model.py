@@ -36,7 +36,7 @@ def test_zero_pose_gives_rest_skeleton(model):
 def test_root_rotation_rotates_rest_skeleton(model):
     aa = np.array([0.0, 0.0, np.pi / 2])
     joints = hand.fk_transforms(aa, *ZERO_POSE[1:], model)[0]
-    R = hand.so3_exp(aa)
+    R = Rotation.from_rotvec(aa).as_matrix()
     np.testing.assert_allclose(joints, hand.REST_POSITIONS @ R.T, atol=1e-9)
 
 
@@ -57,7 +57,7 @@ def test_fk_equivariance_under_global_rotation(model):
     for _ in range(10):
         root_orient, theta, beta, trans = random_pose(rng)
         aa = rng.normal(scale=0.8, size=3)
-        R = hand.so3_exp(aa)
+        R = Rotation.from_rotvec(aa).as_matrix()
         rotated_root = (Rotation.from_rotvec(aa) * Rotation.from_rotvec(root_orient)).as_rotvec()
         j1 = hand.fk_transforms(rotated_root, theta, beta, R @ trans, model)[0]
         j2 = hand.fk_transforms(root_orient, theta, beta, trans, model)[0] @ R.T
@@ -74,7 +74,7 @@ def test_zero_pose_mesh_is_translated_template(model):
 def test_rigid_root_rotation_rotates_template(model):
     aa = np.array([0.3, -0.2, 0.9])
     verts = hand.skin_mesh_batch(aa, *ZERO_POSE[1:], model)[0]
-    R = hand.so3_exp(aa)
+    R = Rotation.from_rotvec(aa).as_matrix()
     template = hand.skin_mesh_batch(*ZERO_POSE, model)[0]
     np.testing.assert_allclose(verts, template @ R.T, atol=1e-9)
 
@@ -221,31 +221,20 @@ def test_rodrigues_small_angle_series(model):
     assert np.all(np.isfinite(w.grad))
 
 
-def test_so3_exp_matches_rodrigues():
+def test_rodrigues_matches_scipy():
+    """Both op namespaces, on both sides of the 1e-7 small-angle switch, against scipy."""
     rng = np.random.default_rng(5)
     axes = rng.normal(size=(400, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     # angles on both sides of the 1e-7 small-angle switch, up to 3 rad
     angles = np.concatenate([np.geomspace(1e-10, 9.9e-8, 100), np.geomspace(1.01e-7, 3.0, 300)])
     w = (axes * angles[:, None]).reshape(20, 20, 3)
-    ref = hand._rodrigues(tz, Tensor(w)).data
-    R = hand.so3_exp(w)
+    ref = Rotation.from_rotvec(w.reshape(-1, 3)).as_matrix().reshape(20, 20, 3, 3)
+    R = hand._rodrigues(tz.plain, w)
     assert R.shape == (20, 20, 3, 3)
     np.testing.assert_allclose(R, ref, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(hand.so3_exp(np.zeros(3)), np.eye(3), rtol=0, atol=0)
-
-
-def test_so3_exp_single_vector_path_matches_batch_path():
-    """One 3-vector takes the scalar path; it stays within 1e-15 of the batch path
-    on both sides of the 1e-7 small-angle switch."""
-    rng = np.random.default_rng(6)
-    axes = rng.normal(size=(400, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    angles = np.concatenate([[0.0], np.geomspace(1e-10, 9.9e-8, 99), np.geomspace(1.01e-7, 3.0, 300)])
-    for w in axes * angles[:, None]:
-        one = hand.so3_exp(w)
-        assert one.shape == (3, 3)
-        assert np.abs(one - hand.so3_exp(w[None])[0]).max() <= 1e-15
+    np.testing.assert_array_equal(hand._rodrigues(tz, Tensor(w)).data, R)
+    np.testing.assert_array_equal(hand._rodrigues(tz.plain, np.zeros(3)), np.eye(3))
 
 
 def test_default_hand_model_is_built_once_and_read_only(model):

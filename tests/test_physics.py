@@ -5,9 +5,8 @@ from handrift import hand
 from handrift import tensor as tz
 from handrift.errors import ContractError, InputError
 from handrift.motion import FRAME_DIM
-from handrift.physics import (AnnotatorConfig, MotionState, ObjectTrack, StateTrack,
-                              annotate_states, direction_reversal, kinetics_loss, stability_loss,
-                              state_loss)
+from handrift.physics import (MotionState, ObjectTrack, StateTrack, annotate_states,
+                              direction_reversal, kinetics_loss, stability_loss, state_loss)
 from handrift.tensor import Tensor, backward
 
 R, G, M, L, F = (MotionState.REACHING, MotionState.STABLE_GRASPING, MotionState.MANIPULATION,
@@ -279,15 +278,3 @@ def test_statetrack_annotator_contact_consistency(model):
         for t in range(12):
             if track.contact[t]:
                 assert track.labels[t] in (G, M)
-
-
-def test_annotator_palm_center_mode(model):
-    T = 8
-    motion = np.zeros((T, FRAME_DIM))
-    joints = hand.fk_transforms(np.zeros(3), np.zeros((15, 3)), np.zeros(10), np.zeros(3), model)[0]
-    palm = joints.mean(axis=0)
-    obj = ObjectTrack(center=np.tile(palm + [2.0, 0.0, 0.0], (T, 1)))
-    cfg = AnnotatorConfig(use_palm_center=True)
-    track = annotate_states(motion, obj, model, cfg)
-    assert track.contact.all()
-    assert np.all(track.labels == G)

@@ -50,7 +50,7 @@ def test_softmax_uniform():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
-    out = tz.softmax(Tensor(rng.normal(size=(20, 7)) * 10), temperature=0.37)
+    out = tz.softmax(Tensor(rng.normal(size=(20, 7)) * 10))
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(20), atol=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_composite_gradients_match_finite_differences():
 
     def build():
         h = tz.tanh(tz.matmul(x, w))
-        s = tz.softmax(h, temperature=0.7)
+        s = tz.softmax(h)
         a = tz.layer_norm(h) * 0.5 + tz.exp(h * 0.1)
         b = tz.log(tz.hinge(a) + 1.0) - tz.sin(h) * tz.cos(h)
         c = tz.concatenate([b, s], axis=1)
@@ -358,11 +358,8 @@ def test_hot_path_reductions_equal_numpy_wrapper_formulas():
         masked = x.copy()
         masked[..., 0] = -np.inf  # an attention mask's blocked entry
         for logits in (x, masked):
-            for temperature in (1.0, 0.37):
-                z = logits / temperature
-                e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-                np.testing.assert_array_equal(tz.plain.softmax(logits, temperature),
-                                              e / e.sum(axis=-1, keepdims=True))
+            e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+            np.testing.assert_array_equal(tz.plain.softmax(logits), e / e.sum(axis=-1, keepdims=True))
 
 
 def test_where_selects_gradient_branch():
@@ -428,7 +425,7 @@ def test_determinism_bitwise():
     def run():
         rng = RandomStream(99, "det")
         x = Tensor(rng.normal((6, 6)), requires_grad=True)
-        loss = tz.tsum(tz.softmax(tz.matmul(x, x), temperature=0.5) * tz.tanh(x))
+        loss = tz.tsum(tz.softmax(tz.matmul(x, x)) * tz.tanh(x))
         backward(loss)
         return loss.item(), x.grad.copy()
 

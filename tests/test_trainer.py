@@ -7,8 +7,7 @@ import pytest
 import handrift
 from handrift import pipeline, trainer
 from handrift import tensor as tz
-from handrift.config import (DEFAULTS, HAND_RECIPE, annotator_config_from, config_hash,
-                             denoiser_config_from, load_config)
+from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, sample_script
 from handrift.denoiser import Denoiser
 from handrift.diffusion import make_schedule, refine
@@ -70,16 +69,19 @@ def test_load_config_rejects_unknown_keys(tmp_path, train_section):
 
 
 def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_path):
-    """Stored configs bypass load_config: keys removed since still load."""
+    """Stored configs bypass load_config: keys removed since still load, and so does a
+    config without the removed ``annotator`` section, as every new checkpoint is."""
+    assert "annotator" not in tiny_cfg
     removed = {"teacher_noise_std": 0.0, "lambda_state": 1.0, "lambda_kinetics": 1.0,
                "lambda_stability": 1.0, "lambda_const_accel": 1.0, "mode": "model_agnostic",
                "weight_decay": 1e-2, "lr_decay_factor": 0.8, "self_condition": True}
     removed_denoiser = {"state_classes": 5, "max_frames": 256, "gumbel_tau": 1.0, "mesh_scale": 0.01}
-    removed_annotator = {"distance_rate_mm": 1.0, "stable_speed_deg": 0.5, "contact_threshold_mm": 10.0}
+    removed_annotator = {"distance_rate_mm": 1.0, "stable_speed_deg": 0.5, "contact_threshold_mm": 10.0,
+                         "use_palm_center": False}
     old = {**tiny_cfg, "hand": HAND_RECIPE, "smoothfilter_sigma": 1.0,
            "sequence_constant_beta": False,
            "denoiser": {**tiny_cfg["denoiser"], **removed_denoiser},
-           "annotator": {**tiny_cfg["annotator"], **removed_annotator},
+           "annotator": removed_annotator,
            "train": {**tiny_cfg["train"], **removed}}
     normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
     path = tmp_path / "old.ckpt"
@@ -87,13 +89,14 @@ def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_pat
     loaded = load_bundle(path)
     assert {k: loaded.config["train"][k] for k in removed} == removed
     assert {k: loaded.config["denoiser"][k] for k in removed_denoiser} == removed_denoiser
-    assert {k: loaded.config["annotator"][k] for k in removed_annotator} == removed_annotator
+    assert loaded.config["annotator"] == removed_annotator
     assert loaded.config["hand"] == HAND_RECIPE and loaded.config["smoothfilter_sigma"] == 1.0
     assert loaded.config["sequence_constant_beta"] is False
     assert train_config_from(loaded.config) == train_config_from(tiny_cfg)
     assert denoiser_config_from(loaded.config) == denoiser_config_from(tiny_cfg)
-    assert annotator_config_from(loaded.config) == annotator_config_from(tiny_cfg)
     assert loaded.hand_model.config == HandModelConfig()
+    save_bundle(tmp_path / "new.ckpt", make_bundle(tiny_cfg, normalizer))
+    assert load_bundle(tmp_path / "new.ckpt").config == tiny_cfg
 
 
 def _leaves(node, prefix=""):
@@ -105,7 +108,6 @@ def _leaves(node, prefix=""):
 def test_config_surface_is_pinned():
     """Every settable config key; adding or removing a knob is a deliberate change here."""
     assert sorted(_leaves(DEFAULTS)) == [
-        "annotator.use_palm_center",
         "denoiser.ffn_multiplier", "denoiser.heads", "denoiser.layers", "denoiser.mesh_widths",
         "denoiser.step_features", "denoiser.width",
         "frames", "preset",
@@ -121,9 +123,9 @@ def test_config_surface_is_pinned():
 def test_public_api_is_pinned():
     """Every name ``handrift`` exports; adding or removing one is a deliberate change here."""
     assert sorted(handrift.__all__) == [
-        "AnnotatorConfig", "CorpusItem", "Denoiser", "DenoiserConfig", "DiffusionSchedule",
-        "EvalReport", "HandModel", "HandModelConfig", "MotionState", "Normalizer", "ObjectTrack",
-        "PerturbSpec", "RandomStream", "RefineBundle", "ScriptSpec", "StateTrack", "TrainConfig",
+        "CorpusItem", "Denoiser", "DenoiserConfig", "DiffusionSchedule", "EvalReport", "HandModel",
+        "HandModelConfig", "MotionState", "Normalizer", "ObjectTrack", "PerturbSpec", "RandomStream",
+        "RefineBundle", "ScriptSpec", "StateTrack", "TrainConfig",
         "accl_error", "annotate_states", "build_hand_model", "default_config", "f_score",
         "forward_sample", "generate_sequence", "kin_metric", "kinetics_loss", "load_bundle",
         "load_config", "make_schedule", "mje", "p_mje", "perturb", "procrustes_align", "refine",
