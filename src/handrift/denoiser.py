@@ -34,21 +34,33 @@ reuses y's codes for both.
 The encoder and the teacher body are written once over an op namespace,
 ``self.ops``: the ``tensor`` module, which records the graph training
 differentiates, or, on the copy ``frozen()`` returns, ``tensor.plain``, the
-same arithmetic on bare arrays for every pass no gradient flows through. Both
-give bitwise-equal values. The row step runs on plain arrays only: a
-Tensor-ops denoiser's ``forward_free`` runs on its ``frozen()`` view. Both
-run the mesh encoder over blocks of ``MESH_BLOCK`` meshes.
+same arithmetic on bare arrays for every pass no gradient flows through. The
+row step runs on plain arrays only: a Tensor-ops denoiser's ``forward_free``
+runs on its ``frozen()`` view. Both run the mesh encoder over blocks of
+``MESH_BLOCK`` meshes.
+
+There are two gradient-free views. ``frozen()`` is float64 and shares the live
+weights: its values are bitwise the Tensor path's, and training's
+self-conditioning pass uses it. ``frozen(np.float32)`` casts the weights and the
+adjacency once; the mesh encoder, the encoder, the observation tokens and the
+row step then compute in float32, and refine runs on it. Skinning stays
+float64 on both views, and so do the chain arithmetic, training and every file.
+Under NumPy's promotion rules one float64 operand turns a whole pass back into
+float64, so every constant a pass makes (positional encoding, causal mask,
+step features, buffers) is made in the view's dtype, and the score scales are
+Python floats.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, InputError, NumericalError, ShapeError
 from .hand import HandModel, skin_mesh_batch
 from .motion import FRAME_DIM, Normalizer, pose_parts
 from .physics import STATE_COUNT
@@ -184,20 +196,26 @@ class Denoiser:
         self.total_steps = total_steps
         self.state_feedback = state_feedback  # False: condition on a neutral state
         self.ops = tz
+        self.dtype = np.dtype(np.float64)
         self.adjacency = hand_model.adjacency_norm  # a constant: no gradient reaches it
         self.params = params if params is not None else self.init_params(seed)
 
-    def frozen(self) -> "Denoiser":
-        """A gradient-free view for inference: the same passes on plain numpy.
+    def frozen(self, dtype=np.float64) -> "Denoiser":
+        """A gradient-free view for inference: the same passes on plain ``dtype`` arrays.
 
-        A shallow copy whose ops are ``tensor.plain`` and whose params are the
-        live ``.data`` arrays (an in-place optimizer step shows through). It
-        copies no weights and leaves this denoiser untouched; its passes
-        return arrays.
+        A shallow copy whose ops are ``tensor.plain``; it leaves this denoiser
+        untouched, and its passes return arrays. In float64 its params are the
+        live ``.data`` arrays (an in-place optimizer step shows through) and its
+        values are bitwise the Tensor path's. In float32 the weights and the
+        adjacency are cast once, a snapshot of the weights at the call, and the
+        mesh encoder, the encoder, the observation tokens and the row step
+        compute in float32; skinning stays float64.
         """
         view = copy.copy(self)
         view.ops = tz.plain
-        view.params = {k: p.data for k, p in self.params.items()}
+        view.dtype = np.dtype(dtype)
+        view.params = {k: p.data.astype(dtype, copy=False) for k, p in self.params.items()}
+        view.adjacency = self.adjacency.astype(dtype, copy=False)
         return view
 
     # -- parameters ------------------------------------------------------
@@ -231,7 +249,7 @@ class Denoiser:
             raise ShapeError(
                 f"mesh has {meshes.shape[-2]} vertices, template has {self.hand_model.vertex_count}"
             )
-        h = np.asarray(meshes, dtype=np.float64) * MESH_SCALE
+        h = (np.asarray(meshes, dtype=np.float64) * MESH_SCALE).astype(self.dtype, copy=False)
         if len(h) > MESH_BLOCK:
             return self.ops.concatenate([self._pool_meshes(h[i : i + MESH_BLOCK])
                                          for i in range(0, len(h), MESH_BLOCK)])
@@ -254,6 +272,7 @@ class Denoiser:
         half = self.cfg.step_features // 2
         freqs = np.pi * 2.0 ** np.arange(half)
         feats = np.concatenate([np.sin(u[:, None] * freqs), np.cos(u[:, None] * freqs)], axis=1)
+        feats = feats.astype(self.dtype, copy=False)
         h = self.ops.tanh(self._lin("step.0", feats))
         return self._lin("step.1", h)  # (B, width)
 
@@ -267,7 +286,7 @@ class Denoiser:
     def _mix(self, name, q, k, v, mask: np.ndarray | None, layer: str):
         """Scaled dot-product attention of split heads, merged and projected."""
         B, Tq = q.shape[0], q.shape[2]
-        scores = self.ops.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[3]))
+        scores = self.ops.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(q.shape[3]))
         if mask is not None:
             scores = scores + mask  # (Tq,Tk) additive causal mask, -inf blocked
         attn = self.ops.softmax(scores, axis=-1)
@@ -284,10 +303,10 @@ class Denoiser:
     def _ffn(self, name, x):
         return self._lin(f"{name}.1", self.ops.tanh(self._lin(f"{name}.0", x)))
 
-    @staticmethod
-    def _causal_mask(t: int) -> np.ndarray:
+    def _causal_mask(self, t: int) -> np.ndarray:
         """Additive (t,t) mask: position i attends to positions 0..i."""
-        return np.where(np.arange(t)[None, :] <= np.arange(t)[:, None], 0.0, -np.inf)
+        mask = np.where(np.arange(t)[None, :] <= np.arange(t)[:, None], 0.0, -np.inf)
+        return mask.astype(self.dtype, copy=False)
 
     def _skin(self, norm: np.ndarray) -> np.ndarray:
         """Posed meshes of every frame of a normalized (B,T,D) batch: (B*T,V,3)."""
@@ -300,9 +319,26 @@ class Denoiser:
 
         Row-flattened (B*T, C) codes of a (B,T,D) y are ``encode(..., y_code=)``'s.
         y is the same at every step of a reverse chain, so a refine encodes
-        its meshes once here instead of at every step.
+        its meshes once here instead of at every step. A frame with a normalized
+        value or a scaled vertex coordinate far outside the view's dtype range
+        is refused with InputError naming its row (``_check_range``).
         """
-        return self.encode_meshes(self._skin(np.asarray(y_norm, dtype=np.float64)))
+        y_norm = np.asarray(y_norm, dtype=np.float64)
+        self._check_range(y_norm.reshape(-1, FRAME_DIM), "normalized value")
+        meshes = self._skin(y_norm)
+        self._check_range(meshes * MESH_SCALE, "scaled vertex coordinate")
+        return self.encode_meshes(meshes)
+
+    def _check_range(self, rows: np.ndarray, what: str):
+        """InputError naming the first row with an entry beyond the fourth root of the
+        dtype's largest value (about 4.3e9 in float32): the GEMMs weight and sum up to
+        2*61 inputs and the layer norms square the sums, so an input must lie that far
+        inside the dtype's range."""
+        limit = float(np.finfo(self.dtype).max) ** 0.25
+        bad = ~(np.abs(rows) <= limit).reshape(len(rows), -1).all(axis=1)
+        if bad.any():
+            raise InputError(f"frame {np.flatnonzero(bad)[0]} holds a {what} beyond ±{limit:.2g}, "
+                             f"the range a {self.dtype} refine takes")
 
     def _encode_sequence(self, x_n_norm: np.ndarray, y_norm: np.ndarray, step_emb, y_code,
                          pe: np.ndarray):
@@ -346,10 +382,11 @@ class Denoiser:
         B, T = x_n_norm.shape[:2]
         n_arr = np.broadcast_to(np.asarray(n), (B,)).astype(np.int64)
         steps = self.total_steps if total_steps is None else total_steps
-        pe = positional_encoding(T, self.cfg.width)
+        pe = positional_encoding(T, self.cfg.width).astype(self.dtype, copy=False)
         step_emb = self.embed_step(n_arr, steps)
         memory = self._encode_sequence(x_n_norm, y_norm, step_emb, y_code, pe)
-        obs_tokens = self._lin("dec_obs", np.concatenate([y_norm, x_n_norm], axis=-1))
+        obs = np.concatenate([y_norm, x_n_norm], axis=-1).astype(self.dtype, copy=False)
+        obs_tokens = self._lin("dec_obs", obs)
         return memory, step_emb, obs_tokens, pe
 
     def decode_teacher(self, cond, teacher_pose_norm, teacher_labels):
@@ -395,10 +432,11 @@ class Denoiser:
 
         With rng=None state feedback uses the argmax one-hot (deterministic);
         otherwise hard Gumbel-Softmax samples. It runs on plain arrays, a
-        Tensor-ops denoiser on its ``frozen()`` view, and decodes frame by frame
-        with the row step (see the module docstring). It equals a causal
+        Tensor-ops denoiser on its float64 ``frozen()`` view, and decodes frame by
+        frame with the row step (see the module docstring). It equals a causal
         teacher-forced re-decode of every prefix up to rounding. ``y_code`` is as
-        in ``encode``. Returns arrays (x_hat (B,T,D), state_logits (B,T,S)).
+        in ``encode``. Returns arrays in the view's dtype (x_hat (B,T,D),
+        state_logits (B,T,S)).
         """
         den = self if self.ops is tz.plain else self.frozen()
         if y_code is not None:
@@ -425,27 +463,13 @@ class Denoiser:
         cfg, p = self.cfg, self.params
         B, T, W = memory.shape
         H, d = cfg.heads, W // cfg.heads
-        D = FRAME_DIM
-        scale = 1.0 / np.sqrt(d)
+        D, dtype = FRAME_DIM, self.dtype
         in_w = np.concatenate([p["dec_in.w"], p["state_emb"]])
-        layers = []
-        for i in range(cfg.layers):
-            name = f"dec.{i}"
-            qkv_w, qkv_b = _fold(p, f"{name}.ln1", [f"{name}.self.{c}" for c in "qkv"])
-            qkv_w[:, :W] *= scale
-            qkv_b[:W] *= scale
-            cross_q = tuple(a * scale for a in _fold(p, f"{name}.ln2", [f"{name}.cross.q"]))
-            layers.append(((qkv_w, qkv_b), (p[f"{name}.self.o.w"], p[f"{name}.self.o.b"]),
-                           cross_q, (p[f"{name}.cross.o.w"], p[f"{name}.cross.o.b"]),
-                           _fold(p, f"{name}.ln3", [f"{name}.ffn.0"]),
-                           (p[f"{name}.ffn.1.w"], p[f"{name}.ffn.1.b"]),
-                           self._heads(f"{name}.cross.k", memory),
-                           self._heads(f"{name}.cross.v", memory),
-                           np.empty((B, H, T, d)), np.empty((B, H, T, d))))
+        layers = self._row_layers(memory)
         head_w, head_b = _fold(p, "dec_ln", ["head_pose", "head_state"])
-        x_hat, logits = np.empty((B, T, D)), np.empty((B, T, STATE_COUNT))
-        fed = np.zeros((B, D + STATE_COUNT))  # frame t-1's pose | state (zero without feedback)
-        mean = np.full((W, 1), 1.0 / W)
+        x_hat, logits = np.empty((B, T, D), dtype), np.empty((B, T, STATE_COUNT), dtype)
+        fed = np.zeros((B, D + STATE_COUNT), dtype)  # frame t-1's pose | state (zero without feedback)
+        mean = np.full((W, 1), 1.0 / W, dtype)
 
         def norm(x):  # tensor.layer_norm (eps 1e-8), its two means taken as GEMVs
             xc = x - x @ mean
@@ -482,3 +506,29 @@ class Denoiser:
                 if self.state_feedback:
                     fed[:, D:] = sample_state(out[:, D:], rng)
         return x_hat, logits
+
+    def _row_layers(self, memory: np.ndarray) -> list:
+        """Each decoder layer's row-step state for a (B,T,W) memory, in the view's dtype:
+        the fused, folded projections ((w, b) pairs: self-attention Q|K|V, its output,
+        the cross-attention query and output, the two FFN layers), the memory's
+        cross-attention keys and values (B,H,T,d), and the empty (B,H,T,d) buffers of
+        the frames' self-attention keys and values."""
+        cfg, p = self.cfg, self.params
+        B, T, W = memory.shape
+        H, d = cfg.heads, W // cfg.heads
+        scale = 1.0 / math.sqrt(d)
+        layers = []
+        for i in range(cfg.layers):
+            name = f"dec.{i}"
+            qkv_w, qkv_b = _fold(p, f"{name}.ln1", [f"{name}.self.{c}" for c in "qkv"])
+            qkv_w[:, :W] *= scale
+            qkv_b[:W] *= scale
+            cross_q = tuple(a * scale for a in _fold(p, f"{name}.ln2", [f"{name}.cross.q"]))
+            layers.append(((qkv_w, qkv_b), (p[f"{name}.self.o.w"], p[f"{name}.self.o.b"]),
+                           cross_q, (p[f"{name}.cross.o.w"], p[f"{name}.cross.o.b"]),
+                           _fold(p, f"{name}.ln3", [f"{name}.ffn.0"]),
+                           (p[f"{name}.ffn.1.w"], p[f"{name}.ffn.1.b"]),
+                           self._heads(f"{name}.cross.k", memory),
+                           self._heads(f"{name}.cross.v", memory),
+                           np.empty((B, H, T, d), self.dtype), np.empty((B, H, T, d), self.dtype)))
+        return layers

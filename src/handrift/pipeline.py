@@ -106,29 +106,23 @@ def _check_tensors(tensors: dict, expected: dict):
 # refinement
 
 
-def _refine_windows(bundle: RefineBundle, frames_raw: np.ndarray, rows: np.ndarray,
+def _refine_windows(bundle: RefineBundle, den: Denoiser, y_norm: np.ndarray, y_code: np.ndarray,
                     deterministic: bool, rng: RandomStream | None, steps: int | None):
-    """Refine the windows ``frames_raw[rows]`` ((W,T) row indices into raw (F,61)
-    clip frames) through one reverse chain.
+    """Refine the normalized windows ``y_norm`` (W,T,61) through one reverse chain of
+    the gradient-free view ``den``; ``y_code`` (W*T,C) are their frames' mesh codes,
+    reused at every step.
 
     Returns (raw refined (W,T,61), state logits (W,T,S)). A non-probabilistic
     model, trained only at n = N on x^N = y, runs the one-step chain: its step
     embedding reads n/N = 1 either way. The schedule's step count reaches the
-    denoiser as an argument; the bundle is never modified. The chain runs the
-    denoiser's gradient-free copy. y's mesh codes are encoded once per clip
-    frame, not per window row (half-overlap windows hold most frames twice),
-    and reused at every step of the chain.
+    denoiser as an argument; the bundle is never modified.
     """
-    frames_norm = bundle.normalizer.normalize(frames_raw)
-    y_norm = frames_norm[rows]
-    den = bundle.denoiser.frozen()
     schedule = bundle.schedule
     if not bundle.probabilistic:
         steps, deterministic = 1, True
     if steps is not None and steps != schedule.steps:
         sch = bundle.config["schedule"]
         schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
-    y_code = den.encode_condition(frames_norm)[rows.reshape(-1)]
 
     def denoise_fn(x_n, y, n):
         return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps, y_code=y_code)
@@ -148,16 +142,26 @@ def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
     ``y_raw`` may also be a list of sequences, for a list of (refined,
     StateTrack) back: the windows of every clip with the same window length
     (the trained one, or a shorter clip's own) go through one reverse chain.
+
+    The chains run on the denoiser's float32 view, made once here; the chain
+    arithmetic, skinning and the result stay float64. Before any chain runs,
+    each clip frame's mesh code is encoded once, not per window row
+    (half-overlap windows hold most frames twice), and a clip the float32 view
+    cannot carry is refused with InputError naming the frame.
     """
     clips = y_raw if isinstance(y_raw, list) else [y_raw]
     plans = [_windows(bundle, np.asarray(clip, dtype=np.float64)) for clip in clips]
+    den = bundle.denoiser.frozen(np.float32)
+    norms = [bundle.normalizer.normalize(clip) for clip, _, _ in plans]
+    codes = [den.encode_condition(norm) for norm in norms]
     results: list = [None] * len(plans)
     for win in dict.fromkeys(win for _, win, _ in plans):  # window lengths, first seen first
         group = [i for i, (_, w, _) in enumerate(plans) if w == win]
         offsets = np.cumsum([0] + [len(plans[i][0]) for i in group])
         rows = np.stack([o + s + np.arange(win) for i, o in zip(group, offsets) for s in plans[i][2]])
-        frames = np.concatenate([plans[i][0] for i in group])
-        refined, logits = _refine_windows(bundle, frames, rows, deterministic, rng, steps)
+        y_norm = np.concatenate([norms[i] for i in group])[rows]
+        y_code = np.concatenate([codes[i] for i in group])[rows.reshape(-1)]
+        refined, logits = _refine_windows(bundle, den, y_norm, y_code, deterministic, rng, steps)
         labels = np.argmax(logits, axis=-1)
         for i in group:  # each clip's windows, in the order they were stacked
             n = len(plans[i][2])

@@ -12,8 +12,10 @@ Delete tests/.cache to force retraining.
 import ast
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import handrift
@@ -79,6 +81,18 @@ def desk_corpus(desk_model):
         "test": test_items,
         "test_tracks": test_tracks,
     }
+
+
+def rodrigues(w) -> np.ndarray:
+    """The rotation matrix of rotation vector ``w``, I + a K + b K^2 in closed form on the
+    ``math`` module: a reference cheap enough to sit inside an optimizer's cost function.
+    ``b`` is taken as 2 sin^2(t/2) / t^2, free of the cancellation in 1 - cos t."""
+    x, y, z = (float(v) for v in w)
+    t = math.sqrt(x * x + y * y + z * z)
+    a, b = (math.sin(t) / t, 2.0 * (math.sin(0.5 * t) / t) ** 2) if t > 0.0 else (1.0, 0.5)
+    return np.array([[1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
+                     [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
+                     [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)]])
 
 
 def sibling_imports(text: str) -> list[str]:

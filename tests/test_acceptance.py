@@ -28,7 +28,7 @@ from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
 from handrift.trainer import total_loss, train_config_from
 
-from conftest import CACHE, VARIANTS, cache_tag, desk_config, sibling_imports
+from conftest import CACHE, VARIANTS, cache_tag, desk_config, rodrigues, sibling_imports
 
 
 def test_model_cache_holds_only_current_models():
@@ -404,11 +404,10 @@ def test_criterion_8_metric_identities():
     from scipy.optimize import minimize
 
     def brute_residual(pred_pts, gt_pts):
-        def cost(w):
-            R2 = Rotation.from_rotvec(w).as_matrix()
-            rotated = pred_pts @ R2.T
-            X = rotated - rotated.mean(0)
-            Y = gt_pts - gt_pts.mean(0)
+        X0, Y = pred_pts - pred_pts.mean(0), gt_pts - gt_pts.mean(0)  # centring commutes with R
+
+        def cost(w):  # rotates by the closed-form Rodrigues, checked against scipy below
+            X = X0 @ rodrigues(w).T
             s = (X * Y).sum() / (X * X).sum()
             return ((s * X - Y) ** 2).sum()
 
@@ -416,6 +415,7 @@ def test_criterion_8_metric_identities():
         for _ in range(8):
             res = minimize(cost, rng.normal(size=3) * 2, method="Nelder-Mead",
                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 3000})
+            assert np.abs(rodrigues(res.x) - Rotation.from_rotvec(res.x).as_matrix()).max() <= 1e-12
             best = min(best, res.fun)
         return np.sqrt(best / pred_pts.shape[0])
 

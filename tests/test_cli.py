@@ -729,6 +729,32 @@ def test_refine_clip_longer_than_256_frames(tmp_path):
     assert read_motion(out).frames.shape == (300, 61)
 
 
+@pytest.mark.parametrize("translation_std, message", [
+    (None, "frame 5 holds a normalized value beyond"),
+    (1e35, "frame 5 holds a scaled vertex coordinate beyond"),  # normalized to 1e5 only
+], ids=["normalized", "vertex"])
+@pytest.mark.parametrize("stochastic", [False, True], ids=["deterministic", "stochastic"])
+def test_refine_motion_beyond_float32_range_exits_one(tmp_path, capsys, translation_std, message,
+                                                      stochastic):
+    """A root translation of 1e40 mm is refused before the float32 chain runs, naming
+    the frame, whether its normalized value or its scaled vertices leave the range."""
+    cfg = load_config(None, {**UNTRAINED, "frames": 8})
+    model = build_hand_model()
+    motion, _, _ = generate_sequence(sample_script(RandomStream(9, "huge"), 14), model)
+    normalizer = Normalizer.fit([motion])
+    if translation_std is not None:
+        normalizer.std[58:61] = translation_std
+    ckpt, clip, out = tmp_path / "model.ckpt", tmp_path / "clip.hmf", tmp_path / "out.hmf"
+    save_bundle(ckpt, make_bundle(cfg, normalizer, hand_model=model))
+    frames = motion.copy()
+    frames[5, 58] = 1e40
+    write_motion(clip, MotionData(frames=frames))
+    argv = ["refine", "--ckpt", str(ckpt), "--in", str(clip), "--out", str(out)]
+    assert main(argv + (["--stochastic", "--seed", "3"] if stochastic else [])) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fuzzed_containers_exit_cleanly(tmp_path):
     """Cut, extended and byte-flipped checkpoints and motion files exit 0, 1 or 3, never raise.

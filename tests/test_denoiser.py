@@ -527,6 +527,43 @@ def test_denoiser_gradient_matches_finite_differences(toy):
     assert checked >= 100
 
 
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_float32_view_computes_every_pass_in_float32(toy, monkeypatch, mode):
+    """On the float32 view, encode's four outputs, the mesh codes, the row step's
+    cross-attention and self-attention key/value buffers and every frame it decodes
+    are float32. Under NumPy's promotion rules a single float64 operand (a scalar
+    from np.sqrt, a positional encoding, a mask, step features, a buffer) would turn
+    them float64."""
+    rng = np.random.default_rng(15)
+    x, y = random_batch(rng, B=2, T=6)
+    x_n = x + rng.normal(size=x.shape) * 0.2
+    view = toy.frozen(np.float32)
+    assert view.adjacency.dtype == np.float32
+    assert all(p.dtype == np.float32 for p in view.params.values())
+    assert all(p.dtype == np.float64 for p in toy.frozen().params.values())
+
+    y_code = view.encode_condition(y)
+    cond = view.encode(x_n, y, 3, y_code=y_code)
+    assert [a.dtype for a in (y_code, *cond, *view.encode(x_n, y, 3))] == [np.float32] * 9
+    layers = view._row_layers(cond[0])
+    # six (w, b) projections, the cross keys and values, the self keys and values buffers
+    arrays = [a for layer in layers for part in layer
+              for a in (part if isinstance(part, tuple) else [part])]
+    assert len(arrays) == 16 * TOY.layers and {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    rows = []
+
+    def sample(logits, stream):
+        rows.append(logits.dtype)
+        return sample_state(logits, stream)
+
+    monkeypatch.setattr(denoiser, "sample_state", sample)
+    stream = RandomStream(6, "float32-view") if mode == "stochastic" else None
+    pose, logits = view.forward_free(x_n, y, 3, rng=stream, y_code=y_code)
+    assert pose.dtype == logits.dtype == np.float32
+    assert rows == [np.float32] * 6  # each frame's pose | state row, before it is fed back
+
 def test_sample_state_without_noise_is_the_argmax():
     logits = np.array([[0.2, 1.7, -0.4, 0.0, 0.9], [3.0, -1.0, 0.0, 0.5, 2.9]])
     out = sample_state(logits, rng=None)

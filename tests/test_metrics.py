@@ -14,6 +14,8 @@ from handrift.pipeline import evaluate_pair
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor
 
+from conftest import rodrigues
+
 R, G, M = MotionState.REACHING, MotionState.STABLE_GRASPING, MotionState.MANIPULATION
 
 
@@ -220,17 +222,17 @@ def test_p_mje_rigid_invariance():
 
 def test_procrustes_matches_bruteforce_descent_oracle():
     """Independent oracle: Nelder-Mead restarts over rotation parameters with
-    closed-form scale/translation for each candidate rotation."""
+    closed-form scale/translation for each candidate rotation. The cost rotates by
+    the test's own Rodrigues formula, checked against scipy at every optimum."""
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(10)
 
     def brute_force_residual(pred, gt):
+        X0, Y = pred - pred.mean(0), gt - gt.mean(0)  # centring commutes with the rotation
+
         def cost(w):
-            Rm = Rotation.from_rotvec(w).as_matrix()
-            rotated = pred @ Rm.T
-            X = rotated - rotated.mean(0)
-            Y = gt - gt.mean(0)
+            X = X0 @ rodrigues(w).T
             s = (X * Y).sum() / (X * X).sum()
             resid = s * X - Y
             return (resid**2).sum()
@@ -240,6 +242,7 @@ def test_procrustes_matches_bruteforce_descent_oracle():
             w0 = rng.normal(size=3) * 2.0
             res = minimize(cost, w0, method="Nelder-Mead",
                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 1500})
+            assert np.abs(rodrigues(res.x) - Rotation.from_rotvec(res.x).as_matrix()).max() <= 1e-12
             best = min(best, res.fun)
         return np.sqrt(best / pred.shape[0])
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +12,20 @@ import handrift
 from handrift import pipeline, trainer
 from handrift import tensor as tz
 from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
-from handrift.datagen import generate_sequence, sample_script
+from handrift.datagen import generate_sequence, perturb, sample_script
 from handrift.denoiser import Denoiser
 from handrift.diffusion import make_schedule, refine
 from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
 from handrift.hand import HandModelConfig, build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
+from handrift.motionfile import MotionData, write_motion
 from handrift.physics import STATE_COUNT, ObjectTrack, annotate_states
 from handrift.pipeline import evaluate_pair, load_bundle, make_bundle, refine_sequence, save_bundle
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor
 from handrift.trainer import CorpusItem, TrainConfig, total_loss, train, train_config_from
+
+from conftest import CACHE, cache_tag
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +339,7 @@ def test_inference_on_a_loaded_bundle_builds_no_tensor(tiny_ckpt, tiny_corpus, m
 
 def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
     bundle = load_bundle(tiny_ckpt)
-    den, norm = bundle.denoiser, bundle.normalizer
+    den, norm = bundle.denoiser.frozen(np.float32), bundle.normalizer
     m = tiny_corpus[0].motion
     y_raw = np.concatenate([m, m[::-1], m])  # 42 frames: five 14-frame windows
     T, win = y_raw.shape[0], bundle.frames
@@ -349,14 +356,17 @@ def test_batched_windows_match_per_window_refine(tiny_ckpt, tiny_corpus):
         votes[s : s + win] += tri[:, None] * np.eye(STATE_COUNT)[np.argmax(logits, axis=-1)]
         weight[s : s + win] += tri
     refined, track = refine_sequence(bundle, y_raw)
-    np.testing.assert_allclose(refined, acc / weight[:, None], rtol=0, atol=1e-10)
+    ref = acc / weight[:, None]
+    # float32 GEMM rounding depends on a batch's row count: measured 3.3e-7 (9e-9 of the
+    # clip's max); the bound is 1e-7 of the max, under two float32 unit roundoffs (6e-8)
+    assert np.abs(refined - ref).max() <= 1e-7 * np.abs(ref).max()
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
 
 
 def test_refine_sequence_of_mixed_length_clips_matches_single_clip_refines(
         tiny_ckpt, tiny_corpus, monkeypatch):
     """Clips longer than a window, exactly one window and shorter refine together in
-    one reverse chain per window length; each within 1e-12 of its own refine."""
+    one reverse chain per window length; each within float32 rounding of its own refine."""
     bundle = load_bundle(tiny_ckpt)
     a, b = tiny_corpus[0].motion, tiny_corpus[1].motion
     clips = [np.concatenate([a, b[::-1]])[:25], b, a[:9], np.concatenate([b, a, b])[:30]]
@@ -374,7 +384,9 @@ def test_refine_sequence_of_mixed_length_clips_matches_single_clip_refines(
     for clip, (refined, track) in zip(clips, together):
         alone, alone_track = refine_sequence(bundle, clip)
         assert refined.shape == clip.shape
-        assert np.abs(refined - alone).max() <= 1e-12 * np.abs(alone).max()
+        # float32 GEMM rounding depends on a batch's row count: measured 4.1e-7 (1.1e-8 of
+        # the clip's max); the bound is 1e-7 of the max, under two float32 unit roundoffs
+        assert np.abs(refined - alone).max() <= 1e-7 * np.abs(alone).max()
         np.testing.assert_array_equal(track.labels, alone_track.labels)
 
 
@@ -383,7 +395,7 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     """A refine encodes y's meshes once per chain and x^n's once per step, and gives
     bitwise the result of a chain that encodes y's meshes again at every step."""
     bundle = load_bundle(tiny_ckpt)
-    den, norm = bundle.denoiser, bundle.normalizer
+    den, norm = bundle.denoiser.frozen(np.float32), bundle.normalizer
     m = tiny_corpus[0].motion
     y_raw = np.concatenate([m, m[::-1], m])  # 42 frames: five 14-frame windows
     T, win, starts = y_raw.shape[0], bundle.frames, (0, 7, 14, 21, 28)
@@ -434,7 +446,7 @@ def _refine_encoding_y_per_window(bundle, clip, deterministic, rng):
     plan = pipeline._windows(bundle, clip)
     _, win, starts = plan
     y_norm = bundle.normalizer.normalize(np.stack([clip[s : s + win] for s in starts]))
-    den = bundle.denoiser.frozen()
+    den = bundle.denoiser.frozen(np.float32)
     y_code = den.encode_condition(y_norm)
 
     def denoise_fn(x_n, y, n):
@@ -452,7 +464,7 @@ def test_condition_codes_encoded_once_per_clip_frame(tiny_ckpt, tiny_corpus, det
     motions = [item.motion for item in tiny_corpus]
     long = np.concatenate(motions + [m[::-1] for m in motions] + motions)[:128]
     clips = [long[:37], long]
-    den = bundle.denoiser.frozen()
+    den = bundle.denoiser.frozen(np.float32)
     for clip in clips:
         _, win, starts = pipeline._windows(bundle, clip)
         rows = np.concatenate([s + np.arange(win) for s in starts])
@@ -521,3 +533,69 @@ def test_failed_refine_leaves_bundle_unchanged(tiny_ckpt, tiny_corpus, monkeypat
     fresh, fresh_track = refine_sequence(load_bundle(tiny_ckpt), y_raw)
     np.testing.assert_array_equal(out, fresh)
     np.testing.assert_array_equal(track.labels, fresh_track.labels)
+
+
+def _noisy_clips(bundle, corpus):
+    """A 42- and a 128-frame noisy clip: held-out motions end to end, perturbed as in training."""
+    long = np.concatenate([item.motion for item in corpus["test"][:8]])
+    noisy = perturb(long, train_config_from(bundle.config).perturb, RandomStream(17, "precision"),
+                    channel_scale=bundle.normalizer.std)
+    return [noisy[:42], noisy]
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+def test_float32_refine_matches_the_float64_chain(trained_full, desk_corpus, deterministic):
+    """refine_sequence runs on the float32 view. The same chain built by hand on the
+    float64 ``frozen()`` view differs by at most 5e-4 raw units and flips no state label,
+    on the trained model's 42- and 128-frame refines, deterministic and stochastic.
+
+    Over 16 noisy 128-frame clips the largest difference measured was 5.9e-5 mm, on a
+    translation channel (1e-6 in normalized units), and 1.5e-7 rad on an angle; refined
+    poses are judged against errors of 7-11 mm."""
+    bundle, _ = trained_full
+    den = bundle.denoiser.frozen()
+    for i, clip in enumerate(_noisy_clips(bundle, desk_corpus)):
+        def stream():
+            return None if deterministic else RandomStream(19, f"precision-{i}")
+
+        plan = pipeline._windows(bundle, clip)
+        _, win, starts = plan
+        rows = np.stack([s + np.arange(win) for s in starts])
+        frames_norm = bundle.normalizer.normalize(clip)
+        y_code = den.encode_condition(frames_norm)[rows.reshape(-1)]
+        rng = stream()
+
+        def denoise_fn(x_n, y, n):
+            return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
+
+        out, logits = refine(frames_norm[rows], denoise_fn, bundle.schedule, rng=rng,
+                             deterministic=deterministic)
+        ref, ref_track = pipeline._blend(plan, bundle.normalizer.denormalize(out),
+                                         np.argmax(logits, axis=-1))
+        refined, track = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+        assert np.abs(refined - ref).max() <= 5e-4
+        np.testing.assert_array_equal(track.labels, ref_track.labels)
+
+
+def test_refine_bytes_do_not_depend_on_blas_threads(trained_full, desk_corpus, tmp_path):
+    """The float32 refine writes the same bytes under one and two BLAS threads,
+    deterministic and stochastic (the thread count is read when numpy loads, so each
+    refine runs in its own process)."""
+    bundle, _ = trained_full
+    clip = tmp_path / "clip.hmf"
+    write_motion(clip, MotionData(frames=_noisy_clips(bundle, desk_corpus)[1]))
+    ckpt = CACHE / f"{cache_tag('full')}.ckpt"
+    src = str(Path(handrift.__file__).parent.parent)
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for mode in ([], ["--stochastic", "--seed", "3"]):
+            out = tmp_path / f"out-{threads}-{len(mode)}.hmf"
+            subprocess.run([sys.executable, "-m", "handrift.cli", "refine", "--ckpt", str(ckpt),
+                            "--in", str(clip), "--out", str(out), *mode], env=env, check=True,
+                           capture_output=True)
+            outputs[threads, len(mode)] = out.read_bytes()
+    for mode in (0, 3):
+        assert outputs["1", mode] == outputs["2", mode]
+    assert outputs["1", 0] != outputs["1", 3]
