@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.add_argument("--stochastic", action="store_true")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--steps", type=int, default=None)
+    r.add_argument("--steps", type=int, default=None,
+                   help="run K of the N trained reverse steps, 1 <= K <= N (default: min(4, N))")
 
     e = sub.add_parser("evaluate", help="score predictions against ground truth")
     e.add_argument("--pred", required=True, help="motion file or directory")

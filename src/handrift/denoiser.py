@@ -208,8 +208,8 @@ class Denoiser:
         live ``.data`` arrays (an in-place optimizer step shows through) and its
         values are bitwise the Tensor path's. In float32 the weights and the
         adjacency are cast once, a snapshot of the weights at the call, and the
-        mesh encoder, the encoder, the observation tokens and the row step
-        compute in float32; skinning stays float64.
+        mesh encoder, the encoder, the observation tokens, the row step and the
+        teacher-forced decoder compute in float32; skinning stays float64.
         """
         view = copy.copy(self)
         view.ops = tz.plain
@@ -367,23 +367,23 @@ class Denoiser:
 
     # -- public passes ----------------------------------------------------
 
-    def encode(self, x_n_norm, y_norm, n, total_steps: int | None = None, y_code=None):
+    def encode(self, x_n_norm, y_norm, n, y_code=None):
         """Shared conditioning: (memory (B,T,W), step emb (B,W), obs tokens (B,T,W), pe (T,W)).
 
         The observation tokens project each frame's raw normalized (y_t, x^n_t)
         pair so the decoder conditions on the input data directly, not only
-        through the pooled mesh codes. ``total_steps`` is the length N of the
-        schedule that n counts down; it defaults to the trained schedule's.
-        ``y_code`` is ``encode_condition(y_norm)``; without it y's meshes are
-        encoded here, in one graph-convolution pass together with x^n's.
+        through the pooled mesh codes. n is a trained step, embedded as n/N
+        with N = ``total_steps``, the trained schedule's length: a respaced
+        chain runs some of these steps, never others. ``y_code`` is
+        ``encode_condition(y_norm)``; without it y's meshes are encoded here,
+        in one graph-convolution pass together with x^n's.
         """
         x_n_norm = np.asarray(x_n_norm, dtype=np.float64)
         y_norm = np.asarray(y_norm, dtype=np.float64)
         B, T = x_n_norm.shape[:2]
         n_arr = np.broadcast_to(np.asarray(n), (B,)).astype(np.int64)
-        steps = self.total_steps if total_steps is None else total_steps
         pe = positional_encoding(T, self.cfg.width).astype(self.dtype, copy=False)
-        step_emb = self.embed_step(n_arr, steps)
+        step_emb = self.embed_step(n_arr, self.total_steps)
         memory = self._encode_sequence(x_n_norm, y_norm, step_emb, y_code, pe)
         obs = np.concatenate([y_norm, x_n_norm], axis=-1).astype(self.dtype, copy=False)
         obs_tokens = self._lin("dec_obs", obs)
@@ -401,14 +401,14 @@ class Denoiser:
         cfg = self.cfg
         memory, step_emb, obs_tokens, pe = cond
         B, T = memory.shape[0], memory.shape[1]
-        u = self.params["start"].reshape((1, 1, cfg.width)) + np.zeros((B, 1, cfg.width))
+        u = self.params["start"].reshape((1, 1, cfg.width)) + np.zeros((B, 1, cfg.width), self.dtype)
         if T > 1:
-            prev_pose = np.asarray(teacher_pose_norm, dtype=np.float64)[:, : T - 1]
+            prev_pose = np.asarray(teacher_pose_norm, dtype=self.dtype)[:, : T - 1]
             if teacher_labels is not None and self.state_feedback:
                 labels = np.asarray(teacher_labels, dtype=np.int64)[:, : T - 1]
-                prev_state = _STATE_ONEHOT[labels]
+                prev_state = _STATE_ONEHOT[labels].astype(self.dtype, copy=False)
             else:
-                prev_state = np.zeros(prev_pose.shape[:2] + (STATE_COUNT,))
+                prev_state = np.zeros(prev_pose.shape[:2] + (STATE_COUNT,), self.dtype)
             fed = self._lin("dec_in", prev_pose) + self.ops.matmul(prev_state, self.params["state_emb"])
             u = self.ops.concatenate([u, fed], axis=1)
         h = u + obs_tokens + pe + step_emb.reshape((B, 1, cfg.width))
@@ -426,8 +426,7 @@ class Denoiser:
         x_hat = self._check(self._lin("head_pose", h), "pose head")
         return x_hat, self._check(self._lin("head_state", h), "state head")
 
-    def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None,
-                     total_steps: int | None = None, y_code=None):
+    def forward_free(self, x_n_norm, y_norm, n, rng: RandomStream | None = None, y_code=None):
         """Sequential inference pass feeding back its own pose/state predictions.
 
         With rng=None state feedback uses the argmax one-hot (deterministic);
@@ -441,7 +440,7 @@ class Denoiser:
         den = self if self.ops is tz.plain else self.frozen()
         if y_code is not None:
             y_code = tz.value(y_code)
-        memory, step_emb, obs_tokens, pe = den.encode(x_n_norm, y_norm, n, total_steps, y_code)
+        memory, step_emb, obs_tokens, pe = den.encode(x_n_norm, y_norm, n, y_code)
         return den._decode_free(memory, obs_tokens + pe + step_emb[:, None], rng)
 
     def _decode_free(self, memory: np.ndarray, rows_in: np.ndarray, rng: RandomStream | None):

@@ -24,6 +24,10 @@ from .physics import STATE_COUNT, StateTrack
 from .rng import RandomStream
 from .tensor import Tensor
 
+# Trained reverse steps a refine runs by default, or all N when N is smaller.
+# Refine time is linear in the steps run; 4 of the default 8 halves it.
+REFINE_STEPS = 4
+
 
 @dataclass
 class RefineBundle:
@@ -106,28 +110,36 @@ def _check_tensors(tensors: dict, expected: dict):
 # refinement
 
 
+def respaced_steps(total: int, steps: int) -> np.ndarray:
+    """The 1-based indices of the ``steps`` trained steps, of ``total``, a respaced
+    chain runs: evenly spaced and ending at ``total`` (N = 8: K = 4 gives 2, 4, 6,
+    8 and K = 1 gives 8). They are distinct for 1 <= K <= N, and K = N gives all."""
+    return np.arange(1, steps + 1) * total // steps
+
+
 def _refine_windows(bundle: RefineBundle, den: Denoiser, y_norm: np.ndarray, y_code: np.ndarray,
-                    deterministic: bool, rng: RandomStream | None, steps: int | None):
+                    deterministic: bool, rng: RandomStream | None, steps: int):
     """Refine the normalized windows ``y_norm`` (W,T,61) through one reverse chain of
     the gradient-free view ``den``; ``y_code`` (W*T,C) are their frames' mesh codes,
     reused at every step.
 
-    Returns (raw refined (W,T,61), state logits (W,T,S)). A non-probabilistic
-    model, trained only at n = N on x^N = y, runs the one-step chain: its step
-    embedding reads n/N = 1 either way. The schedule's step count reaches the
-    denoiser as an argument; the bundle is never modified.
+    Returns (raw refined (W,T,61), state logits (W,T,S)). The chain is respaced:
+    it runs K = ``steps`` of the N trained steps (``respaced_steps``), and its
+    step k is trained step idx[k-1], with that step's eta and step embedding
+    n/N. A non-probabilistic model, trained only at n = N on x^N = y, runs the
+    one-step chain {N}, whose single step returns the denoiser's estimate. The
+    bundle is never modified.
     """
     schedule = bundle.schedule
     if not bundle.probabilistic:
         steps, deterministic = 1, True
-    if steps is not None and steps != schedule.steps:
-        sch = bundle.config["schedule"]
-        schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"])
+    idx = respaced_steps(schedule.steps, steps)
+    chain = DiffusionSchedule(eta=schedule.eta[idx - 1], kappa=schedule.kappa)
 
-    def denoise_fn(x_n, y, n):
-        return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps, y_code=y_code)
+    def denoise_fn(x_n, y, k):
+        return den.forward_free(x_n, y, int(idx[k - 1]), rng=rng, y_code=y_code)
 
-    out, lg = refine(y_norm, denoise_fn, schedule, rng=rng, deterministic=deterministic)
+    out, lg = refine(y_norm, denoise_fn, chain, rng=rng, deterministic=deterministic)
     return bundle.normalizer.denormalize(out), lg
 
 
@@ -143,12 +155,21 @@ def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
     StateTrack) back: the windows of every clip with the same window length
     (the trained one, or a shorter clip's own) go through one reverse chain.
 
+    ``steps`` K runs K of the N trained reverse steps (1 <= K <= N, else
+    InputError before any work); by default min(``REFINE_STEPS``, N).
+
     The chains run on the denoiser's float32 view, made once here; the chain
     arithmetic, skinning and the result stay float64. Before any chain runs,
     each clip frame's mesh code is encoded once, not per window row
     (half-overlap windows hold most frames twice), and a clip the float32 view
     cannot carry is refused with InputError naming the frame.
     """
+    N = bundle.schedule.steps
+    if steps is None:
+        steps = min(REFINE_STEPS, N)
+    elif not 1 <= steps <= N:
+        raise InputError(f"refine steps must lie in 1..{N}, the model's N = {N} trained "
+                         f"reverse steps; got {steps}")
     clips = y_raw if isinstance(y_raw, list) else [y_raw]
     plans = [_windows(bundle, np.asarray(clip, dtype=np.float64)) for clip in clips]
     den = bundle.denoiser.frozen(np.float32)

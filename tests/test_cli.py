@@ -9,6 +9,7 @@ from handrift import trainer
 from handrift.cli import main
 from handrift.config import DEFAULTS, HAND_RECIPE, REMOVED_KEYS, config_hash, load_config
 from handrift.datagen import ScriptSpec, generate_sequence, sample_script
+from handrift.denoiser import Denoiser
 from handrift.errors import InputError
 from handrift.hand import build_hand_model
 from handrift.motion import Normalizer
@@ -335,11 +336,31 @@ def test_refine_longer_sequence_sliding_window(tmp_path, workspace):
 
 
 def test_refine_steps_override(tmp_path, workspace):
+    """``--steps 1`` runs trained step 2 of the model's 2 alone: another chain than the
+    default, which runs both."""
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
-    out = tmp_path / "steps.hmf"
+    out, default = tmp_path / "steps.hmf", tmp_path / "default.hmf"
     assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(src),
-                 "--out", str(out), "--steps", "4"]) == 0
+                 "--out", str(out), "--steps", "1"]) == 0
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(src),
+                 "--out", str(default)]) == 0
     assert read_motion(out).frames.shape == (14, 61)
+    assert not np.array_equal(read_motion(out).frames, read_motion(default).frames)
+
+
+@pytest.mark.parametrize("steps", [0, -1, 3, 9])
+def test_refine_steps_outside_the_trained_chain_exit_one(tmp_path, workspace, capsys, monkeypatch,
+                                                         steps):
+    """``--steps K`` runs K of the N = 2 trained steps; any other K exits 1 naming N,
+    before any refine work, and writes nothing."""
+    monkeypatch.setattr(Denoiser, "frozen", lambda *a, **k: pytest.fail("refine started"))
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    out = tmp_path / "x.hmf"
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(src),
+                 "--out", str(out), "--steps", str(steps)]) == 1
+    err = capsys.readouterr().err
+    assert f"refine steps must lie in 1..2, the model's N = 2 trained reverse steps; got {steps}" in err
+    assert not out.exists()
 
 
 def test_refine_normalization_mismatch_exits_three(tmp_path, workspace):

@@ -531,10 +531,10 @@ def test_denoiser_gradient_matches_finite_differences(toy):
 @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
 def test_float32_view_computes_every_pass_in_float32(toy, monkeypatch, mode):
     """On the float32 view, encode's four outputs, the mesh codes, the row step's
-    cross-attention and self-attention key/value buffers and every frame it decodes
-    are float32. Under NumPy's promotion rules a single float64 operand (a scalar
-    from np.sqrt, a positional encoding, a mask, step features, a buffer) would turn
-    them float64."""
+    cross-attention and self-attention key/value buffers, every frame it decodes and
+    the teacher-forced decoder's outputs are float32. Under NumPy's promotion rules a
+    single float64 operand (a scalar from np.sqrt, a positional encoding, a mask, step
+    features, a buffer, a start row, a teacher pose or state) would turn them float64."""
     rng = np.random.default_rng(15)
     x, y = random_batch(rng, B=2, T=6)
     x_n = x + rng.normal(size=x.shape) * 0.2
@@ -563,6 +563,11 @@ def test_float32_view_computes_every_pass_in_float32(toy, monkeypatch, mode):
     pose, logits = view.forward_free(x_n, y, 3, rng=stream, y_code=y_code)
     assert pose.dtype == logits.dtype == np.float32
     assert rows == [np.float32] * 6  # each frame's pose | state row, before it is fed back
+
+    labels = rng.integers(0, STATE_COUNT, size=(2, 6))
+    for teacher_labels in (labels, None):  # one-hot teacher states, or the neutral zero state
+        assert [a.dtype for a in view.decode_teacher(cond, x, teacher_labels)] == [np.float32] * 2
+
 
 def test_sample_state_without_noise_is_the_argmax():
     logits = np.array([[0.2, 1.7, -0.4, 0.0, 0.9], [3.0, -1.0, 0.0, 0.5, 2.9]])

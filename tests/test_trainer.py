@@ -14,7 +14,7 @@ from handrift import tensor as tz
 from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
 from handrift.datagen import generate_sequence, perturb, sample_script
 from handrift.denoiser import Denoiser
-from handrift.diffusion import make_schedule, refine
+from handrift.diffusion import DiffusionSchedule, blend_estimate, refine
 from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
 from handrift.hand import HandModelConfig, build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
@@ -390,19 +390,21 @@ def test_refine_sequence_of_mixed_length_clips_matches_single_clip_refines(
         np.testing.assert_array_equal(track.labels, alone_track.labels)
 
 
-@pytest.mark.parametrize("mode", ["deterministic", "stochastic", "steps4"])
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic", "steps2"])
 def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeypatch, mode):
     """A refine encodes y's meshes once per chain and x^n's once per step, and gives
-    bitwise the result of a chain that encodes y's meshes again at every step."""
+    bitwise the result of a chain that encodes y's meshes again at every step: all
+    N = 3 trained steps by default, and trained steps 1 and 3 under ``steps=2``."""
     bundle = load_bundle(tiny_ckpt)
     den, norm = bundle.denoiser.frozen(np.float32), bundle.normalizer
     m = tiny_corpus[0].motion
     y_raw = np.concatenate([m, m[::-1], m])  # 42 frames: five 14-frame windows
     T, win, starts = y_raw.shape[0], bundle.frames, (0, 7, 14, 21, 28)
     deterministic = mode == "deterministic"
-    steps = 4 if mode == "steps4" else None
-    sch = bundle.config["schedule"]
-    schedule = make_schedule(steps, sch["eta1"], sch["kappa"], sch["power"]) if steps else bundle.schedule
+    steps = 2 if mode == "steps2" else None
+    idx = pipeline.respaced_steps(bundle.schedule.steps, steps or bundle.schedule.steps)
+    assert list(idx) == ([1, 3] if steps else [1, 2, 3])
+    schedule = DiffusionSchedule(eta=bundle.schedule.eta[idx - 1], kappa=bundle.schedule.kappa)
 
     def stream():
         return None if deterministic else RandomStream(5, f"cond-once-{mode}")
@@ -417,8 +419,8 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     monkeypatch.setattr(Denoiser, "encode_meshes", counted)
     rng = stream()
 
-    def denoise_fn(x_n, y, n):  # no codes: y's meshes are encoded with x^n's at every step
-        return den.forward_free(x_n, y, n, rng=rng, total_steps=schedule.steps)
+    def denoise_fn(x_n, y, k):  # no codes: y's meshes are encoded with x^n's at every step
+        return den.forward_free(x_n, y, idx[k - 1], rng=rng)
 
     windows = norm.normalize(np.stack([y_raw[s : s + win] for s in starts]))
     out, logits = refine(windows, denoise_fn, schedule, rng=rng, deterministic=deterministic)
@@ -526,13 +528,108 @@ def test_failed_refine_leaves_bundle_unchanged(tiny_ckpt, tiny_corpus, monkeypat
 
     monkeypatch.setattr(Denoiser, "forward_free", fail_second_call)
     with pytest.raises(NumericalError):
-        refine_sequence(bundle, y_raw, steps=bundle.schedule.steps + 1)
+        refine_sequence(bundle, y_raw, steps=bundle.schedule.steps - 1)
     monkeypatch.undo()
     assert bundle.denoiser.total_steps == bundle.schedule.steps
     out, track = refine_sequence(bundle, y_raw)
     fresh, fresh_track = refine_sequence(load_bundle(tiny_ckpt), y_raw)
     np.testing.assert_array_equal(out, fresh)
     np.testing.assert_array_equal(track.labels, fresh_track.labels)
+
+
+def test_respaced_steps_are_pinned():
+    """K of N trained steps, evenly spaced and ending at N; distinct for every K <= N."""
+    assert pipeline.REFINE_STEPS == 4
+    assert list(pipeline.respaced_steps(8, 4)) == [2, 4, 6, 8]
+    assert list(pipeline.respaced_steps(8, 1)) == [8]
+    assert list(pipeline.respaced_steps(8, 2)) == [4, 8]
+    for total in range(1, 41):
+        for steps in range(1, total + 1):
+            idx = pipeline.respaced_steps(total, steps)
+            assert len(idx) == steps and idx[-1] == total and idx[0] >= 1
+            assert np.all(np.diff(idx) > 0), (total, steps)
+        assert list(pipeline.respaced_steps(total, total)) == list(range(1, total + 1))
+
+
+@pytest.fixture(scope="module")
+def eight_step_bundle(tiny_cfg, tiny_corpus):
+    """An untrained tiny model with the default N = 8 reverse steps."""
+    cfg = json.loads(json.dumps(tiny_cfg))
+    cfg["schedule"]["steps"] = 8
+    bundle = make_bundle(cfg, Normalizer.fit([c.motion for c in tiny_corpus]))
+    rng = np.random.default_rng(23)
+    for p in bundle.denoiser.params.values():  # larger weights so poses move per step
+        p.data[:] = p.data + rng.normal(size=p.data.shape) * 0.3
+    return bundle
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+def test_respaced_chain_over_all_steps_is_the_trained_chain(eight_step_bundle, tiny_corpus,
+                                                            deterministic):
+    """Respacing with all N trained steps gives bitwise the chain over the trained schedule."""
+    bundle = eight_step_bundle
+    den = bundle.denoiser.frozen(np.float32)
+    m = tiny_corpus[0].motion
+    clip = bundle.normalizer.normalize(np.concatenate([m, m[::-1], m]))
+    rows = np.stack([s + np.arange(14) for s in (0, 7, 14, 21, 28)])  # five 14-frame windows
+    y_norm, y_code = clip[rows], den.encode_condition(clip)[rows.reshape(-1)]
+
+    def stream():
+        return None if deterministic else RandomStream(29, "all-steps")
+
+    rng = stream()
+
+    def denoise_fn(x_n, y, n):
+        return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
+
+    out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng, deterministic=deterministic)
+    got, got_logits = pipeline._refine_windows(bundle, den, y_norm, y_code, deterministic,
+                                               stream(), steps=8)
+    np.testing.assert_array_equal(got, bundle.normalizer.denormalize(out))
+    np.testing.assert_array_equal(got_logits, logits)
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
+def test_respaced_chain_is_a_loop_over_its_trained_steps(eight_step_bundle, tiny_corpus,
+                                                         deterministic):
+    """The default refine of an N = 8 model is bitwise this loop over trained steps 8, 6,
+    4 and 2: each denoiser call gets its trained n of N, and each transition moves from
+    eta_n to the next chosen step's eta (to 0 at the last), with ResShift's mean and
+    variance. Twice in a row it gives the same bytes."""
+    bundle = eight_step_bundle
+    eta, kappa = bundle.schedule.eta, bundle.schedule.kappa
+    clip = tiny_corpus[1].motion  # one 14-frame window
+    den = bundle.denoiser.frozen(np.float32)
+    y = bundle.normalizer.normalize(clip)[None]
+    y_code = den.encode_condition(y[0])
+
+    def stream():
+        return None if deterministic else RandomStream(31, "respaced-loop")
+
+    rng = stream()
+    x = y if deterministic else y + kappa * rng.normal(y.shape)
+    chosen = [8, 6, 4, 2]
+    for n, prev in zip(chosen, chosen[1:] + [0]):
+        x_hat, logits = den.forward_free(x, y, n, rng=rng, y_code=y_code)
+        x_hat = np.asarray(x_hat, dtype=np.float64)
+        if prev == 0:
+            x = x_hat
+            break
+        e, e_prev = float(eta[n - 1]), float(eta[prev - 1])
+        if deterministic:
+            x_hat = blend_estimate(x, y, x_hat, e)
+        alpha = e - e_prev
+        x = (e_prev / e) * x + (alpha / e) * x_hat
+        if not deterministic:
+            x = x + np.sqrt(kappa**2 * e_prev * alpha / e) * rng.normal(x.shape)
+
+    refined, track = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+    np.testing.assert_array_equal(refined, bundle.normalizer.denormalize(x)[0])
+    np.testing.assert_array_equal(track.labels, np.argmax(logits, axis=-1)[0])
+    again, _ = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+    assert again.tobytes() == refined.tobytes()
+    alone, _ = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream(), steps=8)
+    assert not np.array_equal(alone, refined)  # all eight steps give another chain
 
 
 def _noisy_clips(bundle, corpus):
@@ -545,15 +642,19 @@ def _noisy_clips(bundle, corpus):
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "stochastic"])
 def test_float32_refine_matches_the_float64_chain(trained_full, desk_corpus, deterministic):
-    """refine_sequence runs on the float32 view. The same chain built by hand on the
-    float64 ``frozen()`` view differs by at most 5e-4 raw units and flips no state label,
-    on the trained model's 42- and 128-frame refines, deterministic and stochastic.
+    """refine_sequence runs on the float32 view. The same chain, the default respaced
+    one over trained steps 2, 4, 6 and 8, built by hand on the float64 ``frozen()`` view
+    differs by at most 5e-4 raw units and flips no state label, on the trained model's
+    42- and 128-frame refines, deterministic and stochastic.
 
     Over 16 noisy 128-frame clips the largest difference measured was 5.9e-5 mm, on a
     translation channel (1e-6 in normalized units), and 1.5e-7 rad on an angle; refined
     poses are judged against errors of 7-11 mm."""
     bundle, _ = trained_full
     den = bundle.denoiser.frozen()
+    idx = pipeline.respaced_steps(bundle.schedule.steps, pipeline.REFINE_STEPS)
+    assert list(idx) == [2, 4, 6, 8]
+    chain = DiffusionSchedule(eta=bundle.schedule.eta[idx - 1], kappa=bundle.schedule.kappa)
     for i, clip in enumerate(_noisy_clips(bundle, desk_corpus)):
         def stream():
             return None if deterministic else RandomStream(19, f"precision-{i}")
@@ -565,10 +666,10 @@ def test_float32_refine_matches_the_float64_chain(trained_full, desk_corpus, det
         y_code = den.encode_condition(frames_norm)[rows.reshape(-1)]
         rng = stream()
 
-        def denoise_fn(x_n, y, n):
-            return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
+        def denoise_fn(x_n, y, k):
+            return den.forward_free(x_n, y, idx[k - 1], rng=rng, y_code=y_code)
 
-        out, logits = refine(frames_norm[rows], denoise_fn, bundle.schedule, rng=rng,
+        out, logits = refine(frames_norm[rows], denoise_fn, chain, rng=rng,
                              deterministic=deterministic)
         ref, ref_track = pipeline._blend(plan, bundle.normalizer.denormalize(out),
                                          np.argmax(logits, axis=-1))
