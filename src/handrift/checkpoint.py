@@ -16,6 +16,7 @@ makes save(load(x)) byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -93,7 +94,7 @@ def load_checkpoint(path):
     offset = 12 + length
     for rec in records:
         shape = tuple(rec["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        nbytes = math.prod(shape) * 8  # Python ints: a huge shape cannot wrap to a small count
         chunk = raw[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"truncated checkpoint: tensor '{rec['name']}' incomplete")

@@ -256,7 +256,7 @@ def cmd_refine(args) -> int:
     refined, track = refine_sequence(bundle, data.frames, deterministic=not args.stochastic,
                                      rng=rng, steps=args.steps)
     write_motion(args.out, MotionData(
-        frames=refined, object_center=data.object_center,
+        frames=refined, fps=data.fps, object_center=data.object_center,
         contact_threshold=data.contact_threshold, states=track.labels,
     ))
     print(f"refined {data.T} frames -> {args.out}")

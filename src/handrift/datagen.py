@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ContractError
 from .hand import BONE_COUNT, HandModel, _bone_scales, fk_transforms
-from .motion import FRAME_DIM
+from .motion import FINGER_POSE, FRAME_DIM, ROOT_ORIENT, SHAPE, TRANSLATION
 from .physics import (CONTACT_THRESHOLD_MM, MotionState, ObjectTrack, StateTrack,
                       check_contact_threshold, hand_object_distance)
 from .rng import RandomStream
@@ -239,10 +239,10 @@ def generate_sequence(spec: ScriptSpec, model: HandModel):
         cursor += nl
 
     motion = np.zeros((T, FRAME_DIM))
-    motion[:, 0:3] = spec.root_orient
-    motion[:, 3:48] = theta
-    motion[:, 48:58] = spec.beta
-    motion[:, 58:61] = trans
+    motion[:, ROOT_ORIENT] = spec.root_orient
+    motion[:, FINGER_POSE] = theta
+    motion[:, SHAPE] = spec.beta
+    motion[:, TRANSLATION] = trans
 
     track = ObjectTrack(center=obj, contact_threshold=spec.contact_threshold)
     d = hand_object_distance(motion, track, model)

@@ -10,8 +10,9 @@ Byte layout (version 1):
     then, if present     contact  (T uint8)
     then, if present     states   (T uint8)
 
-Header keys: format_version, frames, dim, fps, units, normalization_id, has_object,
-contact_threshold_mm (with an object; a finite number > 0), has_contact, has_state.
+Header keys: format_version, frames, dim (always 61), fps (a finite number > 0), units,
+normalization_id, has_object, contact_threshold_mm (with an object; a finite number > 0),
+has_contact, has_state.
 Canonical JSON makes load->save byte-identical.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ from .physics import CONTACT_THRESHOLD_MM, STATE_COUNT, check_contact_threshold
 
 MAGIC = b"HDMF0001"
 FORMAT_VERSION = 1
-REQUIRED_KEYS = ("frames", "fps", "normalization_id", "has_object", "has_contact", "has_state")
+REQUIRED_KEYS = ("frames", "dim", "fps", "normalization_id", "has_object", "has_contact", "has_state")
 
 
 @dataclass
@@ -108,6 +110,11 @@ def read_motion(path) -> MotionData:
     T = header["frames"]
     if type(T) is not int or T < 0:
         raise InputError(f"motion header in {path}: frames must be a non-negative integer, got {T!r}")
+    if type(header["dim"]) is not int or header["dim"] != FRAME_DIM:
+        raise InputError(f"motion header in {path}: dim must be {FRAME_DIM}, got {header['dim']!r}")
+    fps = header["fps"]
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)) or not 0 < fps <= sys.float_info.max:
+        raise InputError(f"motion header in {path}: fps must be a finite number > 0, got {fps!r}")
     offset = 12 + length
 
     def take(count, dtype, itemsize):
@@ -140,7 +147,7 @@ def read_motion(path) -> MotionData:
         raise InputError(f"motion file {path} has state {states.max()}; states are 0-{STATE_COUNT - 1}")
     return MotionData(
         frames=frames,
-        fps=header["fps"],
+        fps=fps,
         normalization_id=header["normalization_id"],
         object_center=obj,
         contact_threshold=threshold,

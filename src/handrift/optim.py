@@ -36,10 +36,6 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # two scratch arrays, viewed per parameter: a step allocates no temporaries
-        scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
-        self._scratch = {k: [s[: p.data.size].reshape(p.data.shape) for s in scratch]
-                         for k, p in params.items()}
 
     def set_epoch(self, epoch: int):
         """Apply the stepped decay schedule for a 0-indexed epoch number."""
@@ -51,8 +47,8 @@ class AdamW:
             p.grad = None
 
     def step(self):
-        """One update, in place and op for op as
-        ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)``.
+        """One update of each parameter that has a gradient:
+        ``p -= (m_hat / (sqrt(v_hat) + eps) + p * weight_decay) * lr``.
 
         Every gradient is checked before any parameter moves: a non-finite one
         raises OptimizerError naming its parameter and leaves the parameters,
@@ -66,22 +62,7 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         for name, p in live:
             g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            a, b = self._scratch[name]
-            np.multiply(g, 1 - b1, out=a)
-            m *= b1
-            m += a
-            np.multiply(g, 1 - b2, out=a)
-            a *= g
-            v *= b2
-            v += a
-            np.divide(m, 1 - b1**t, out=a)  # m_hat
-            np.divide(v, 1 - b2**t, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            np.multiply(p.data, self.weight_decay, out=b)
-            a += b
-            a *= self.lr
-            p.data -= a
+            m = self.m[name] = self.m[name] * b1 + g * (1 - b1)
+            v = self.v[name] = self.v[name] * b2 + g * (1 - b2) * g
+            m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+            p.data -= (m_hat / (np.sqrt(v_hat) + self.eps) + p.data * self.weight_decay) * self.lr

@@ -19,7 +19,7 @@ from .diffusion import DiffusionSchedule, make_schedule, refine
 from .errors import CheckpointError, ConfigError, InputError
 from .hand import HandModel, build_hand_model, skin_mesh_batch, fk_transforms
 from .metrics import accl_error, kin_metric, mje, p_mje, p_mve_and_fscores, sta_metric
-from .motion import FRAME_DIM, MIN_FRAMES, Normalizer, pose_parts
+from .motion import FINGER_POSE, FRAME_DIM, FULL_POSE, MIN_FRAMES, Normalizer, pose_parts
 from .physics import STATE_COUNT, StateTrack
 from .rng import RandomStream
 from .tensor import Tensor
@@ -246,8 +246,8 @@ def evaluate_pair(pred_motion: np.ndarray, gt_motion: np.ndarray, gt_labels,
         "mje": mje(pj, gj),
         "p_mje": p_mje(pj, gj),
         "accl": accl_error(pj, gj),
-        "kin": kin_metric(np.asarray(pred_motion)[:, 0:48], gt_labels),
-        "sta": sta_metric(np.asarray(pred_motion)[:, 3:48], gt_labels),
+        "kin": kin_metric(np.asarray(pred_motion)[:, FULL_POSE], gt_labels),
+        "sta": sta_metric(np.asarray(pred_motion)[:, FINGER_POSE], gt_labels),
     }
     mve, (f5, f15) = p_mve_and_fscores(pv, gv)
     row.update({"p_mve": mve, "f5": f5, "f15": f15})

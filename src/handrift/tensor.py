@@ -203,146 +203,64 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
-    """``ufunc(a, b)`` on the data, a broadcast failure raised as ShapeError."""
-    try:
-        return ufunc(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+def _binary(name: str, ufunc, da, db, label: str | None = None):
+    """The elementwise op ``name`` of two broadcasting operands, ``ufunc`` on their data.
+
+    ``da(g, a, b)`` and ``db(g, a, b)`` give the upstream ``g`` times the
+    partial in ``a`` and in ``b`` (arrays); each is summed back to its
+    operand's shape, and an operand that needs no gradient is skipped. A
+    broadcast failure raises ShapeError naming ``label`` (default ``name``).
+    """
+    label = label or name
+
+    def apply(a, b) -> Tensor:
+        a, b = as_tensor(a), as_tensor(b)
+        try:
+            out_data = ufunc(a.data, b.data)
+        except ValueError:
+            raise ShapeError(f"{label}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+
+        def bw(g):
+            if a.requires_grad:
+                _accum(a, _unbroadcast(da(g, a.data, b.data), a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(db(g, a.data, b.data), b.data.shape))
+
+        return _make(out_data, (a, b), bw)
+
+    apply.__name__ = apply.__qualname__ = name
+    return apply
+
+
+def _unary(name: str, forward, d):
+    """The elementwise op ``name`` of one operand: ``forward`` on its data, and ``d(g, x, y)``
+    gives the upstream ``g`` times dy/dx at input ``x`` and output ``y``."""
+    def apply(a) -> Tensor:
+        a = as_tensor(a)
+        out_data = forward(a.data)
+        return _make(out_data, (a,), lambda g: _accum(a, d(g, a.data, out_data)))
+
+    apply.__name__ = apply.__qualname__ = name
+    return apply
 
 
 # ---------------------------------------------------------------------------
 # elementwise ops
 
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = _broadcast("add", np.add, a, b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = _broadcast("sub", np.subtract, a, b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = _broadcast("multiply", np.multiply, a, b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = _broadcast("divide", np.divide, a, b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), bw)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        # denominator floored so an exactly-zero upstream at sqrt(0) stays zero
-        _accum(a, g * 0.5 / np.maximum(out_data, 1e-300))
-
-    return _make(out_data, (a,), bw)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), bw)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bw)
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, g * np.cos(a.data))
-
-    return _make(np.sin(a.data), (a,), bw)
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, -g * np.sin(a.data))
-
-    return _make(np.cos(a.data), (a,), bw)
-
-
-def hinge(a) -> Tensor:
-    """max(x, 0); subgradient at 0 is 0."""
-    a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        _accum(a, g * (a.data > 0.0))
-
-    return _make(out_data, (a,), bw)
+add = _binary("add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a, "multiply")
+div = _binary("div", np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b), "divide")
+neg = _unary("neg", np.negative, lambda g, x, y: -g)
+# sqrt's denominator is floored so an exactly-zero upstream at sqrt(0) stays zero
+sqrt = _unary("sqrt", np.sqrt, lambda g, x, y: g * 0.5 / np.maximum(y, 1e-300))
+exp = _unary("exp", np.exp, lambda g, x, y: g * y)
+log = _unary("log", np.log, lambda g, x, y: g / x)
+tanh = _unary("tanh", np.tanh, lambda g, x, y: g * (1.0 - y * y))
+sin = _unary("sin", np.sin, lambda g, x, y: g * np.cos(x))
+cos = _unary("cos", np.cos, lambda g, x, y: -g * np.sin(x))
+# hinge is max(x, 0), with subgradient 0 at 0
+hinge = _unary("hinge", lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0.0))
 
 
 def where(mask, a, b) -> Tensor:
@@ -466,10 +384,7 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     out_data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
+    inv = None if axes is None else np.argsort(axes)
 
     def bw(g):
         _accum(a, np.transpose(g, inv))
@@ -532,10 +447,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
@@ -550,11 +462,9 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     )
 
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / count, a.data.shape).copy())
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg / count, a.data.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g / count, a.data.shape).copy())
 
     return _make(out_data, (a,), bw)
 

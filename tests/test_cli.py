@@ -310,6 +310,14 @@ def test_refine_deterministic_and_repeatable(tmp_path, workspace):
     assert refined.states is not None
 
 
+def test_refine_keeps_the_input_frame_rate(tmp_path, workspace):
+    src = read_motion(sorted(workspace["corpus"].glob("*.hmf"))[0])
+    clip, out = tmp_path / "clip60.hmf", tmp_path / "x.hmf"
+    write_motion(clip, MotionData(frames=src.frames, fps=60.0, object_center=src.object_center))
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(clip), "--out", str(out)]) == 0
+    assert read_motion(out).fps == 60.0
+
+
 def test_refine_stochastic_seeded(tmp_path, workspace):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     outs = []
@@ -421,6 +429,35 @@ def test_motion_header_bad_frame_count_exits_one(tmp_path, workspace, capsys, fr
     assert "frames must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [3, 62, 61.0, "61", True, None],
+                         ids=["3", "62", "float", "string", "boolean", "missing"])
+def test_motion_header_dim_other_than_61_exits_one(tmp_path, workspace, capsys, dim):
+    """A header must declare ``dim`` 61, the frame width its payload is read with."""
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    bad, out, report = tmp_path / "bad.hmf", tmp_path / "x.hmf", tmp_path / "r.json"
+    _with_manifest(src, bad, _set(["dim"], dim))
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad), "--out", str(out)]) == 1
+    assert main(["evaluate", "--pred", str(bad), "--gt", str(src), "--report", str(report)]) == 1
+    assert not out.exists() and not report.exists()
+    message = f"{bad} lacks dim" if dim is None else f"{bad}: dim must be 61, got {dim!r}"
+    assert capsys.readouterr().err.count(message) == 2
+
+
+@pytest.mark.parametrize("fps", ["fast", 0, -30.0, True, float("nan"), 1e400],
+                         ids=["string", "zero", "negative", "boolean", "nan", "inf"])
+def test_motion_header_bad_fps_exits_one(tmp_path, workspace, capsys, fps):
+    """A header's ``fps`` must be a finite number above 0: refine, which carries it to its
+    output, and evaluate refuse anything else, naming the file and the value."""
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    bad, out, report = tmp_path / "bad.hmf", tmp_path / "x.hmf", tmp_path / "r.json"
+    _with_manifest(src, bad, _set(["fps"], fps))
+    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(bad), "--out", str(out)]) == 1
+    assert main(["evaluate", "--pred", str(src), "--gt", str(bad), "--report", str(report)]) == 1
+    assert not out.exists() and not report.exists()
+    message = f"motion header in {bad}: fps must be a finite number > 0, got {fps!r}"
+    assert capsys.readouterr().err.count(message) == 2
+
+
 def test_short_checkpoint_exits_three(tmp_path, workspace, capsys):
     src = sorted(workspace["corpus"].glob("*.hmf"))[0]
     bad = tmp_path / "short.ckpt"
@@ -452,7 +489,7 @@ def test_checkpoint_params_not_matching_model_exit_three(tmp_path, workspace, ca
 
 
 def _with_manifest(src, dst, edit):
-    """Copy a checkpoint with its JSON manifest replaced by edit(manifest)."""
+    """Copy a checkpoint or a motion file with its JSON block replaced by edit(block)."""
     raw = src.read_bytes()
     length = int.from_bytes(raw[8:12], "little")
     blob = json.dumps(edit(json.loads(raw[12 : 12 + length]))).encode()
@@ -484,12 +521,13 @@ def _set(path, value):
     (_set(["tensors", 0, "shape"], [61.0]), "not a list of non-negative integers"),
     (_set(["tensors", 0, "shape"], "61"), "not a list of non-negative integers"),
     (_set(["tensors", 0, "dtype"], "<f4"), "has dtype '<f4', not '<f8'"),
+    (_set(["tensors", 0, "shape"], [2**32, 2**32]), "truncated checkpoint: tensor"),
     (_set(["extra", "config"], None), "no config object under extra.config"),
     (_set(["extra", "config"], [1]), "no config object under extra.config"),
     (_set(["extra"], "config"), "no config object under extra.config"),
 ], ids=["not-object", "no-tensors", "tensors-not-list", "name-not-string", "record-not-object",
-        "negative-dim", "float-dim", "shape-not-list", "dtype", "no-config", "config-not-object",
-        "extra-not-object"])
+        "negative-dim", "float-dim", "shape-not-list", "dtype", "overflowing-shape", "no-config",
+        "config-not-object", "extra-not-object"])
 def test_malformed_checkpoint_manifest_exits_three(tmp_path, workspace, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"
     _with_manifest(workspace["ckpt"], bad, edit)
@@ -498,6 +536,36 @@ def test_malformed_checkpoint_manifest_exits_three(tmp_path, workspace, capsys, 
     assert main(["refine", "--ckpt", str(bad), "--in", str(src), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _bad_magic(src, dst):
+    dst.write_bytes(b"XXXXXXXX" + src.read_bytes()[8:])
+
+
+def _next_version(src, dst):
+    _with_manifest(src, dst, _set(["format_version"], 2))
+
+
+@pytest.mark.parametrize("damage, message", [(_bad_magic, "bad magic"), (_next_version, "version 2")],
+                         ids=["magic", "format-version"])
+@pytest.mark.parametrize("container", ["checkpoint", "motion"])
+def test_foreign_container_is_refused(tmp_path, workspace, capsys, container, damage, message):
+    """A checkpoint with another magic or format version exits 3, a motion file 1, and
+    neither command writes an output."""
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    ckpt, clip = workspace["ckpt"], src
+    out, report = tmp_path / "x.hmf", tmp_path / "r.json"
+    if container == "checkpoint":
+        ckpt = tmp_path / "bad.ckpt"
+        damage(workspace["ckpt"], ckpt)
+        assert main(["refine", "--ckpt", str(ckpt), "--in", str(clip), "--out", str(out)]) == 3
+    else:
+        clip = tmp_path / "bad.hmf"
+        damage(src, clip)
+        assert main(["refine", "--ckpt", str(ckpt), "--in", str(clip), "--out", str(out)]) == 1
+        assert main(["evaluate", "--pred", str(clip), "--gt", str(src), "--report", str(report)]) == 1
+    assert not out.exists() and not report.exists()
+    assert message in capsys.readouterr().err
 
 
 def _frames_edit(data):

@@ -415,6 +415,39 @@ def test_backward_skips_constant_operand(name, live, monkeypatch):
     assert not any(t is constant for t in handed)
 
 
+BUILT_OPS = {  # name -> (op, operand shapes, whether its inputs must be positive)
+    "add": (tz.add, [(2, 3), (1, 3)], False),
+    "sub": (tz.sub, [(3,), (2, 3)], False),
+    "mul": (tz.mul, [(2, 1, 3), (4, 1)], False),
+    "div": (tz.div, [(2, 1, 3), (4, 1)], False),
+    "where": (lambda a, b: tz.where(_MASK, a, b), [(2, 3), (3,)], False),
+    "neg": (tz.neg, [(2, 3)], False),
+    "sqrt": (tz.sqrt, [(2, 3)], True),
+    "exp": (tz.exp, [(2, 3)], False),
+    "log": (tz.log, [(2, 3)], True),
+    "tanh": (tz.tanh, [(2, 3)], False),
+    "sin": (tz.sin, [(2, 3)], False),
+    "cos": (tz.cos, [(2, 3)], False),
+    "hinge": (tz.hinge, [(2, 3)], False),
+}
+
+
+@pytest.mark.parametrize("name, operand", [
+    pytest.param(name, i, id=f"{name}-{i}") for name, (_, shapes, _) in BUILT_OPS.items()
+    for i in range(len(shapes))])
+def test_elementwise_gradients_match_finite_differences(name, operand):
+    """Each elementwise op's gradient in each operand, summed back over broadcast axes, is
+    the central difference of a weighted sum of its output. Inputs lie 0.5-2 away from
+    0 (with random signs unless the op needs positive ones), clear of hinge's kink."""
+    op, shapes, positive = BUILT_OPS[name]
+    rng = np.random.default_rng(29)
+    arrays = [rng.uniform(0.5, 2.0, size=s) * (1.0 if positive else rng.choice([-1.0, 1.0], size=s))
+              for s in shapes]
+    operands = [Tensor(a, requires_grad=i == operand) for i, a in enumerate(arrays)]
+    weights = rng.normal(size=op(*arrays).shape)
+    check_grad(lambda: tz.tsum(op(*operands) * weights), operands[operand])
+
+
 def test_ops_on_constants_record_no_graph():
     x = Tensor(np.ones((2, 3)))
     y = tz.tanh(x * 3.0) @ Tensor(np.ones((3, 2)))
@@ -468,7 +501,8 @@ def test_adamw_matches_hand_unrolled_sequence():
 
 
 def _adamw_step_with_temporaries(p, g, m, v, t, lr, b1, b2, eps, wd):
-    """One parameter's update as AdamW.step wrote it before it worked in place."""
+    """One parameter's update with its moments updated in place: a reference written apart
+    from AdamW.step's expressions."""
     m *= b1
     m += (1 - b1) * g
     v *= b2
