@@ -22,7 +22,7 @@ from .errors import ContractError
 from .hand import BONE_COUNT, HandModel, _bone_scales, fk_transforms
 from .motion import FINGER_POSE, FRAME_DIM, ROOT_ORIENT, SHAPE, TRANSLATION
 from .physics import (CONTACT_THRESHOLD_MM, MotionState, ObjectTrack, StateTrack,
-                      check_contact_threshold, hand_object_distance)
+                      check_positive, hand_object_distance)
 from .rng import RandomStream
 
 INDEX_TIP = 8
@@ -77,7 +77,7 @@ class ScriptSpec:
             raise ContractError("interaction phases need reach_frames >= 2 to arrive at the object")
         if self.release_frames == 1:
             raise ContractError("release needs >= 2 frames to depart (or 0 to stay grasping)")
-        check_contact_threshold(self.contact_threshold)
+        check_positive("contact_threshold_mm", self.contact_threshold)
 
 
 MIN_SCRIPT_FRAMES = 14  # the shortest length every phase of a randomized script fits in

@@ -5,7 +5,11 @@ non-tip finger joints carry axis-angle pose parameters. Shape coefficients
 scale bone lengths through a fixed seeded basis. The mesh is a deterministic
 set of capsule rings strung along the bones, rigged by linear blend skinning
 with one joint per ring, so whole rings move rigidly: each joint stays the
-center of the rings that start at it (a tip, of its cap ring). Forward
+center of the rings that start at it (a tip, of its cap ring). A vertex at
+fraction f along its bone rides the parent joint, and FK puts the child at
+J_parent + R_parent (scaled rest offset), so skinning is exactly the constant
+linear map v = (1 - f) J_parent + f J_child + R_parent radial_v of FK's joints
+and rotations: one GEMM with ``skin_matrix``, its vertices C-contiguous. Forward
 kinematics, the Rodrigues formula and the bone scales are written once over
 an op namespace, one tree level (five joints) at a time: when an input needs
 a gradient (the training loss's joint term) they run on the autodiff
@@ -97,13 +101,13 @@ class HandModel:
     parents: np.ndarray
     rest_offsets: np.ndarray          # (21,3) mm, row 0 unused
     shape_basis: np.ndarray           # (20,10) beta -> per-bone scale deviation
-    vert_parent: np.ndarray           # (V,) joint index owning the ring start
+    vert_parent: np.ndarray           # (V,) joint owning the ring start, and skinning it (weight 1)
     vert_child: np.ndarray            # (V,)
     vert_frac: np.ndarray             # (V,) position along the bone
     vert_radial: np.ndarray           # (V,3) static radial offset, mm
-    vert_attach: np.ndarray           # (V,) skinning joint (weight 1)
     ring_slices: tuple                # (start, stop) vertex range of each ring
     adjacency_norm: np.ndarray        # (V,V) row-normalized (A+I) for mesh conv
+    skin_matrix: np.ndarray           # (252,3V) [joints (63) | rotations (189)] -> vertices
 
     @property
     def vertex_count(self) -> int:
@@ -158,7 +162,7 @@ def _build_hand_model(cfg: HandModelConfig) -> HandModel:
             rings.append((parent, child, 1.0, cfg.tip_radius, cfg.ring_verts))
     rings.append((0, 0, 0.0, cfg.wrist_radius, cfg.wrist_ring_verts))
 
-    vp, vc, vf, vr, va = [], [], [], [], []
+    vp, vc, vf, vr = [], [], [], []
     ring_slices = []
     cursor = 0
     for parent, child, f, radius, m in rings:
@@ -173,28 +177,43 @@ def _build_hand_model(cfg: HandModelConfig) -> HandModel:
             vc.append(child)
             vf.append(f)
             vr.append(radius * (np.cos(ang) * e1 + np.sin(ang) * e2))
-            va.append(parent)
         ring_slices.append((cursor, cursor + m))
         cursor += m
 
+    vp, vc, vf, vr = np.array(vp), np.array(vc), np.array(vf, dtype=float), np.array(vr)
     model = HandModel(
         config=cfg,
         parents=PARENTS.copy(),
         rest_offsets=REST_OFFSETS.copy(),
         shape_basis=basis,
-        vert_parent=np.array(vp),
-        vert_child=np.array(vc),
-        vert_frac=np.array(vf, dtype=float),
-        vert_radial=np.array(vr),
-        vert_attach=np.array(va),
+        vert_parent=vp,
+        vert_child=vc,
+        vert_frac=vf,
+        vert_radial=vr,
         ring_slices=tuple(ring_slices),
         adjacency_norm=_build_adjacency(ring_slices, rings),
+        skin_matrix=_build_skin_matrix(vp, vc, vf, vr),
     )
     for f in fields(model):
         value = getattr(model, f.name)
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return model
+
+
+def _build_skin_matrix(vert_parent, vert_child, vert_frac, vert_radial) -> np.ndarray:
+    """S with vertices = [joints | rotations] @ S: row 3j+i reads joint j's coordinate i,
+    row 63+9j+3i+k its rotation's entry (i, k), and column 3v+i is vertex v's coordinate i,
+    (1 - f) J_parent + f J_child + R_parent radial."""
+    V = len(vert_frac)
+    S = np.zeros((JOINT_COUNT * 12, V, 3))
+    v = np.arange(V)
+    for i in range(3):
+        S[3 * vert_parent + i, v, i] += 1.0 - vert_frac  # +=: the wrist ring's parent is its child
+        S[3 * vert_child + i, v, i] += vert_frac
+        for k in range(3):
+            S[3 * JOINT_COUNT + 9 * vert_parent + 3 * i + k, v, i] = vert_radial[:, k]
+    return S.reshape(JOINT_COUNT * 12, 3 * V)
 
 
 def _build_adjacency(ring_slices, rings) -> np.ndarray:
@@ -273,11 +292,6 @@ def _rodrigues(ops, w):
 # kinematics
 
 
-# Joints by depth, five per level; each level's parents are the level before
-# (the wrist for the first), so FK runs as four batched steps. Last: the tips.
-_LEVELS = tuple(np.arange(depth, JOINT_COUNT, 4) for depth in range(1, 5))
-
-
 def _bone_scales(ops, beta, model: HandModel):
     """Per-bone length scales (..., 20) from shape coefficients (..., 10): floor + hinge keeps >0."""
     dev = ops.matmul(beta.reshape(-1, 10), model.shape_basis.T)
@@ -316,7 +330,7 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
 
     pos = [tr.reshape(m, 1, 3)]
     rot = [rot16[:, 0:1]]
-    for depth in range(len(_LEVELS)):  # parents: the level before, or the wrist; bones depth::4
+    for depth in range(4):  # parents: the level before, or the wrist; bones depth::4
         off = offsets[:, depth::4].reshape(m, 5, 3, 1)
         pos.append(pos[-1] + ops.matmul(rot[-1], off).reshape(m, 5, 3))
         # rot16 is the root's, then three per finger: depth d's are 1+d, 4+d, ...; tips have none
@@ -330,39 +344,15 @@ def fk_transforms(root_orient, theta, beta, trans, model: HandModel, *, scales=N
     return joints.reshape(lead + (JOINT_COUNT, 3)), rots.reshape(lead + (JOINT_COUNT, 3, 3))
 
 
-def _rest_skeleton(model: HandModel, scales: np.ndarray) -> np.ndarray:
-    """Rest joints (..., 21, 3) from bone scales (..., 20), one tree level at a time."""
-    offsets = model.rest_offsets[1:] * scales[..., None]
-    out = np.zeros(scales.shape[:-1] + (JOINT_COUNT, 3))
-    for level in _LEVELS:
-        out[..., level, :] = out[..., PARENTS[level], :] + offsets[..., level - 1, :]
-    return out
-
-
-def _template_on(model: HandModel, rj: np.ndarray) -> np.ndarray:
-    """Rest-pose mesh vertices around a shaped rest skeleton rj (..., 21, 3)."""
-    f = model.vert_frac[:, None]
-    verts = (1.0 - f) * rj[..., model.vert_parent, :] + f * rj[..., model.vert_child, :]
-    return verts + model.vert_radial
-
-
 def skin_mesh_batch(root_orient, theta, beta, trans, model: HandModel):
-    """Linear blend skinning over arbitrary leading batch dims (numpy path).
+    """Linear blend skinning over arbitrary leading batch dims (numpy path): FK, then one GEMM.
 
-    Returns (vertices (..., V, 3), joints (..., 21, 3)); the joints are the
-    FK's own, so a caller that needs both runs FK once.
+    Returns (vertices (..., V, 3), C-contiguous, and joints (..., 21, 3)); the
+    joints are the FK's own, so a caller that needs both runs FK once.
     """
     root_orient = np.asarray(root_orient, dtype=float)
     lead = root_orient.shape[:-1]
     beta = np.broadcast_to(np.asarray(beta, dtype=float), lead + (10,))
-    scales = _bone_scales(tz.plain, beta, model)
-    joints, rots = fk_transforms(root_orient, theta, beta, trans, model, scales=scales)
-    flat_joints = joints.reshape((-1, JOINT_COUNT, 3))
-    rots = rots.reshape((-1, JOINT_COUNT, 3, 3))
-    rj = _rest_skeleton(model, scales).reshape(-1, JOINT_COUNT, 3)
-    template = _template_on(model, rj)
-    att = model.vert_attach
-    centered = template - rj[:, att]
-    rotated = np.einsum("mvij,mvj->mvi", rots[:, att], centered)
-    out = rotated + flat_joints[:, att]
-    return out.reshape(lead + (model.vertex_count, 3)), joints
+    joints, rots = fk_transforms(root_orient, theta, beta, trans, model)
+    x = np.concatenate([joints.reshape(-1, 3 * JOINT_COUNT), rots.reshape(-1, 9 * JOINT_COUNT)], axis=1)
+    return (x @ model.skin_matrix).reshape(lead + (model.vertex_count, 3)), joints

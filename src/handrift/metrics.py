@@ -54,10 +54,12 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) 
     gt = np.ascontiguousarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"procrustes: shapes {pred.shape} vs {gt.shape}")
-    if pred.shape[-2] < 3:
-        raise InputError(f"procrustes needs >= 3 points, got {pred.shape[-2]}")
-    mu_p = pred.mean(axis=-2, keepdims=True)
-    mu_g = gt.mean(axis=-2, keepdims=True)
+    n = pred.shape[-2]
+    if n < 3:
+        raise InputError(f"procrustes needs >= 3 points, got {n}")
+    # the means as einsums: several times faster than mean(axis=-2) on C-ordered clouds
+    mu_p = np.einsum("...nc->...c", pred)[..., None, :] / n
+    mu_g = np.einsum("...nc->...c", gt)[..., None, :] / n
     X = pred - mu_p
     Y = gt - mu_g
     sx = (X * X).sum(axis=(-2, -1))

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .motion import FRAME_DIM
-from .physics import CONTACT_THRESHOLD_MM, STATE_COUNT, check_contact_threshold
+from .physics import CONTACT_THRESHOLD_MM, STATE_COUNT, check_positive
 
 MAGIC = b"HDMF0001"
 FORMAT_VERSION = 1
@@ -50,10 +49,12 @@ class MotionData:
 
 
 def write_motion(path, data: MotionData):
+    """Write ``data`` to ``path``; what ``read_motion`` would refuse raises before the file is opened."""
     frames = np.asarray(data.frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != FRAME_DIM:
         raise InputError(f"motion frames must be (T,{FRAME_DIM}), got {frames.shape}")
     T = frames.shape[0]
+    check_positive("fps", data.fps)
     header = {
         "format_version": FORMAT_VERSION,
         "frames": T,
@@ -65,10 +66,13 @@ def write_motion(path, data: MotionData):
         "has_contact": data.contact is not None,
         "has_state": data.states is not None,
     }
-    if data.object_center is not None:  # a threshold that read_motion would refuse is not written
+    if data.object_center is not None:
         threshold = CONTACT_THRESHOLD_MM if data.contact_threshold is None else data.contact_threshold
-        check_contact_threshold(threshold)
+        check_positive("contact_threshold_mm", threshold)
         header["contact_threshold_mm"] = float(threshold)
+        obj = np.asarray(data.object_center, dtype=np.float64)
+        if obj.shape != (T, 3):
+            raise InputError(f"object track must be ({T},3), got {obj.shape}")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -76,9 +80,6 @@ def write_motion(path, data: MotionData):
         f.write(blob)
         f.write(np.ascontiguousarray(frames).astype("<f8", copy=False).tobytes())
         if data.object_center is not None:
-            obj = np.asarray(data.object_center, dtype=np.float64)
-            if obj.shape != (T, 3):
-                raise InputError(f"object track must be ({T},3), got {obj.shape}")
             f.write(np.ascontiguousarray(obj).astype("<f8", copy=False).tobytes())
         if data.contact is not None:
             f.write(np.asarray(data.contact, dtype=np.uint8).tobytes())
@@ -112,9 +113,13 @@ def read_motion(path) -> MotionData:
         raise InputError(f"motion header in {path}: frames must be a non-negative integer, got {T!r}")
     if type(header["dim"]) is not int or header["dim"] != FRAME_DIM:
         raise InputError(f"motion header in {path}: dim must be {FRAME_DIM}, got {header['dim']!r}")
-    fps = header["fps"]
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)) or not 0 < fps <= sys.float_info.max:
-        raise InputError(f"motion header in {path}: fps must be a finite number > 0, got {fps!r}")
+    threshold = header.get("contact_threshold_mm", CONTACT_THRESHOLD_MM) if header["has_object"] else None
+    try:
+        check_positive("fps", header["fps"])
+        if header["has_object"]:
+            check_positive("contact_threshold_mm", threshold)
+    except InputError as e:
+        raise InputError(f"motion header in {path}: {e}") from None
     offset = 12 + length
 
     def take(count, dtype, itemsize):
@@ -126,14 +131,9 @@ def read_motion(path) -> MotionData:
         return np.frombuffer(chunk, dtype=dtype)
 
     frames = take(T * FRAME_DIM, "<f8", 8).astype(np.float64).reshape(T, FRAME_DIM)
-    obj = contact = states = threshold = None
+    obj = contact = states = None
     if header["has_object"]:
         obj = take(T * 3, "<f8", 8).astype(np.float64).reshape(T, 3)
-        threshold = header.get("contact_threshold_mm", CONTACT_THRESHOLD_MM)
-        try:
-            check_contact_threshold(threshold)
-        except InputError as e:
-            raise InputError(f"motion header in {path}: {e}") from None
     if header["has_contact"]:
         contact = take(T, np.uint8, 1).astype(bool)
     if header["has_state"]:
@@ -147,7 +147,7 @@ def read_motion(path) -> MotionData:
         raise InputError(f"motion file {path} has state {states.max()}; states are 0-{STATE_COUNT - 1}")
     return MotionData(
         frames=frames,
-        fps=fps,
+        fps=header["fps"],
         normalization_id=header["normalization_id"],
         object_center=obj,
         contact_threshold=threshold,

@@ -39,11 +39,11 @@ DISTANCE_RATE_MM = 1.0       # delta_d, mm/frame: a d(t) trend beyond it is reac
 STABLE_SPEED_DEG = 0.5       # eps_s, degrees/frame: slower fingers in contact hold a stable grasp
 
 
-def check_contact_threshold(value) -> None:
-    """InputError unless ``value`` is a finite number > 0, as a contact threshold in mm must be."""
+def check_positive(what: str, value) -> None:
+    """InputError unless ``value`` is a finite number > 0, as a contact threshold or a frame rate must be."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and 0 < value <= sys.float_info.max):
-        raise InputError(f"contact_threshold_mm must be a finite number > 0, got {value!r}")
+        raise InputError(f"{what} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -54,7 +54,7 @@ class ObjectTrack:
     def __post_init__(self):
         if self.contact_threshold is None:
             self.contact_threshold = CONTACT_THRESHOLD_MM
-        check_contact_threshold(self.contact_threshold)
+        check_positive("contact_threshold_mm", self.contact_threshold)
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.center.ndim != 2 or self.center.shape[1] != 3:
             raise InputError(f"object track must be (T,3), got {self.center.shape}")

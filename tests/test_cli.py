@@ -152,6 +152,23 @@ def test_contact_threshold_that_no_reader_accepts_is_refused_before_writing(tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fps", ["fast", 0.0, -30.0, True, float("nan"), float("inf")],
+                         ids=["string", "zero", "negative", "boolean", "nan", "inf"])
+def test_write_motion_refuses_an_fps_that_read_motion_refuses(tmp_path, fps):
+    """write_motion raises read_motion's error, without the file name, and creates no file."""
+    path = tmp_path / "x.hmf"
+    with pytest.raises(InputError, match=re.escape(f"fps must be a finite number > 0, got {fps!r}")):
+        write_motion(path, MotionData(frames=np.zeros((4, 61)), fps=fps))
+    assert not path.exists()
+
+
+def test_write_motion_refuses_a_misshapen_object_track_before_opening(tmp_path):
+    path = tmp_path / "x.hmf"
+    with pytest.raises(InputError, match=re.escape("object track must be (4,3), got (3, 3)")):
+        write_motion(path, MotionData(frames=np.zeros((4, 61)), object_center=np.zeros((3, 3))))
+    assert not path.exists()
+
+
 def test_generate_phase_overrides_summing_to_frames(tmp_path):
     phases = {"free_frames": 1, "reach_frames": 6, "grasp_frames": 4, "manipulate_frames": 3,
               "release_frames": 4}

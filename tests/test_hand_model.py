@@ -193,13 +193,41 @@ def test_level_wise_fk_gradients_match_per_joint_reference(model):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_rest_joints_match_per_joint_loop(model):
-    beta = np.random.default_rng(12).normal(scale=40.0, size=(4, 10))
+def rest_template_skin(root_orient, theta, beta, trans, model):
+    """Skinning the long way round, the reference for the skinning matrix: a rest skeleton
+    shaped by the bone scales, the rest template strung on it, and each vertex rotated
+    about its parent joint by that joint's global rotation and carried to its FK position."""
+    joints, rots = hand.fk_transforms(root_orient, theta, beta, trans, model)
     scales = hand._bone_scales(tz.plain, beta, model)
-    ref = np.zeros((4, 21, 3))
+    rest = np.zeros(joints.shape)
     for j in range(1, 21):
-        ref[:, j] = ref[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
-    np.testing.assert_array_equal(hand._rest_skeleton(model, scales), ref)
+        rest[:, j] = rest[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
+    f, par = model.vert_frac[:, None], model.vert_parent
+    template = (1.0 - f) * rest[:, par] + f * rest[:, model.vert_child] + model.vert_radial
+    return np.einsum("mvij,mvj->mvi", rots[:, par], template - rest[:, par]) + joints[:, par]
+
+
+@pytest.mark.parametrize("ring_verts", [2, 3])
+def test_skin_mesh_batch_matches_the_rest_template_formula(model, ring_verts):
+    """Within 1e-9 mm under random poses, betas on the shape-scale floor and translations
+    up to 1e3 mm, for the default mesh and a denser one."""
+    mesh = model if ring_verts == 2 else hand.build_hand_model(hand.HandModelConfig(ring_verts=ring_verts))
+    ro, th, be, _ = fk_inputs(np.random.default_rng(12), (64,))
+    tr = np.random.default_rng(13).uniform(-1e3, 1e3, size=(64, 3))
+    assert (hand._bone_scales(tz.plain, be, mesh) == mesh.config.shape_scale_floor).any()
+    verts, _ = hand.skin_mesh_batch(ro, th, be, tr, mesh)
+    assert verts.shape == (64, mesh.vertex_count, 3) and verts.flags.c_contiguous
+    assert np.abs(verts - rest_template_skin(ro, th, be, tr, mesh)).max() < 1e-9  # mm
+
+
+def test_skin_matrix_is_read_only_built_once_and_follows_the_vertex_count(model):
+    assert model.skin_matrix.shape == (21 * 12, 3 * model.vertex_count)
+    assert hand.build_hand_model().skin_matrix is model.skin_matrix
+    with pytest.raises(ValueError, match="read-only"):
+        model.skin_matrix[0, 0] = 1.0
+    dense = hand.build_hand_model(hand.HandModelConfig(ring_verts=3))
+    assert dense.skin_matrix.shape == (21 * 12, 3 * dense.vertex_count)
+    assert not dense.skin_matrix.flags.writeable
 
 
 def test_skin_mesh_batch_hands_back_its_fk_joints(model):

@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from handrift import hand
-from handrift import tensor as tz
 from handrift.datagen import generate_sequence, sample_script
 from handrift.errors import InputError, ShapeError
 from handrift.metrics import (EvalReport, accl_error, f_score, kin_metric, mje, p_mje,
@@ -59,12 +58,13 @@ def test_procrustes_rejects_degenerate():
 
 
 def test_procrustes_aligns_strided_views_as_their_contiguous_copies():
-    """Alignment does not depend on memory layout: skin_mesh_batch's strided vertices,
-    and a transposed ground truth, align bitwise as their C-order copies."""
+    """Alignment does not depend on memory layout: strided skinned vertices, and a
+    transposed ground truth, align bitwise as their C-order copies."""
     rng = np.random.default_rng(4)
     model = hand.build_hand_model()
     pose = rng.normal(size=(24, 61)) * 0.2
-    verts, _ = hand.skin_mesh_batch(*pose_parts(pose), model)
+    verts = np.ascontiguousarray(hand.skin_mesh_batch(*pose_parts(pose), model)[0].transpose(1, 0, 2))
+    verts = verts.transpose(1, 0, 2)
     assert not verts.flags.c_contiguous
     gt = np.ascontiguousarray((verts + rng.normal(size=verts.shape)).transpose(2, 1, 0)).transpose(2, 1, 0)
     assert not gt.flags.c_contiguous
@@ -286,21 +286,14 @@ def test_metric_shape_errors():
 def graph_fk_geometry(motion, model):
     """Joints and skinned meshes of (T,61) frames through the autodiff FK.
 
-    The skinning repeats ``skin_mesh_batch``'s ops and gathers one for one:
-    Procrustes' last bits depend on the vertices' memory layout too.
+    The skinning is ``skin_mesh_batch``'s product of FK's joints and rotations with
+    the skinning matrix: Procrustes' last bits depend on the vertices' last bits.
     """
     parts = (motion[:, 0:3], motion[:, 3:48].reshape(-1, 15, 3), motion[:, 48:58], motion[:, 58:61])
     joints, rots = (t.data for t in hand.fk_transforms(*(Tensor(p, requires_grad=True) for p in parts),
                                                          model))
-    scales = hand._bone_scales(tz.plain, parts[2], model)
-    rest = np.zeros(joints.shape)
-    for j in range(1, 21):
-        rest[:, j] = rest[:, hand.PARENTS[j]] + model.rest_offsets[j] * scales[:, j - 1 : j]
-    f = model.vert_frac[:, None]
-    template = (1.0 - f) * rest[..., model.vert_parent, :] + f * rest[..., model.vert_child, :] + model.vert_radial
-    att = model.vert_attach
-    verts = np.einsum("mvij,mvj->mvi", rots[:, att], template - rest[:, att]) + joints[:, att]
-    return joints, verts
+    frames = np.concatenate([joints.reshape(-1, 63), rots.reshape(-1, 189)], axis=1)
+    return joints, (frames @ model.skin_matrix).reshape(-1, model.vertex_count, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

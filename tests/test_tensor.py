@@ -275,6 +275,21 @@ def test_graph_conv_stack_is_the_composed_stack():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_graph_conv_vertex_pool_is_bitwise_the_vertex_mean(dtype):
+    """The pooled codes are bitwise ``mean(axis=-2)`` of the last layer, in the float32
+    refine view and in float64, on a 32-mesh block of the default mesh's size."""
+    rng = np.random.default_rng(31)
+    h, adjacency, weights, biases = graph_conv_operands(rng, meshes=32, vertices=98, widths=(3, 16, 32))
+    h, adjacency = h.astype(dtype), adjacency.astype(dtype)
+    weights, biases = [w.astype(dtype) for w in weights], [b.astype(dtype) for b in biases]
+    last = []
+    pooled = tz.plain.graph_conv_stack(h, adjacency, weights, biases,
+                                       check=lambda out, i: last.append(out))
+    assert pooled.dtype == dtype and pooled.shape == (32, 32)
+    assert pooled.tobytes() == last[-1].mean(axis=-2).tobytes()
+
+
 def test_graph_conv_stack_refuses_meshes_that_require_a_gradient():
     rng = np.random.default_rng(29)
     h, adjacency, weights, biases = graph_conv_operands(rng)
