@@ -147,9 +147,19 @@ def _check_outputs(*paths):
             raise InputError(f"output {path} is a directory")
 
 
+def _check_output_dirs(*paths):
+    """InputError naming the first output directory (None skipped) that is, or lies under,
+    an existing file, so a command fails before its work, not when it makes the directory."""
+    for path in (Path(p) for p in paths if p is not None):
+        for d in (path, *path.parents):
+            if d.exists() and not d.is_dir():
+                raise InputError(f"output directory {path}: {d} is a file")
+
+
 def cmd_generate(args) -> int:
     if args.count < 0:
         raise InputError(f"--count must be at least 0, got {args.count}")
+    _check_output_dirs(args.out)
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise InputError(f"spec not found: {args.spec}")
@@ -278,6 +288,7 @@ def _pair_paths(pred, gt):
 
 def cmd_evaluate(args) -> int:
     _check_outputs(args.report, args.csv)
+    _check_output_dirs(args.plots)
     pairs, unmatched = _pair_paths(args.pred, args.gt)
     if unmatched or not pairs:
         print("error: unmatched sequences:", file=sys.stderr)

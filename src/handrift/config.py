@@ -6,9 +6,11 @@ their defaults from those dataclasses; the hand is the fixed recipe
 ``HandModelConfig()``, and the state annotator has no settings. ``desk`` is
 the small CPU preset every default test runs on; ``paper`` mirrors the
 published model scale (4 layers, 8 heads, 512-wide, mesh widths
-[32,64,64,64]). A key that is not in the defaults, a value not of its
-default's JSON kind, or an integer setting that holds a non-integer or a value
-below its ``INT_LEAST``, is rejected.
+[32,64,64,64]). ``check_config`` is the one check of every config the program
+reads, a user's merged file and a checkpoint's stored config alike: a key that
+is not in the defaults, a missing key, a value not of its default's JSON kind,
+or an integer setting that holds a non-integer or a value below its
+``INT_LEAST``, is rejected.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .datagen import PerturbSpec
-from .denoiser import MESH_SCALE, DenoiserConfig
+from .denoiser import DenoiserConfig
 from .errors import ConfigError
 from .hand import HandModelConfig
-from .physics import CONTACT_THRESHOLD_MM, DISTANCE_RATE_MM, STABLE_SPEED_DEG
 
 
 @dataclass
@@ -65,20 +66,7 @@ DEFAULTS: dict = {
     **{name: json.loads(json.dumps(asdict(cls()))) for name, cls in SECTIONS.items()},
     "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
 }
-HAND_RECIPE = json.loads(json.dumps(asdict(HandModelConfig())))  # as checkpoints stored it under "hand"
-
-# Removed keys a stored config may still hold, each with the value the program is
-# now fixed at: that value loads as if the key were absent, and any other is refused,
-# as what it set is gone. Removed keys that only shaped training are ignored on load.
-REMOVED_KEYS = {
-    "sequence_constant_beta": False,
-    "denoiser.gumbel_tau": 1.0,
-    "denoiser.mesh_scale": MESH_SCALE,
-    "annotator.distance_rate_mm": DISTANCE_RATE_MM,
-    "annotator.stable_speed_deg": STABLE_SPEED_DEG,
-    "annotator.contact_threshold_mm": CONTACT_THRESHOLD_MM,
-    "annotator.use_palm_center": False,
-}
+HAND_RECIPE = json.loads(json.dumps(asdict(HandModelConfig())))  # generate's manifest records the hand as this
 
 # The least value of each integer setting the program can run with; an integer
 # setting not listed takes any integer (``schedule.steps`` is checked by
@@ -109,17 +97,6 @@ def _deep_merge(base: dict, upd: dict) -> dict:
     return out
 
 
-def _check_keys(user, defaults: dict, where: str = ""):
-    """Raise ConfigError for any key of ``user`` that ``defaults`` lacks."""
-    if not isinstance(user, dict):
-        raise ConfigError(f"config {where.rstrip('.') or 'file'} must be a JSON object")
-    for k, v in user.items():
-        if k not in defaults:
-            raise ConfigError(f"unknown config key '{where}{k}'")
-        if isinstance(defaults[k], dict):
-            _check_keys(v, defaults[k], f"{where}{k}.")
-
-
 def _json_kind(value) -> str:
     if isinstance(value, bool):
         return "boolean"
@@ -129,12 +106,16 @@ def _json_kind(value) -> str:
 
 
 def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: str = ""):
-    """Raise ConfigError unless ``cfg`` has every key of the defaults, of its JSON kind.
+    """Raise ConfigError unless ``cfg`` holds exactly the keys of the defaults, each of
+    its default's JSON kind and every integer setting within range.
 
-    Keys the defaults lack are allowed, so checkpoints written before a key
-    was removed still load; a stored ``hand`` section must be the fixed recipe,
-    and a key of ``REMOVED_KEYS`` must hold its fixed value.
+    ``load_config`` runs it on the merged user file and overrides, and ``load_bundle``
+    on a checkpoint's stored config (``what`` is "stored config"), so both are refused
+    alike, a key the defaults lack included.
     """
+    for k in cfg:
+        if k not in defaults:
+            raise ConfigError(f"unknown {what} key '{where}{k}'")
     for k, default in defaults.items():
         if k not in cfg:
             raise ConfigError(f"{what} lacks '{where}{k}'")
@@ -151,20 +132,11 @@ def check_config(cfg, what: str = "config", defaults: dict = DEFAULTS, where: st
         elif isinstance(default, list) and (not value or any(type(v) is not int or v < 1 for v in value)):
             raise ConfigError(f"{what} '{where}{k}' must be a non-empty list of positive integers, "
                               f"got {value!r}")
-    if defaults is DEFAULTS:  # the whole config, not a section of it
-        if cfg.get("hand", HAND_RECIPE) != HAND_RECIPE:
-            raise ConfigError(f"{what} 'hand' differs from the fixed hand recipe")
-        for key, fixed in REMOVED_KEYS.items():
-            section, _, name = key.rpartition(".")
-            stored = cfg.get(section, {}) if section else cfg  # a removed section may be absent
-            value = stored.get(name, fixed) if isinstance(stored, dict) else fixed
-            if _json_kind(value) != _json_kind(fixed) or value != fixed:
-                raise ConfigError(f"{what} sets the removed key '{key}' to {json.dumps(value)}")
 
 
 def default_config(preset: str = "desk") -> dict:
-    if preset not in PRESET_OVERRIDES:
-        raise ConfigError(f"unknown preset '{preset}' (have: {sorted(PRESET_OVERRIDES)})")
+    if type(preset) is not str or preset not in PRESET_OVERRIDES:
+        raise ConfigError(f"unknown preset {preset!r} (have: {sorted(PRESET_OVERRIDES)})")
     cfg = _deep_merge(DEFAULTS, PRESET_OVERRIDES[preset])
     cfg["preset"] = preset
     return cfg
@@ -181,9 +153,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             user = json.loads(p.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    _check_keys(user, DEFAULTS)
-    _check_keys(overrides or {}, DEFAULTS)
-    preset = (overrides or {}).get("preset") or user.get("preset", "desk")
+        if not isinstance(user, dict):
+            raise ConfigError("config file must be a JSON object")
+    preset = (overrides or {}).get("preset", user.get("preset", "desk"))
     cfg = default_config(preset)
     cfg = _deep_merge(cfg, user)
     if overrides:
@@ -197,21 +169,17 @@ def config_hash(cfg: dict) -> str:
 
 
 def _section(cls, values: dict):
-    """A section dataclass from its config dict: lists become tuples, nested sections recurse.
-
-    Keys the dataclass lacks are ignored, so checkpoints written before a key
-    was removed still load; ``load_config`` is where unknown keys are refused.
-    """
+    """A section dataclass from its checked config dict: lists become tuples, nested
+    sections recurse."""
     defaults = cls()
     kwargs = {}
-    for f in fields(cls):
-        if f.name in values:
-            value, default = values[f.name], getattr(defaults, f.name)
-            if is_dataclass(default):
-                value = _section(type(default), value)
-            elif isinstance(default, tuple):
-                value = tuple(value)
-            kwargs[f.name] = value
+    for name, value in values.items():
+        default = getattr(defaults, name)
+        if is_dataclass(default):
+            value = _section(type(default), value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[name] = value
     return cls(**kwargs)
 
 

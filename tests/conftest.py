@@ -95,6 +95,35 @@ def rodrigues(w) -> np.ndarray:
                      [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)]])
 
 
+def procrustes_oracle(pred, gt) -> float:
+    """The RMS residual of the best similarity alignment of ``pred`` onto ``gt``, by brute
+    force: Nelder-Mead descent over rotation vectors, with the scale and translation in
+    closed form for each candidate rotation. The cost rotates by ``rodrigues``, checked
+    against scipy at every optimum, and is divided by ||Y||^2 so that ``fatol`` lies above
+    its rounding. The descent starts from each of the 24 rotations of the cube group, one of
+    which lies within about 63 degrees of any rotation, the best one included; random
+    starts could all end in the anti-aligned local minimum (a negative scale, as the cost
+    is even in X.Y)."""
+    from scipy.optimize import minimize
+    from scipy.spatial.transform import Rotation
+
+    X0, Y = pred - pred.mean(0), gt - gt.mean(0)  # centring commutes with the rotation
+    yy = (Y * Y).sum()
+
+    def cost(w):
+        X = X0 @ rodrigues(w).T
+        s = (X * Y).sum() / (X * X).sum()
+        return ((s * X - Y) ** 2).sum() / yy
+
+    best = np.inf
+    for w0 in Rotation.create_group("O").as_rotvec():
+        res = minimize(cost, w0, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 3000})
+        assert np.abs(rodrigues(res.x) - Rotation.from_rotvec(res.x).as_matrix()).max() <= 1e-12
+        best = min(best, res.fun)
+    return np.sqrt(best * yy / pred.shape[0])
+
+
 def sibling_imports(text: str) -> list[str]:
     """The package modules a module's relative imports name: ``x`` for ``from .x import ...``,
     ``y`` for ``from . import y``, however the import is wrapped."""

@@ -28,7 +28,7 @@ from handrift.rng import RandomStream
 from handrift.tensor import Tensor, backward
 from handrift.trainer import total_loss, train_config_from
 
-from conftest import CACHE, VARIANTS, cache_tag, desk_config, rodrigues, sibling_imports
+from conftest import CACHE, VARIANTS, cache_tag, desk_config, procrustes_oracle, sibling_imports
 
 
 def test_model_cache_holds_only_current_models():
@@ -401,24 +401,6 @@ def test_criterion_8_metric_identities():
             ok_f = False
             break
 
-    from scipy.optimize import minimize
-
-    def brute_residual(pred_pts, gt_pts):
-        X0, Y = pred_pts - pred_pts.mean(0), gt_pts - gt_pts.mean(0)  # centring commutes with R
-
-        def cost(w):  # rotates by the closed-form Rodrigues, checked against scipy below
-            X = X0 @ rodrigues(w).T
-            s = (X * Y).sum() / (X * X).sum()
-            return ((s * X - Y) ** 2).sum()
-
-        best = np.inf
-        for _ in range(8):
-            res = minimize(cost, rng.normal(size=3) * 2, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 3000})
-            assert np.abs(rodrigues(res.x) - Rotation.from_rotvec(res.x).as_matrix()).max() <= 1e-12
-            best = min(best, res.fun)
-        return np.sqrt(best / pred_pts.shape[0])
-
     worst_proc = 0.0
     for _ in range(50):
         gt_pts = rng.normal(size=(21, 3)) * 30
@@ -426,7 +408,7 @@ def test_criterion_8_metric_identities():
         pred_pts = gt_pts @ Rm.T * rng.uniform(0.7, 1.5) + rng.normal(size=(21, 3)) * 2.5
         aligned = procrustes_align(pred_pts, gt_pts, with_scale=True)
         closed = np.sqrt(((aligned - gt_pts) ** 2).sum() / 21)
-        worst_proc = max(worst_proc, abs(closed - brute_residual(pred_pts, gt_pts)))
+        worst_proc = max(worst_proc, abs(closed - procrustes_oracle(pred_pts, gt_pts)))
 
     ok = ok_pmje and inv_err <= 1e-9 and ok_f and worst_proc < 1e-6
     report(8, ok, f"p-mje<=mje on 1000 cases: {ok_pmje}; rigid invariance {inv_err:.2e}; "

@@ -7,7 +7,7 @@ import pytest
 
 from handrift import trainer
 from handrift.cli import main
-from handrift.config import DEFAULTS, HAND_RECIPE, REMOVED_KEYS, config_hash, load_config
+from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, load_config
 from handrift.datagen import ScriptSpec, generate_sequence, sample_script
 from handrift.denoiser import Denoiser
 from handrift.errors import InputError
@@ -237,9 +237,10 @@ def test_train_holdout_must_leave_training_data(tmp_path, workspace, capsys):
      "config 'train.batch_size' must be a positive integer, got 0"),
     (lambda c: {**c, "schedule": {**c["schedule"], "steps": 2.5}},
      "config 'schedule.steps' must be an integer, got 2.5"),
+    (lambda c: {**c, "preset": ["desk"]}, "unknown preset ['desk'] (have: ['desk', 'paper'])"),
 ], ids=["hand", "smoothfilter-sigma", "sequence-constant-beta", "state-classes", "max-frames",
         "epochs-string", "noise-std-list", "frames-zero", "frames-float", "epochs-float",
-        "width-float", "batch-size-zero", "steps-float"])
+        "width-float", "batch-size-zero", "steps-float", "preset-list"])
 def test_train_bad_config_exits_one(tmp_path, workspace, capsys, edit, message):
     """Removed keys are unknown keys, every value must be of its default's kind, and an
     integer setting must hold an integer it can run with."""
@@ -294,6 +295,33 @@ def test_output_path_is_checked_before_any_work(tmp_path, workspace, capsys, com
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert list(out.iterdir()) == [] and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_evaluate_plots_naming_a_file_exits_one(tmp_path, workspace, capsys, below):
+    """--plots that is, or lies under, an existing file is refused before the report."""
+    src = str(sorted(workspace["corpus"].glob("*.hmf"))[0])
+    blocker = tmp_path / "plots"
+    blocker.write_text("keep")
+    plots, report = blocker / below, tmp_path / "r.json"
+    assert main(["evaluate", "--pred", src, "--gt", src, "--report", str(report),
+                 "--plots", str(plots)]) == 1
+    err = capsys.readouterr().err
+    assert f"output directory {plots}: {blocker} is a file" in err and len(err.splitlines()) == 1
+    assert not report.exists() and blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_generate_out_naming_a_file_exits_one(tmp_path, workspace, capsys, below):
+    """--out that is, or lies under, an existing file is refused before any sequence."""
+    blocker = tmp_path / "corpus"
+    blocker.write_text("keep")
+    out = blocker / below
+    assert main(["generate", "--spec", str(workspace["spec"]), "--out", str(out), "--count", "2",
+                 "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert f"output directory {out}: {blocker} is a file" in err and len(err.splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep"
 
 
 def test_train_checkpoint_reloads(workspace):
@@ -711,8 +739,12 @@ def _stored_config(edit):
     (lambda c: {**c, "frames": 0}, "stored config 'frames' must be a positive integer, got 0"),
     (lambda c: {**c, "schedule": {**c["schedule"], "steps": 0}}, "schedule needs >= 1 step, got 0"),
     (lambda c: {**c, "denoiser": {**c["denoiser"], "heads": 3}}, "width 16 not divisible by heads 3"),
-    (lambda c: {**c, "hand": {**HAND_RECIPE, "seed": 5}},
-     "stored config 'hand' differs from the fixed hand recipe"),
+    (lambda c: {**c, "hand": HAND_RECIPE}, "unknown stored config key 'hand'"),
+    (lambda c: {**c, "hand": {**HAND_RECIPE, "seed": 5}}, "unknown stored config key 'hand'"),
+    (lambda c: {**c, "denoiser": {**c["denoiser"], "gumbel_tau": 1.0}},
+     "unknown stored config key 'denoiser.gumbel_tau'"),
+    (lambda c: {**c, "annotator": {"use_palm_center": False}}, "unknown stored config key 'annotator'"),
+    (lambda c: {**c, "smoothfilter_sigma": 1.0}, "unknown stored config key 'smoothfilter_sigma'"),
     (lambda c: {**c, "train": {**c["train"], "epochs": 1.5}},
      "stored config 'train.epochs' must be a non-negative integer, got 1.5"),
     (lambda c: {**c, "denoiser": {**c["denoiser"], "width": 16.0}},
@@ -722,8 +754,9 @@ def _stored_config(edit):
     (lambda c: {**c, "schedule": {**c["schedule"], "steps": 2.5}},
      "stored config 'schedule.steps' must be an integer, got 2.5"),
 ], ids=["empty", "frames-only", "train-only", "no-schedule", "train-number", "width-string",
-        "no-probabilistic", "frames-zero", "steps-zero", "heads-not-dividing-width", "hand-seed",
-        "epochs-float", "width-float", "batch-size-zero", "steps-float"])
+        "no-probabilistic", "frames-zero", "steps-zero", "heads-not-dividing-width", "hand-recipe",
+        "hand-seed", "gumbel-tau-fixed", "annotator", "smoothfilter-sigma", "epochs-float",
+        "width-float", "batch-size-zero", "steps-float"])
 def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"
     _with_manifest(workspace["ckpt"], bad, _stored_config(edit))
@@ -738,40 +771,6 @@ def _set_key(cfg, key, value):
     """A copy of ``cfg`` with the dotted ``key`` set to ``value``, its sections made as needed."""
     head, _, rest = key.partition(".")
     return {**cfg, head: _set_key(cfg.get(head, {}), rest, value) if rest else value}
-
-
-REMOVED_CASES = [  # (key, a value other than the fixed one, how the error shows it)
-    ("sequence_constant_beta", True, "true"),
-    ("denoiser.gumbel_tau", 0.5, "0.5"),
-    ("denoiser.mesh_scale", 0.02, "0.02"),
-    ("annotator.distance_rate_mm", 2.0, "2.0"),
-    ("annotator.stable_speed_deg", 1.0, "1.0"),
-    ("annotator.contact_threshold_mm", 20.0, "20.0"),
-    ("annotator.use_palm_center", True, "true"),
-]
-
-
-@pytest.mark.parametrize("key, other, shown", REMOVED_CASES, ids=[c[0] for c in REMOVED_CASES])
-def test_stored_removed_key_is_ignored_at_its_fixed_value_and_refused_otherwise(
-        tmp_path, workspace, capsys, key, other, shown):
-    """A removed key stored at the value the program is fixed at refines as if absent; any
-    other value, whose effect is gone, exits 3 naming the key."""
-    assert {c[0] for c in REMOVED_CASES} == set(REMOVED_KEYS)
-    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
-    ref, fixed, other_out = tmp_path / "ref.hmf", tmp_path / "fixed.hmf", tmp_path / "other.hmf"
-    for name, value in (("fixed", REMOVED_KEYS[key]), ("other", other)):
-        _with_manifest(workspace["ckpt"], tmp_path / f"{name}.ckpt",
-                       _stored_config(lambda c: _set_key(c, key, value)))
-    assert main(["refine", "--ckpt", str(workspace["ckpt"]), "--in", str(src), "--out", str(ref)]) == 0
-    assert main(["refine", "--ckpt", str(tmp_path / "fixed.ckpt"), "--in", str(src),
-                 "--out", str(fixed)]) == 0
-    assert fixed.read_bytes() == ref.read_bytes()
-    capsys.readouterr()
-    assert main(["refine", "--ckpt", str(tmp_path / "other.ckpt"), "--in", str(src),
-                 "--out", str(other_out)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: checkpoint stored config sets the removed key '{key}' to {shown}"]
-    assert not other_out.exists()
 
 
 OLD_DEFAULTS = {  # the keys made constants or removed, at the defaults they had

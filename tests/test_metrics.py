@@ -13,7 +13,7 @@ from handrift.pipeline import evaluate_pair
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor
 
-from conftest import rodrigues
+from conftest import procrustes_oracle
 
 R, G, M = MotionState.REACHING, MotionState.STABLE_GRASPING, MotionState.MANIPULATION
 
@@ -221,37 +221,15 @@ def test_p_mje_rigid_invariance():
 
 
 def test_procrustes_matches_bruteforce_descent_oracle():
-    """Independent oracle: Nelder-Mead restarts over rotation parameters with
-    closed-form scale/translation for each candidate rotation. The cost rotates by
-    the test's own Rodrigues formula, checked against scipy at every optimum."""
-    from scipy.optimize import minimize
-
+    """Independent oracle: Nelder-Mead descent over rotation parameters with closed-form
+    scale/translation for each candidate rotation (``conftest.procrustes_oracle``)."""
     rng = np.random.default_rng(10)
-
-    def brute_force_residual(pred, gt):
-        X0, Y = pred - pred.mean(0), gt - gt.mean(0)  # centring commutes with the rotation
-
-        def cost(w):
-            X = X0 @ rodrigues(w).T
-            s = (X * Y).sum() / (X * X).sum()
-            resid = s * X - Y
-            return (resid**2).sum()
-
-        best = np.inf
-        for _ in range(6):
-            w0 = rng.normal(size=3) * 2.0
-            res = minimize(cost, w0, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 1500})
-            assert np.abs(rodrigues(res.x) - Rotation.from_rotvec(res.x).as_matrix()).max() <= 1e-12
-            best = min(best, res.fun)
-        return np.sqrt(best / pred.shape[0])
-
     for _ in range(8):
         gt = rng.normal(size=(21, 3)) * 30
         pred = gt @ random_rotation(rng).T * 1.4 + rng.normal(size=(21, 3)) * 3.0
         aligned = procrustes_align(pred, gt, with_scale=True)
         closed = np.sqrt(((aligned - gt) ** 2).sum() / 21)
-        assert closed == pytest.approx(brute_force_residual(pred, gt), abs=1e-6)
+        assert closed == pytest.approx(procrustes_oracle(pred, gt), abs=1e-6)
 
 
 def test_eval_report_aggregation_and_invariants():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,16 +12,16 @@ import pytest
 import handrift
 from handrift import pipeline, trainer
 from handrift import tensor as tz
-from handrift.config import DEFAULTS, HAND_RECIPE, config_hash, denoiser_config_from, load_config
+from handrift.config import DEFAULTS, config_hash, load_config
 from handrift.datagen import generate_sequence, perturb, sample_script
 from handrift.denoiser import Denoiser
 from handrift.diffusion import DiffusionSchedule, blend_estimate, refine
 from handrift.errors import ConfigError, NumericalError, TrainingDivergedError
-from handrift.hand import HandModelConfig, build_hand_model
+from handrift.hand import build_hand_model
 from handrift.motion import FRAME_DIM, Normalizer
 from handrift.motionfile import MotionData, write_motion
 from handrift.physics import STATE_COUNT, ObjectTrack, annotate_states
-from handrift.pipeline import evaluate_pair, load_bundle, make_bundle, refine_sequence, save_bundle
+from handrift.pipeline import evaluate_pair, load_bundle, make_bundle, refine_sequence
 from handrift.rng import RandomStream
 from handrift.tensor import Tensor
 from handrift.trainer import CorpusItem, TrainConfig, total_loss, train, train_config_from
@@ -75,35 +76,17 @@ def test_load_config_rejects_unknown_keys(tmp_path, train_section):
         load_config(path)
 
 
-def test_checkpoint_with_removed_config_key_loads(tiny_cfg, tiny_corpus, tmp_path):
-    """Stored configs bypass load_config: keys removed since still load, and so does a
-    config without the removed ``annotator`` section, as every new checkpoint is."""
-    assert "annotator" not in tiny_cfg
-    removed = {"teacher_noise_std": 0.0, "lambda_state": 1.0, "lambda_kinetics": 1.0,
-               "lambda_stability": 1.0, "lambda_const_accel": 1.0, "mode": "model_agnostic",
-               "weight_decay": 1e-2, "lr_decay_factor": 0.8, "self_condition": True}
-    removed_denoiser = {"state_classes": 5, "max_frames": 256, "gumbel_tau": 1.0, "mesh_scale": 0.01}
-    removed_annotator = {"distance_rate_mm": 1.0, "stable_speed_deg": 0.5, "contact_threshold_mm": 10.0,
-                         "use_palm_center": False}
-    old = {**tiny_cfg, "hand": HAND_RECIPE, "smoothfilter_sigma": 1.0,
-           "sequence_constant_beta": False,
-           "denoiser": {**tiny_cfg["denoiser"], **removed_denoiser},
-           "annotator": removed_annotator,
-           "train": {**tiny_cfg["train"], **removed}}
-    normalizer = Normalizer.fit([item.motion for item in tiny_corpus])
-    path = tmp_path / "old.ckpt"
-    save_bundle(path, make_bundle(old, normalizer))
-    loaded = load_bundle(path)
-    assert {k: loaded.config["train"][k] for k in removed} == removed
-    assert {k: loaded.config["denoiser"][k] for k in removed_denoiser} == removed_denoiser
-    assert loaded.config["annotator"] == removed_annotator
-    assert loaded.config["hand"] == HAND_RECIPE and loaded.config["smoothfilter_sigma"] == 1.0
-    assert loaded.config["sequence_constant_beta"] is False
-    assert train_config_from(loaded.config) == train_config_from(tiny_cfg)
-    assert denoiser_config_from(loaded.config) == denoiser_config_from(tiny_cfg)
-    assert loaded.hand_model.config == HandModelConfig()
-    save_bundle(tmp_path / "new.ckpt", make_bundle(tiny_cfg, normalizer))
-    assert load_bundle(tmp_path / "new.ckpt").config == tiny_cfg
+@pytest.mark.parametrize("preset", [["desk"], ""], ids=["list", "empty"])
+def test_load_config_refuses_an_unknown_preset(tmp_path, preset):
+    """A preset that is not a preset's name, a non-string or an empty one included, is
+    refused naming it, whether the file or the overrides set it."""
+    message = re.escape(f"unknown preset {preset!r} (have: ['desk', 'paper'])")
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, {"preset": preset})
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps({"preset": preset}))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def _leaves(node, prefix=""):
