@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import HAND_RECIPE, load_config
-from .datagen import MIN_SCRIPT_FRAMES, ScriptSpec, generate_sequence, sample_script
-from .errors import (CheckpointError, ConfigError, ContractError, HandriftError, InputError,
+from .datagen import MIN_SCRIPT_FRAMES, generate_sequence, sample_script
+from .errors import (CheckpointError, ConfigError, HandriftError, InputError,
                      TrainingDivergedError)
 from .hand import build_hand_model
 from .metrics import EvalReport
@@ -91,50 +90,24 @@ ABLATIONS = {
 }
 
 
-def _override_kind(value, default) -> str | None:
-    """What a spec override must be to replace its ``ScriptSpec`` default, or None if it is."""
-    if isinstance(default, np.ndarray):
-        try:
-            arr = np.asarray(value)
-            fits = arr.dtype.kind in "iuf" and arr.shape == default.shape and np.isfinite(arr).all()
-        except ValueError:  # a ragged list
-            fits = False
-        if not fits:
-            return f"a list of shape {list(default.shape)} of finite numbers"
-    elif isinstance(default, int):
-        if type(value) is not int:
-            return "an integer"
-    elif type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
-        return "a finite number"
-    return None
-
-
-def _read_spec(path: Path) -> tuple[dict, int, dict]:
-    """(spec, frames, overrides) of a spec file holding a JSON object with an integer
-    ``frames`` of at least ``MIN_SCRIPT_FRAMES`` and ``overrides`` of ``ScriptSpec``
-    fields, each of its default's kind and shape; InputError otherwise."""
+def _read_spec(path: Path) -> tuple[dict, int]:
+    """(spec, frames) of a spec file holding a JSON object whose one key, ``frames``
+    (default 16), is an integer of at least ``MIN_SCRIPT_FRAMES``; InputError otherwise."""
     try:
         spec = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise InputError(f"spec {path} is not valid JSON: {e}") from None
     if not isinstance(spec, dict):
         raise InputError(f"spec {path} must be a JSON object")
-    frames, overrides = spec.get("frames", 16), spec.get("overrides", {})
+    for key in spec:
+        if key != "frames":
+            raise InputError(f"unknown spec key '{key}'")
+    frames = spec.get("frames", 16)
     if type(frames) is not int:
         raise InputError(f"spec 'frames' must be an integer, got {frames!r}")
     if frames < MIN_SCRIPT_FRAMES:
         raise InputError(f"spec 'frames' must be at least {MIN_SCRIPT_FRAMES}, got {frames}")
-    if not isinstance(overrides, dict):
-        raise InputError("spec 'overrides' must be a JSON object")
-    unknown = sorted(set(overrides) - {f.name for f in fields(ScriptSpec)})
-    if unknown:
-        raise InputError(f"unknown spec override '{unknown[0]}'")
-    defaults = ScriptSpec()
-    for name, value in overrides.items():
-        kind = _override_kind(value, getattr(defaults, name))
-        if kind is not None:
-            raise InputError(f"spec override '{name}' must be {kind}, got {value!r}")
-    return spec, frames, overrides
+    return spec, frames
 
 
 def _check_outputs(*paths):
@@ -163,26 +136,14 @@ def cmd_generate(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise InputError(f"spec not found: {args.spec}")
-    spec, frames, overrides = _read_spec(spec_path)
-    scripts = []
-    for i in range(max(args.count, 1)):  # with --count 0, script-0's draw is still checked
-        script = sample_script(RandomStream(args.seed, f"script-{i}"), frames)
-        for k, v in overrides.items():
-            setattr(script, k, np.asarray(v) if isinstance(getattr(script, k), np.ndarray) else v)
-        try:
-            script.validate()
-        except (ContractError, InputError) as e:
-            raise InputError(f"spec overrides make script-{i} invalid: {e}") from None
-        if script.total_frames != frames:
-            raise InputError(f"spec overrides make script-{i} {script.total_frames} frames long, "
-                             f"but 'frames' is {frames}")
-        scripts.append(script)
+    spec, frames = _read_spec(spec_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     model = build_hand_model()
     entries = []
-    for i, script in enumerate(scripts[: args.count]):
+    for i in range(args.count):
+        script = sample_script(RandomStream(args.seed, f"script-{i}"), frames)
         motion, obj, track = generate_sequence(script, model)
         name = f"seq_{i:04d}.hmf"
         write_motion(out / name, MotionData(
@@ -263,8 +224,7 @@ def cmd_refine(args) -> int:
         return EXIT_INCOMPATIBLE
     bundle = load_bundle(args.ckpt)
     rng = RandomStream(args.seed, "refine") if args.stochastic else None
-    refined, track = refine_sequence(bundle, data.frames, deterministic=not args.stochastic,
-                                     rng=rng, steps=args.steps)
+    refined, track = refine_sequence(bundle, data.frames, rng=rng, steps=args.steps)
     write_motion(args.out, MotionData(
         frames=refined, fps=data.fps, object_center=data.object_center,
         contact_threshold=data.contact_threshold, states=track.labels,

@@ -64,7 +64,7 @@ DEFAULTS: dict = {
     "frames": 16,
     # JSON round trip: tuple fields become lists, as in a user file
     **{name: json.loads(json.dumps(asdict(cls()))) for name, cls in SECTIONS.items()},
-    "schedule": {"steps": 8, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
+    "schedule": {"steps": 8},  # eta_1, eta_N and kappa are constants of diffusion.py
 }
 HAND_RECIPE = json.loads(json.dumps(asdict(HandModelConfig())))  # generate's manifest records the hand as this
 

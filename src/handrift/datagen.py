@@ -7,8 +7,10 @@ wiggles the finger pose sinusoidally while the object co-moves rigidly with
 the wrist. The script doubles as the label oracle for the state annotator.
 
 Also home to the perturbation model used to fabricate noisy "frame-wise
-estimates" from clean motion, the Gaussian preprocessing filter, and the two
-heuristic smoothing baselines.
+estimates" from clean motion (``perturb``), the Gaussian preprocessing filter
+(``gaussian_smooth``), and the constant-acceleration smoothness penalty the
+``const-accel`` ablation trains with in place of the physics losses
+(``constant_accel_penalty``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, InferenceDivergedError, ShapeError
 from .rng import RandomStream
 
+ETA_FIRST = 0.01  # eta_1: the first step's small shift toward y
 ETA_LAST = 0.999  # kept strictly below 1 so eta_{n-1}/eta_n stays conditioned
+KAPPA = 0.3       # noise scale in normalized pose units
 
 
 @dataclass(frozen=True)
@@ -35,22 +37,17 @@ class DiffusionSchedule:
         return float(self.eta[n - 1])
 
 
-def make_schedule(steps: int, eta1: float = 0.01, kappa: float = 0.3, power: float = 1.0) -> DiffusionSchedule:
-    """Geometric interpolation eta_n = eta1 * (etaN/eta1)^(((n-1)/(N-1))^p)."""
+def make_schedule(steps: int) -> DiffusionSchedule:
+    """The method's N-step schedule: geometric eta_n = eta_1 * (eta_N/eta_1)^((n-1)/(N-1))
+    from ``ETA_FIRST`` to ``ETA_LAST``, with noise scale ``KAPPA``."""
     if steps < 1:
         raise ConfigError(f"schedule needs >= 1 step, got {steps}")
-    if not 0.0 < eta1 < 1.0:
-        raise ConfigError(f"eta1 must lie in (0,1), got {eta1}")
-    if kappa < 0.0:
-        raise ConfigError(f"kappa must be >= 0, got {kappa}")
-    if power <= 0.0:
-        raise ConfigError(f"schedule power must be > 0, got {power}")
     if steps == 1:
         eta = np.array([ETA_LAST])
     else:
-        frac = (np.arange(steps) / (steps - 1)) ** power
-        eta = eta1 * (ETA_LAST / eta1) ** frac
-    return DiffusionSchedule(eta=eta, kappa=float(kappa))
+        frac = np.arange(steps) / (steps - 1)
+        eta = ETA_FIRST * (ETA_LAST / ETA_FIRST) ** frac
+    return DiffusionSchedule(eta=eta, kappa=KAPPA)
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray, op: str):
@@ -80,12 +77,13 @@ def forward_sample(x: np.ndarray, y: np.ndarray, n, sched: DiffusionSchedule,
 
 
 def reverse_transition(x_n: np.ndarray, x_hat: np.ndarray, n: int, sched: DiffusionSchedule,
-                       rng: RandomStream | None = None, deterministic: bool = True) -> np.ndarray:
+                       rng: RandomStream | None = None) -> np.ndarray:
     """One reverse step n -> n-1 given the denoiser's clean estimate.
 
     With alpha_n = eta_n - eta_{n-1}: mean is (eta_{n-1}/eta_n) x^n +
     (alpha_n/eta_n) x_hat and the per-coordinate variance is
-    kappa^2 eta_{n-1} alpha_n / eta_n. Step n=1 returns x_hat exactly.
+    kappa^2 eta_{n-1} alpha_n / eta_n. Without ``rng`` the step takes its
+    mean; with it, a draw. Step n=1 returns x_hat exactly.
     """
     x_n = np.asarray(x_n, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
@@ -98,11 +96,9 @@ def reverse_transition(x_n: np.ndarray, x_hat: np.ndarray, n: int, sched: Diffus
     eta_p = sched.eta_at(n - 1)
     alpha = eta_n - eta_p
     mean = (eta_p / eta_n) * x_n + (alpha / eta_n) * x_hat
-    if deterministic:
+    if rng is None:
         return mean
     var = sched.kappa**2 * eta_p * alpha / eta_n
-    if rng is None:
-        raise ContractError("stochastic reverse_transition needs an rng stream")
     return mean + np.sqrt(var) * rng.normal(x_n.shape)
 
 
@@ -120,12 +116,14 @@ def blend_estimate(x_n: np.ndarray, y: np.ndarray, x_hat: np.ndarray, eta: float
 
 
 def refine(y: np.ndarray, denoise_fn, sched: DiffusionSchedule,
-           rng: RandomStream | None = None, deterministic: bool = True):
+           rng: RandomStream | None = None):
     """Full reverse chain: y -> refined x, plus the final per-frame state logits.
 
     ``denoise_fn(x_n, y, n) -> (x_hat, state_logits)`` is the trained model
-    (or a test oracle). In deterministic mode x^N = y and every transition
-    takes its mean, making the result a pure function of (y, weights, N).
+    (or a test oracle). With a stream ``rng`` the chain is sampled: x^N ~
+    N(y, kappa^2 I) and every transition draws. Without one it is
+    deterministic: x^N = y and every transition takes its mean, making the
+    result a pure function of (y, weights, N).
     There, each mean above the last step is taken at ``blend_estimate`` of
     x_hat rather than x_hat itself: late in the chain x^n already pins x
     down far more tightly than a denoiser re-estimates it, and feeding the
@@ -137,19 +135,17 @@ def refine(y: np.ndarray, denoise_fn, sched: DiffusionSchedule,
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise ContractError("refine: input contains non-finite values")
-    if deterministic:
+    if rng is None:
         x_n = y  # never written in place; a denoiser may recognise x^N as y itself
     else:
-        if rng is None:
-            raise ContractError("stochastic refine needs an rng stream")
         x_n = y + sched.kappa * rng.normal(y.shape)
     states = None
     for n in range(sched.steps, 0, -1):
         x_hat, states = denoise_fn(x_n, y, n)
         x_hat = np.asarray(x_hat, dtype=np.float64)
-        if deterministic and n > 1:
+        if rng is None and n > 1:
             x_hat = blend_estimate(x_n, y, x_hat, sched.eta_at(n))
-        x_n = reverse_transition(x_n, x_hat, n, sched, rng, deterministic)
+        x_n = reverse_transition(x_n, x_hat, n, sched, rng)
         if not np.all(np.isfinite(x_n)):
             raise InferenceDivergedError(n)
     return x_n, states

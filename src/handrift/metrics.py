@@ -39,12 +39,12 @@ def _finite_frames(err: np.ndarray, metric: str, span: int = 1) -> np.ndarray:
     return err
 
 
-def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) -> np.ndarray:
+def procrustes_align(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Similarity-align ``pred`` onto ``gt`` by least squares, each frame on its own.
 
     Takes one (N,3) point cloud per side or a batch (...,N,3) of them.
-    Closed-form orthogonal Procrustes with reflection correction (det=+1);
-    optional uniform scale. Raises on degenerate targets (fewer than 3
+    Closed-form orthogonal Procrustes with reflection correction (det=+1)
+    and a uniform scale. Raises on degenerate targets (fewer than 3
     points, or in any frame an all-equal prediction or collinear ground
     truth). The clouds are made C-contiguous first: the batched products and
     SVDs below round by memory layout, so a strided view would align to other
@@ -73,7 +73,7 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray, with_scale: bool = True) 
     d = np.sign(np.linalg.det(V @ Ut))
     D = np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)  # diagonal of the reflection fix
     R = (V * D[..., None, :]) @ Ut
-    scale = ((S * D).sum(axis=-1) / sx)[..., None, None] if with_scale else 1.0
+    scale = ((S * D).sum(axis=-1) / sx)[..., None, None]
     t = mu_g - scale * (R @ mu_p.swapaxes(-1, -2)).swapaxes(-1, -2)
     return scale * (R @ pred.swapaxes(-1, -2)).swapaxes(-1, -2) + t
 

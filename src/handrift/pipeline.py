@@ -49,8 +49,7 @@ class RefineBundle:
 
 def make_bundle(cfg: dict, normalizer: Normalizer, params=None, hand_model=None) -> RefineBundle:
     model = hand_model if hand_model is not None else build_hand_model()
-    sch = cfg["schedule"]
-    schedule = make_schedule(sch["steps"], sch["eta1"], sch["kappa"], sch["power"])
+    schedule = make_schedule(cfg["schedule"]["steps"])
     den = Denoiser(denoiser_config_from(cfg), model, normalizer, params=params,
                    seed=cfg["seed"], total_steps=schedule.steps,
                    state_feedback=bool(cfg["train"]["use_state"]))
@@ -118,7 +117,7 @@ def respaced_steps(total: int, steps: int) -> np.ndarray:
 
 
 def _refine_windows(bundle: RefineBundle, den: Denoiser, y_norm: np.ndarray, y_code: np.ndarray,
-                    deterministic: bool, rng: RandomStream | None, steps: int):
+                    rng: RandomStream | None, steps: int):
     """Refine the normalized windows ``y_norm`` (W,T,61) through one reverse chain of
     the gradient-free view ``den``; ``y_code`` (W*T,C) are their frames' mesh codes,
     reused at every step.
@@ -126,25 +125,27 @@ def _refine_windows(bundle: RefineBundle, den: Denoiser, y_norm: np.ndarray, y_c
     Returns (raw refined (W,T,61), state logits (W,T,S)). The chain is respaced:
     it runs K = ``steps`` of the N trained steps (``respaced_steps``), and its
     step k is trained step idx[k-1], with that step's eta and step embedding
-    n/N. A non-probabilistic model, trained only at n = N on x^N = y, runs the
-    one-step chain {N}, whose single step returns the denoiser's estimate. The
+    n/N. The chain is sampled with a stream ``rng`` and deterministic without
+    one. A non-probabilistic model, trained only at n = N on x^N = y, runs the
+    deterministic one-step chain {N}, whose single step returns the
+    denoiser's estimate; ``rng`` then only samples its decoder's states. The
     bundle is never modified.
     """
     schedule = bundle.schedule
     if not bundle.probabilistic:
-        steps, deterministic = 1, True
+        steps = 1
     idx = respaced_steps(schedule.steps, steps)
     chain = DiffusionSchedule(eta=schedule.eta[idx - 1], kappa=schedule.kappa)
 
     def denoise_fn(x_n, y, k):
         return den.forward_free(x_n, y, int(idx[k - 1]), rng=rng, y_code=y_code)
 
-    out, lg = refine(y_norm, denoise_fn, chain, rng=rng, deterministic=deterministic)
+    out, lg = refine(y_norm, denoise_fn, chain, rng=rng if bundle.probabilistic else None)
     return bundle.normalizer.denormalize(out), lg
 
 
-def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
-                    rng: RandomStream | None = None, steps: int | None = None):
+def refine_sequence(bundle: RefineBundle, y_raw, rng: RandomStream | None = None,
+                    steps: int | None = None):
     """Refine a raw (T,61) sequence of any length; returns (refined, StateTrack).
 
     Inputs longer than the trained window are cut into 50%-overlap windows,
@@ -155,6 +156,7 @@ def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
     StateTrack) back: the windows of every clip with the same window length
     (the trained one, or a shorter clip's own) go through one reverse chain.
 
+    A stream ``rng`` samples the reverse chain; without one it is deterministic.
     ``steps`` K runs K of the N trained reverse steps (1 <= K <= N, else
     InputError before any work); by default min(``REFINE_STEPS``, N).
 
@@ -182,7 +184,7 @@ def refine_sequence(bundle: RefineBundle, y_raw, deterministic: bool = True,
         rows = np.stack([o + s + np.arange(win) for i, o in zip(group, offsets) for s in plans[i][2]])
         y_norm = np.concatenate([norms[i] for i in group])[rows]
         y_code = np.concatenate([codes[i] for i in group])[rows.reshape(-1)]
-        refined, logits = _refine_windows(bundle, den, y_norm, y_code, deterministic, rng, steps)
+        refined, logits = _refine_windows(bundle, den, y_norm, y_code, rng, steps)
         labels = np.argmax(logits, axis=-1)
         for i in group:  # each clip's windows, in the order they were stacked
             n = len(plans[i][2])

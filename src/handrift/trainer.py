@@ -144,7 +144,7 @@ class CorpusItem:
     motion: np.ndarray                      # (T,61) clean
     object_center: np.ndarray | None = None
     contact_threshold: float | None = None
-    labels: np.ndarray | None = None        # annotator labels, filled by train()
+    labels: np.ndarray | None = None        # per-frame states; None: train() annotates them
 
 
 def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: list | None = None):
@@ -161,12 +161,12 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
     den = bundle.denoiser
     schedule = bundle.schedule
 
+    corpus_labels = []  # the items' own labels, or the annotator's; the corpus is not written
     for item in corpus:
-        if item.labels is None:
-            if item.object_center is None:
-                raise ConfigError("corpus item lacks both labels and an object track")
-            obj = ObjectTrack(item.object_center, item.contact_threshold)
-            item.labels = annotate_states(item.motion, obj, hand_model).labels
+        if item.labels is None and item.object_center is None:
+            raise ConfigError("corpus item lacks both labels and an object track")
+        corpus_labels.append(item.labels if item.labels is not None else annotate_states(
+            item.motion, ObjectTrack(item.object_center, item.contact_threshold), hand_model).labels)
 
     root = RandomStream(cfg["seed"], "train")
     opt = AdamW(den.params, lr=tcfg.lr, lr_decay_epochs=tcfg.lr_decay_epochs)
@@ -201,7 +201,7 @@ def train(corpus: list, cfg: dict, out_ckpt=None, log_path=None, eval_corpus: li
                 if len(idx) == 0:
                     continue
                 x_raw = np.stack([corpus[i].motion for i in idx])
-                labels = np.stack([corpus[i].labels for i in idx])
+                labels = np.stack([corpus_labels[i] for i in idx])
                 gt_j = np.stack([gt_joints_cache[i] for i in idx])
                 y_raw = np.stack([
                     perturb(corpus[i].motion, tcfg.perturb,
@@ -261,7 +261,7 @@ def _quick_eval(bundle: RefineBundle, eval_items, eval_noisy) -> dict:
     """Holdout means of refined and input MJE/ACCL; one reverse chain per window length."""
     model = bundle.hand_model
     rows = {"mje": [], "accl": [], "input_mje": [], "input_accl": []}
-    refined_clips = refine_sequence(bundle, list(eval_noisy), deterministic=True)
+    refined_clips = refine_sequence(bundle, list(eval_noisy))
     for item, noisy, (refined, _) in zip(eval_items, eval_noisy, refined_clips):
         gt_j = motion_to_joints(item.motion, model)
         in_j = motion_to_joints(noisy, model)

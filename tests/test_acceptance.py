@@ -70,7 +70,7 @@ def evaluate_bundle(bundle, corpus, n_eval=50):
         y = perturb(item.motion, tcfg.perturb, stream, channel_scale=norm.std)
         gj = motion_to_joints(item.motion, model)
         yj = motion_to_joints(y, model)
-        refined, _ = refine_sequence(bundle, y, deterministic=True)
+        refined, _ = refine_sequence(bundle, y)
         rj = motion_to_joints(refined, model)
         out["in_mje"].append(mje(yj, gj))
         out["mje"].append(mje(rj, gj))
@@ -96,7 +96,7 @@ def test_criterion_1_gradient_suite():
     T = 6
     cfg = load_config(None, {
         "frames": T,
-        "schedule": {"steps": 3, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
+        "schedule": {"steps": 3},
         "denoiser": {"layers": 1, "heads": 2, "width": 16, "mesh_widths": [4, 6],
                      "step_features": 8, "ffn_multiplier": 2},
     })
@@ -147,7 +147,7 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_diffusion_consistency():
     start = time.monotonic()
-    sched = make_schedule(8, eta1=0.01, kappa=0.3)
+    sched = make_schedule(8)
     draws = 100_000
     x0, y0 = 0.55, -0.65
     ok = True
@@ -157,7 +157,7 @@ def test_criterion_2_diffusion_consistency():
         x = np.full(draws, x0)
         x_n = forward_sample(x, np.full(draws, y0), sched.steps, sched, rng)
         for n in range(sched.steps, stop_at, -1):
-            x_n = reverse_transition(x_n, x, n, sched, rng, deterministic=False)
+            x_n = reverse_transition(x_n, x, n, sched, rng)
         eta = sched.eta[stop_at - 1]
         mean_expect = x0 + eta * (y0 - x0)
         var_expect = sched.kappa**2 * eta
@@ -176,7 +176,7 @@ def test_criterion_2_diffusion_consistency():
     def oracle(x_n, y_in, n):
         return x_true_norm, np.zeros((16, 5))
 
-    out_norm, _ = refine(norm.normalize(y), oracle, sched, deterministic=True)
+    out_norm, _ = refine(norm.normalize(y), oracle, sched)
     err = np.abs(norm.denormalize(out_norm) - motion).max()
     ok = ok and err <= 1e-9
     elapsed = time.monotonic() - start
@@ -406,7 +406,7 @@ def test_criterion_8_metric_identities():
         gt_pts = rng.normal(size=(21, 3)) * 30
         Rm = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
         pred_pts = gt_pts @ Rm.T * rng.uniform(0.7, 1.5) + rng.normal(size=(21, 3)) * 2.5
-        aligned = procrustes_align(pred_pts, gt_pts, with_scale=True)
+        aligned = procrustes_align(pred_pts, gt_pts)
         closed = np.sqrt(((aligned - gt_pts) ** 2).sum() / 21)
         worst_proc = max(worst_proc, abs(closed - procrustes_oracle(pred_pts, gt_pts)))
 
@@ -426,7 +426,7 @@ def test_criterion_9_command_determinism(tmp_path):
     cfgp.write_text(json.dumps({
         "frames": 14,
         "train": {"epochs": 1, "batch_size": 2, "eval_subset": 0},
-        "schedule": {"steps": 2, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
+        "schedule": {"steps": 2},
         "denoiser": {"layers": 1, "heads": 2, "width": 16, "mesh_widths": [4, 6],
                      "step_features": 8, "ffn_multiplier": 2},
     }))

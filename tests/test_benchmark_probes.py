@@ -85,7 +85,7 @@ def test_denoiser_and_diffusion_spans_fire_on_refine(spans, stochastic):
 
     def run():
         rng = RandomStream(1, "probe-refine") if stochastic else None
-        return refine_sequence(bundle, motion, deterministic=not stochastic, rng=rng)[0]
+        return refine_sequence(bundle, motion, rng=rng)[0]
 
     with spans.Tracer() as tracer:
         traced = run()

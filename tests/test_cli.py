@@ -22,7 +22,7 @@ from handrift.rng import RandomStream
 TINY_CONFIG = {
     "frames": 14,
     "train": {"epochs": 1, "batch_size": 2, "eval_subset": 0},
-    "schedule": {"steps": 2, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
+    "schedule": {"steps": 2},
     "denoiser": {"layers": 1, "heads": 2, "width": 16, "mesh_widths": [4, 6],
                  "step_features": 8, "ffn_multiplier": 2},
 }
@@ -83,22 +83,19 @@ def test_generate_missing_spec_exits_one(tmp_path):
     ('{"frames": 16', "is not valid JSON"),
     ("[1, 2]", "must be a JSON object"),
     ('{"frames": "x"}', "spec 'frames' must be an integer, got 'x'"),
-    ('{"frames": 16, "overrides": {"nope": 1}}', "unknown spec override 'nope'"),
-    ('{"frames": 16, "overrides": {"beta": [1]}}',
-     "spec override 'beta' must be a list of shape [10] of finite numbers, got [1]"),
-    ('{"frames": 16, "overrides": {"free_frames": "x"}}',
-     "spec override 'free_frames' must be an integer, got 'x'"),
-    ('{"frames": 16, "overrides": {"retreat_len": null}}',
-     "spec override 'retreat_len' must be a finite number, got None"),
-    ('{"frames": 16, "overrides": {"seed": 1.5}}', "spec override 'seed' must be an integer, got 1.5"),
+    ('{"frames": 16, "overrides": {"nope": 1}}', "unknown spec key 'overrides'"),
+    ('{"frames": 16, "overrides": {"beta": [1]}}', "unknown spec key 'overrides'"),
+    ('{"frames": 16, "overrides": {"free_frames": "x"}}', "unknown spec key 'overrides'"),
+    ('{"frames": 16, "overrides": {"retreat_len": null}}', "unknown spec key 'overrides'"),
+    ('{"frames": 16, "overrides": {"seed": 1.5}}', "unknown spec key 'overrides'"),
     ('{"frames": 2}', "spec 'frames' must be at least 14, got 2"),
-    ('{"frames": 16, "overrides": {"free_frames": 5}}',
-     "spec overrides make script-0 19 frames long, but 'frames' is 16"),
-    ('{"overrides": {"release_frames": 1}}',
-     "spec overrides make script-0 invalid: release needs >= 2 frames to depart"),
+    ('{"frames": 16, "overrides": {"free_frames": 5}}', "unknown spec key 'overrides'"),
+    ('{"overrides": {"release_frames": 1}}', "unknown spec key 'overrides'"),
+    ('{"frame": 32}', "unknown spec key 'frame'"),
+    ('{"frames": 16, "count": 3}', "unknown spec key 'count'"),
 ], ids=["invalid-json", "not-an-object", "frames-string", "unknown-override", "beta-shape",
         "free-frames-string", "retreat-len-null", "seed-float", "frames-below-floor",
-        "phases-off-frames", "release-one-frame"])
+        "phases-off-frames", "release-one-frame", "frames-typo", "count-key"])
 def test_generate_bad_spec_exits_one(tmp_path, capsys, text, message):
     spec, out = tmp_path / "spec.json", tmp_path / "out"
     spec.write_text(text)
@@ -129,10 +126,9 @@ def test_generate_zero_count_still_checks_the_spec_overrides(tmp_path, capsys):
 
 @pytest.mark.parametrize("threshold", [0, -1, -3, float("nan"), float("inf")],
                          ids=["zero", "minus-one", "minus-three", "nan", "inf"])
-def test_contact_threshold_that_no_reader_accepts_is_refused_before_writing(tmp_path, capsys,
-                                                                           threshold):
-    """ObjectTrack, ScriptSpec, write_motion and generate refuse what read_motion refuses, with
-    its message, so every motion file written reads back; generate makes no directory."""
+def test_contact_threshold_that_no_reader_accepts_is_refused_before_writing(tmp_path, threshold):
+    """ObjectTrack, ScriptSpec and write_motion refuse what read_motion refuses, with its
+    message, so every motion file written reads back."""
     message = f"contact_threshold_mm must be a finite number > 0, got {threshold!r}"
     with pytest.raises(InputError, match=re.escape(message)):
         ObjectTrack(np.zeros((4, 3)), threshold)
@@ -143,13 +139,6 @@ def test_contact_threshold_that_no_reader_accepts_is_refused_before_writing(tmp_
         write_motion(path, MotionData(frames=np.zeros((4, 61)), object_center=np.zeros((4, 3)),
                                       contact_threshold=threshold))
     assert not path.exists()
-    spec, out = tmp_path / "spec.json", tmp_path / "out"
-    spec.write_text(json.dumps({"frames": 16, "overrides": {"contact_threshold": threshold}}))
-    assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "2"]) == 1
-    err = capsys.readouterr().err  # JSON's NaN and Infinity fail the spec's own number check first
-    shown = message if np.isfinite(threshold) else "spec override 'contact_threshold' must be a finite number"
-    assert shown in err and len(err.splitlines()) == 1
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("fps", ["fast", 0.0, -30.0, True, float("nan"), float("inf")],
@@ -167,18 +156,6 @@ def test_write_motion_refuses_a_misshapen_object_track_before_opening(tmp_path):
     with pytest.raises(InputError, match=re.escape("object track must be (4,3), got (3, 3)")):
         write_motion(path, MotionData(frames=np.zeros((4, 61)), object_center=np.zeros((3, 3))))
     assert not path.exists()
-
-
-def test_generate_phase_overrides_summing_to_frames(tmp_path):
-    phases = {"free_frames": 1, "reach_frames": 6, "grasp_frames": 4, "manipulate_frames": 3,
-              "release_frames": 4}
-    spec, out = tmp_path / "spec.json", tmp_path / "out"
-    spec.write_text(json.dumps({"frames": 18, "overrides": phases}))
-    assert main(["generate", "--spec", str(spec), "--out", str(out), "--count", "2",
-                 "--seed", "3"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["frames"] == 18
-    for f in sorted(out.glob("*.hmf")):
-        assert read_motion(f).frames.shape[0] == 18
 
 
 def test_train_missing_config_exits_one(tmp_path, workspace, capsys):
@@ -373,6 +350,23 @@ def test_refine_stochastic_seeded(tmp_path, workspace):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def test_non_probabilistic_stochastic_refine_is_seeded(tmp_path, workspace):
+    """--stochastic on a non-probabilistic model samples its decoder's states from the seed's
+    stream: the output differs from the deterministic one, and is the same under one seed."""
+    ckpt = tmp_path / "det.ckpt"
+    assert main(["train", "--corpus", str(workspace["corpus"]), "--config", str(workspace["cfg"]),
+                 "--out", str(ckpt), "--ablation", "deterministic"]) == 0
+    src = sorted(workspace["corpus"].glob("*.hmf"))[0]
+    outs = []
+    for name, flags in (("d.hmf", []), ("s1.hmf", ["--stochastic", "--seed", "5"]),
+                        ("s2.hmf", ["--stochastic", "--seed", "5"])):
+        out = tmp_path / name
+        assert main(["refine", "--ckpt", str(ckpt), "--in", str(src), "--out", str(out), *flags]) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[2]
+    assert outs[0] != outs[1]
 
 
 def test_refine_longer_sequence_sliding_window(tmp_path, workspace):
@@ -745,6 +739,12 @@ def _stored_config(edit):
      "unknown stored config key 'denoiser.gumbel_tau'"),
     (lambda c: {**c, "annotator": {"use_palm_center": False}}, "unknown stored config key 'annotator'"),
     (lambda c: {**c, "smoothfilter_sigma": 1.0}, "unknown stored config key 'smoothfilter_sigma'"),
+    (lambda c: {**c, "schedule": {**c["schedule"], "eta1": 0.01}},
+     "unknown stored config key 'schedule.eta1'"),
+    (lambda c: {**c, "schedule": {**c["schedule"], "kappa": 0.3}},
+     "unknown stored config key 'schedule.kappa'"),
+    (lambda c: {**c, "schedule": {**c["schedule"], "power": 1.0}},
+     "unknown stored config key 'schedule.power'"),
     (lambda c: {**c, "train": {**c["train"], "epochs": 1.5}},
      "stored config 'train.epochs' must be a non-negative integer, got 1.5"),
     (lambda c: {**c, "denoiser": {**c["denoiser"], "width": 16.0}},
@@ -755,7 +755,8 @@ def _stored_config(edit):
      "stored config 'schedule.steps' must be an integer, got 2.5"),
 ], ids=["empty", "frames-only", "train-only", "no-schedule", "train-number", "width-string",
         "no-probabilistic", "frames-zero", "steps-zero", "heads-not-dividing-width", "hand-recipe",
-        "hand-seed", "gumbel-tau-fixed", "annotator", "smoothfilter-sigma", "epochs-float",
+        "hand-seed", "gumbel-tau-fixed", "annotator", "smoothfilter-sigma", "schedule-eta1",
+        "schedule-kappa", "schedule-power", "epochs-float",
         "width-float", "batch-size-zero", "steps-float"])
 def test_stored_config_sections_exit_three(tmp_path, workspace, capsys, edit, message):
     bad = tmp_path / "bad.ckpt"
@@ -778,6 +779,7 @@ OLD_DEFAULTS = {  # the keys made constants or removed, at the defaults they had
     "annotator.stable_speed_deg": 0.5, "annotator.contact_threshold_mm": 10.0,
     "annotator.use_palm_center": False,
     "train.weight_decay": 1e-2, "train.lr_decay_factor": 0.8, "train.self_condition": True,
+    "schedule.eta1": 0.01, "schedule.kappa": 0.3, "schedule.power": 1.0,
 }
 
 

@@ -36,7 +36,7 @@ def test_procrustes_recovers_rigid_transform_exactly():
         Rm = random_rotation(rng)
         t = rng.normal(size=3) * 100
         pred = gt @ Rm.T + t
-        aligned = procrustes_align(pred, gt, with_scale=False)
+        aligned = procrustes_align(pred, gt)
         assert np.sqrt(((aligned - gt) ** 2).mean()) < 1e-9
 
 
@@ -44,7 +44,7 @@ def test_procrustes_recovers_similarity_with_scale():
     rng = np.random.default_rng(2)
     gt = rng.normal(size=(10, 3)) * 30
     pred = 2.7 * gt @ random_rotation(rng).T + np.array([5.0, -3.0, 9.0])
-    aligned = procrustes_align(pred, gt, with_scale=True)
+    aligned = procrustes_align(pred, gt)
     np.testing.assert_allclose(aligned, gt, atol=1e-8)
 
 
@@ -79,9 +79,8 @@ def test_procrustes_batch_equals_per_frame_calls(points):
     gt = rng.normal(size=(16, points, 3)) * 30
     pred = 1.2 * gt @ random_rotation(rng).T + rng.normal(size=gt.shape) * 4 + 25.0
     pred[5] = pred[5, :, ::-1]  # a frame whose best rotation needs the reflection fix
-    for with_scale in (True, False):
-        per_frame = np.stack([procrustes_align(pred[f], gt[f], with_scale) for f in range(16)])
-        assert procrustes_align(pred, gt, with_scale).tobytes() == per_frame.tobytes()
+    per_frame = np.stack([procrustes_align(pred[f], gt[f]) for f in range(16)])
+    assert procrustes_align(pred, gt).tobytes() == per_frame.tobytes()
 
 
 def test_procrustes_batch_rejects_one_bad_frame():
@@ -227,7 +226,7 @@ def test_procrustes_matches_bruteforce_descent_oracle():
     for _ in range(8):
         gt = rng.normal(size=(21, 3)) * 30
         pred = gt @ random_rotation(rng).T * 1.4 + rng.normal(size=(21, 3)) * 3.0
-        aligned = procrustes_align(pred, gt, with_scale=True)
+        aligned = procrustes_align(pred, gt)
         closed = np.sqrt(((aligned - gt) ** 2).sum() / 21)
         assert closed == pytest.approx(procrustes_oracle(pred, gt), abs=1e-6)
 

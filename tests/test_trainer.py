@@ -34,7 +34,7 @@ def tiny_cfg():
     return load_config(None, {
         "frames": 14,
         "train": {"epochs": 2, "batch_size": 2, "eval_subset": 0},
-        "schedule": {"steps": 3, "eta1": 0.01, "kappa": 0.3, "power": 1.0},
+        "schedule": {"steps": 3},
         "denoiser": {"layers": 1, "heads": 2, "width": 16, "mesh_widths": [4, 6],
                      "step_features": 8, "ffn_multiplier": 2},
     })
@@ -50,11 +50,6 @@ def tiny_corpus(tiny_cfg):
         items.append(CorpusItem(motion=motion, object_center=obj.center,
                                 contact_threshold=obj.contact_threshold))
     return items
-
-
-def _fresh_items(items):
-    return [CorpusItem(motion=i.motion.copy(), object_center=i.object_center.copy(),
-                       contact_threshold=i.contact_threshold) for i in items]
 
 
 def test_train_config_validation():
@@ -101,7 +96,7 @@ def test_config_surface_is_pinned():
         "denoiser.ffn_multiplier", "denoiser.heads", "denoiser.layers", "denoiser.mesh_widths",
         "denoiser.step_features", "denoiser.width",
         "frames", "preset",
-        "schedule.eta1", "schedule.kappa", "schedule.power", "schedule.steps",
+        "schedule.steps",
         "seed", "train.batch_size", "train.constant_accel_baseline", "train.divergence_threshold",
         "train.epochs", "train.eval_subset", "train.lambda_geo", "train.lr", "train.lr_decay_epochs",
         "train.perturb.burst_mean", "train.perturb.mask_noise_std", "train.perturb.mask_prob",
@@ -192,16 +187,29 @@ def test_total_loss_breakdown_sums_to_total(tiny_cfg, tiny_corpus):
 
 def test_train_bitwise_reproducible_checkpoint(tiny_cfg, tiny_corpus, tmp_path):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    train(_fresh_items(tiny_corpus), tiny_cfg, out_ckpt=p1, log_path=tmp_path / "a.log")
-    train(_fresh_items(tiny_corpus), tiny_cfg, out_ckpt=p2, log_path=tmp_path / "b.log")
+    train(tiny_corpus, tiny_cfg, out_ckpt=p1, log_path=tmp_path / "a.log")
+    train(tiny_corpus, tiny_cfg, out_ckpt=p2, log_path=tmp_path / "b.log")
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.log").read_bytes() == (tmp_path / "b.log").read_bytes()
 
 
+def test_train_leaves_the_callers_corpus_unwritten(tiny_cfg, tiny_corpus):
+    """train keeps the annotator's labels to itself: the items' labels stay None, and
+    items that carry those labels train to the same weights."""
+    assert all(item.labels is None for item in tiny_corpus)
+    bundle, _ = train(tiny_corpus, tiny_cfg)
+    assert all(item.labels is None for item in tiny_corpus)
+    model = build_hand_model()
+    labelled = [CorpusItem(motion=i.motion, labels=annotate_states(
+        i.motion, ObjectTrack(i.object_center, i.contact_threshold), model).labels) for i in tiny_corpus]
+    again, _ = train(labelled, tiny_cfg)
+    for name, param in bundle.denoiser.params.items():
+        np.testing.assert_array_equal(param.data, again.denoiser.params[name].data)
+
+
 def test_train_log_rows_structure(tiny_cfg, tiny_corpus, tmp_path):
     log = tmp_path / "run.log"
-    bundle, rows = train(_fresh_items(tiny_corpus), tiny_cfg, log_path=log,
-                         eval_corpus=_fresh_items(tiny_corpus)[:1])
+    bundle, rows = train(tiny_corpus, tiny_cfg, log_path=log, eval_corpus=tiny_corpus[:1])
     assert len(rows) == tiny_cfg["train"]["epochs"]
     for row in rows:
         assert {"epoch", "lr", "loss"} <= set(row)
@@ -211,7 +219,7 @@ def test_train_log_rows_structure(tiny_cfg, tiny_corpus, tmp_path):
 
 
 def test_train_log_records_gradient_and_parameter_norms(tiny_cfg, tiny_corpus):
-    bundle, rows = train(_fresh_items(tiny_corpus), tiny_cfg)
+    bundle, rows = train(tiny_corpus, tiny_cfg)
     for row in rows:
         for key in ("grad_norm", "param_norm"):
             assert np.isfinite(row[key]) and row[key] > 0
@@ -224,7 +232,7 @@ def test_train_divergence_aborts_with_checkpoint(tiny_cfg, tiny_corpus, tmp_path
                              "train": {**tiny_cfg["train"], "divergence_threshold": 1e-9}})
     ckpt = tmp_path / "diverged.ckpt"
     with pytest.raises(TrainingDivergedError, match=r"^loss .* at epoch 0 step 0; kept the initial weights$"):
-        train(_fresh_items(tiny_corpus), cfg, out_ckpt=ckpt)
+        train(tiny_corpus, cfg, out_ckpt=ckpt)
     assert ckpt.exists()
     bundle = load_bundle(ckpt)  # still loadable, and holds the weights training started from
     init = bundle.denoiser.init_params(cfg["seed"])
@@ -267,7 +275,7 @@ def test_a_training_step_holds_one_graph(monkeypatch):
 
 def test_checkpoint_stores_normalization_and_config_hash(tiny_cfg, tiny_corpus, tmp_path):
     ckpt = tmp_path / "m.ckpt"
-    bundle, _ = train(_fresh_items(tiny_corpus), tiny_cfg, out_ckpt=ckpt)
+    bundle, _ = train(tiny_corpus, tiny_cfg, out_ckpt=ckpt)
     loaded = load_bundle(ckpt)
     assert loaded.config_hash == config_hash(tiny_cfg)
     np.testing.assert_array_equal(loaded.normalizer.mean, bundle.normalizer.mean)
@@ -281,7 +289,7 @@ def test_deterministic_baseline_reuses_pipeline(tiny_cfg, tiny_corpus):
     cfg = json.loads(json.dumps(tiny_cfg))
     cfg["train"].update({"probabilistic": False, "use_state": False, "use_kin": False,
                          "use_sta": False})
-    bundle, rows = train(_fresh_items(tiny_corpus), cfg)
+    bundle, rows = train(tiny_corpus, cfg)
     assert not bundle.probabilistic
     refined, track = refine_sequence(bundle, tiny_corpus[0].motion)
     assert refined.shape == tiny_corpus[0].motion.shape
@@ -291,7 +299,7 @@ def test_deterministic_baseline_reuses_pipeline(tiny_cfg, tiny_corpus):
 @pytest.fixture(scope="module")
 def tiny_ckpt(tiny_cfg, tiny_corpus, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("tiny") / "model.ckpt"
-    train(_fresh_items(tiny_corpus), tiny_cfg, out_ckpt=ckpt)
+    train(tiny_corpus, tiny_cfg, out_ckpt=ckpt)
     return ckpt
 
 
@@ -311,7 +319,7 @@ def test_inference_on_a_loaded_bundle_builds_no_tensor(tiny_ckpt, tiny_corpus, m
 
     monkeypatch.setattr(Tensor, "__init__", counted)
     refined, track = refine_sequence(bundle, y_raw)
-    refine_sequence(bundle, y_raw, deterministic=False, rng=RandomStream(3, "no-tensor"))
+    refine_sequence(bundle, y_raw, rng=RandomStream(3, "no-tensor"))
     labels = annotate_states(item.motion, ObjectTrack(item.object_center, item.contact_threshold),
                              bundle.hand_model).labels
     evaluate_pair(refined[:14], item.motion, labels, bundle.hand_model)
@@ -406,7 +414,7 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
         return den.forward_free(x_n, y, idx[k - 1], rng=rng)
 
     windows = norm.normalize(np.stack([y_raw[s : s + win] for s in starts]))
-    out, logits = refine(windows, denoise_fn, schedule, rng=rng, deterministic=deterministic)
+    out, logits = refine(windows, denoise_fn, schedule, rng=rng)
     assert rows == [2 * len(starts) * win] * schedule.steps
     acc, votes, weight = np.zeros((T, FRAME_DIM)), np.zeros((T, STATE_COUNT)), np.zeros(T)
     tri = np.minimum(np.arange(1, win + 1), np.arange(win, 0, -1)).astype(np.float64)
@@ -416,8 +424,7 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
         weight[s : s + win] += tri
 
     rows.clear()
-    refined, track = refine_sequence(bundle, y_raw, deterministic=deterministic, rng=stream(),
-                                     steps=steps)
+    refined, track = refine_sequence(bundle, y_raw, rng=stream(), steps=steps)
     # y once per clip frame, then x^n per step; a deterministic chain starts at x^N = y,
     # whose codes it has
     assert rows == [T] + [len(starts) * win] * (schedule.steps - 1 if deterministic else schedule.steps)
@@ -425,7 +432,7 @@ def test_refine_encodes_condition_once_per_chain(tiny_ckpt, tiny_corpus, monkeyp
     np.testing.assert_array_equal(track.labels, np.argmax(votes, axis=-1))
 
 
-def _refine_encoding_y_per_window(bundle, clip, deterministic, rng):
+def _refine_encoding_y_per_window(bundle, clip, rng):
     """refine_sequence of one clip as it was before y's codes were shared across
     overlapping windows: y's meshes encoded per window row. (refined, StateTrack)."""
     plan = pipeline._windows(bundle, clip)
@@ -437,7 +444,7 @@ def _refine_encoding_y_per_window(bundle, clip, deterministic, rng):
     def denoise_fn(x_n, y, n):
         return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
 
-    out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng, deterministic=deterministic)
+    out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng)
     return pipeline._blend(plan, bundle.normalizer.denormalize(out), np.argmax(logits, axis=-1))
 
 
@@ -461,8 +468,8 @@ def test_condition_codes_encoded_once_per_clip_frame(tiny_ckpt, tiny_corpus, det
         def stream():
             return None if deterministic else RandomStream(13, f"clip-{i}")
 
-        ref, ref_track = _refine_encoding_y_per_window(bundle, clip, deterministic, stream())
-        refined, track = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+        ref, ref_track = _refine_encoding_y_per_window(bundle, clip, stream())
+        refined, track = refine_sequence(bundle, clip, rng=stream())
         np.testing.assert_array_equal(refined, ref)
         np.testing.assert_array_equal(track.labels, ref_track.labels)
 
@@ -565,9 +572,8 @@ def test_respaced_chain_over_all_steps_is_the_trained_chain(eight_step_bundle, t
     def denoise_fn(x_n, y, n):
         return den.forward_free(x_n, y, n, rng=rng, y_code=y_code)
 
-    out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng, deterministic=deterministic)
-    got, got_logits = pipeline._refine_windows(bundle, den, y_norm, y_code, deterministic,
-                                               stream(), steps=8)
+    out, logits = refine(y_norm, denoise_fn, bundle.schedule, rng=rng)
+    got, got_logits = pipeline._refine_windows(bundle, den, y_norm, y_code, stream(), steps=8)
     np.testing.assert_array_equal(got, bundle.normalizer.denormalize(out))
     np.testing.assert_array_equal(got_logits, logits)
 
@@ -606,12 +612,12 @@ def test_respaced_chain_is_a_loop_over_its_trained_steps(eight_step_bundle, tiny
         if not deterministic:
             x = x + np.sqrt(kappa**2 * e_prev * alpha / e) * rng.normal(x.shape)
 
-    refined, track = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+    refined, track = refine_sequence(bundle, clip, rng=stream())
     np.testing.assert_array_equal(refined, bundle.normalizer.denormalize(x)[0])
     np.testing.assert_array_equal(track.labels, np.argmax(logits, axis=-1)[0])
-    again, _ = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+    again, _ = refine_sequence(bundle, clip, rng=stream())
     assert again.tobytes() == refined.tobytes()
-    alone, _ = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream(), steps=8)
+    alone, _ = refine_sequence(bundle, clip, rng=stream(), steps=8)
     assert not np.array_equal(alone, refined)  # all eight steps give another chain
 
 
@@ -652,11 +658,10 @@ def test_float32_refine_matches_the_float64_chain(trained_full, desk_corpus, det
         def denoise_fn(x_n, y, k):
             return den.forward_free(x_n, y, idx[k - 1], rng=rng, y_code=y_code)
 
-        out, logits = refine(frames_norm[rows], denoise_fn, chain, rng=rng,
-                             deterministic=deterministic)
+        out, logits = refine(frames_norm[rows], denoise_fn, chain, rng=rng)
         ref, ref_track = pipeline._blend(plan, bundle.normalizer.denormalize(out),
                                          np.argmax(logits, axis=-1))
-        refined, track = refine_sequence(bundle, clip, deterministic=deterministic, rng=stream())
+        refined, track = refine_sequence(bundle, clip, rng=stream())
         assert np.abs(refined - ref).max() <= 5e-4
         np.testing.assert_array_equal(track.labels, ref_track.labels)
 
